@@ -476,13 +476,6 @@ def adjoin_root(algebra, f, r, check=True, dimension_cap=DIMENSION_CAP):
     return FiniteLocalAlgebra(field, dim, table, gens, check=check)
 
 
-def geometric_edim_formula(pdeg, trdeg):
-    """The difference p-degree minus transcendence degree of a field extension."""
-    if trdeg < 0 or pdeg < trdeg:
-        raise ArtinError("need pdeg >= trdeg >= 0, got (%r, %r)" % (pdeg, trdeg))
-    return pdeg - trdeg
-
-
 # -- convenience constructors used by tests and the CLI -------------------------
 
 

@@ -12,6 +12,7 @@ byte-stable for identical inputs apart from the timing fields.
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,11 +21,6 @@ from . import artin, catalog, curves, fermat
 from .fieldarith import FunctionField, ParseError, PrimeField, parse_expr
 from .frobenius import p_linear_independent, pdegree_generated
 from .groebner import verify_codim
-
-TASK_KINDS = (
-    "pdegree", "classify", "rational-point", "curve-normalize", "curve-singular",
-    "curve-conductor", "curve-cohomology", "artin-edim", "verify-codim", "verify-all",
-)
 
 TIMING_KEYS = ("seconds", "total_seconds")
 
@@ -48,39 +44,7 @@ def _fmt_point(point):
     return None if point is None else [c.format() for c in point]
 
 
-# -- job validation and task execution ----------------------------------------
-
-
-def validate_job(job):
-    if not isinstance(job, dict):
-        raise JobValidationError("job must be a JSON object")
-    if "field" not in job or "tasks" not in job:
-        raise JobValidationError("job needs 'field' and 'tasks'")
-    try:
-        field = FunctionField.from_descriptor(job["field"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise JobValidationError("bad field descriptor: %s" % exc) from exc
-    if not isinstance(job["tasks"], list):
-        raise JobValidationError("'tasks' must be a list")
-    for i, task in enumerate(job["tasks"]):
-        kind = task.get("kind")
-        if kind not in TASK_KINDS:
-            raise JobValidationError("task %d: unknown kind %r" % (i, kind))
-        for expr in _task_expressions(task):
-            try:
-                parse_expr(expr, field)
-            except ParseError as exc:
-                raise JobValidationError(
-                    "task %d: bad expression %r: %s" % (i, expr, exc)) from exc
-    return field
-
-
-def _task_expressions(task):
-    for key in ("exprs", "lambda"):
-        for expr in task.get(key, []):
-            yield expr
-    if "b" in task:
-        yield task["b"]
+# -- task handlers: (field, task) -> JSON-able result, raising on task failure ----
 
 
 def _hypersurface(field, task):
@@ -113,89 +77,139 @@ def _algebra_from_description(desc):
     raise JobValidationError("unknown algebra construction %r" % construction)
 
 
+def _pdegree(field, task):
+    res = pdegree_generated([parse_expr(e, field) for e in task["exprs"]])
+    return {"d": res.d, "selected": [_fmt(x) for x in res.selected],
+            "operations": ["pdegree_generated"]}
+
+
+def _classify(field, task):
+    X = _hypersurface(field, task)
+    cls = fermat.classify(X)
+    return {"d": cls.d, "verdict": cls.verdict, "codim": cls.codim,
+            "rational_point": _fmt_point(cls.rational_point),
+            "equation": X.defining_upoly().format(),
+            "operations": ["invariant_d", "classify", "rational_point"]}
+
+
+def _rational_point(field, task):
+    X = _hypersurface(field, task)
+    point = fermat.rational_point(X)
+    return {"point": _fmt_point(point),
+            "p_linear_independent": p_linear_independent(list(X.coeffs)),
+            "operations": ["rational_point", "p_linear_independent"],
+            "asserted": ["point_satisfies_equation"] if point else []}
+
+
+def _curve_normalize(field, task):
+    nf = _normal_form(field, task)
+    curves.normalization(nf)
+    return {"lambda": _fmt(nf.lam), "Q": _fmt(nf.q_of_lambda()),
+            "root_coeffs": [_fmt(c) for c in nf.root_coeffs],
+            "scale_unit": _fmt(nf.scale_unit),
+            "slot_to_index": list(nf.slot_to_index),
+            "operations": ["normal_form", "normalization"],
+            "asserted": ["pullback_vanishes", "preimage_length_p"]}
+
+
+def _curve_singular(field, task):
+    sp = curves.singular_point(_normal_form(field, task))
+    return {"point_on_line": [_fmt_ext(c) for c in sp.point_on_line],
+            "image_point": [_fmt_ext(c) for c in sp.image_point],
+            "residue_degree": sp.residue_degree,
+            "operations": ["singular_point"],
+            "asserted": ["image_satisfies_singular_ideal"]}
+
+
+def _curve_conductor(field, task):
+    cp = curves.conductor_profile(_normal_form(field, task))
+    return {"case": cp.case, "dim_subalgebra": cp.dim_subalgebra,
+            "dim_conductor_ring": cp.ring.dim_K,
+            "residue_degree": cp.residue_degree, "chart": cp.chart_index,
+            "operations": ["conductor_profile"],
+            "asserted": ["gorenstein_halving", "L_meets_subalgebra_in_K",
+                         "conductor_exactness_guard"]}
+
+
+def _curve_cohomology(field, task):
+    cp = curves.conductor_profile(_normal_form(field, task))
+    gc = curves.glueing_cohomology(cp.ring, cp.subalgebra_basis)
+    return {"h0": gc.h0, "h1": gc.h1, "admissible": gc.admissible,
+            "operations": ["conductor_profile", "glueing_cohomology"]}
+
+
+def _artin_edim(field, task):
+    report = artin.edim(_algebra_from_description(task["algebra"]))
+    return {"dim": report.dim_total, "residue_dim": report.residue_dim,
+            "edim": report.edim, "operations": ["edim"]}
+
+
+def _verify_codim(field, task):
+    chk = verify_codim(_hypersurface(field, task))
+    return {"predicted_d": chk.predicted_d, "oracle_codim": chk.oracle_codim,
+            "match": chk.match,
+            "operations": ["buchberger", "ideal_dimension", "verify_codim"]}
+
+
+def _verify_all(field, task):
+    entries = catalog.load_catalog(task.get("catalog"))
+    results = [catalog.check_catalog_entry(e) for e in entries]
+    return {"entries": results, "ok": all(r["ok"] for r in results),
+            "operations": ["verify_all"]}
+
+
+TASK_HANDLERS = {
+    "pdegree": _pdegree,
+    "classify": _classify,
+    "rational-point": _rational_point,
+    "curve-normalize": _curve_normalize,
+    "curve-singular": _curve_singular,
+    "curve-conductor": _curve_conductor,
+    "curve-cohomology": _curve_cohomology,
+    "artin-edim": _artin_edim,
+    "verify-codim": _verify_codim,
+    "verify-all": _verify_all,
+}
+
+TASK_KINDS = tuple(TASK_HANDLERS)
+
+
+# -- job validation and task execution ----------------------------------------
+
+
+def validate_job(job):
+    if not isinstance(job, dict):
+        raise JobValidationError("job must be a JSON object")
+    if "field" not in job or "tasks" not in job:
+        raise JobValidationError("job needs 'field' and 'tasks'")
+    try:
+        field = FunctionField.from_descriptor(job["field"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise JobValidationError("bad field descriptor: %s" % exc) from exc
+    if not isinstance(job["tasks"], list):
+        raise JobValidationError("'tasks' must be a list")
+    for i, task in enumerate(job["tasks"]):
+        if not isinstance(task, dict):
+            raise JobValidationError("task %d: must be a JSON object" % i)
+        kind = task.get("kind")
+        if kind not in TASK_KINDS:
+            raise JobValidationError("task %d: unknown kind %r" % (i, kind))
+        for key in ("exprs", "lambda"):
+            exprs = task.get(key, [])
+            if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
+                raise JobValidationError("task %d: %s must be a list of strings" % (i, key))
+            for expr in exprs:
+                try:
+                    parse_expr(expr, field)
+                except ParseError as exc:
+                    raise JobValidationError(
+                        "task %d: bad expression %r: %s" % (i, expr, exc)) from exc
+    return field
+
+
 def execute_task(field_desc, task):
     """Run one task; returns a JSON-able result dict (raises on task failure)."""
-    field = FunctionField.from_descriptor(field_desc)
-    kind = task["kind"]
-
-    if kind == "pdegree":
-        exprs = [parse_expr(e, field) for e in task["exprs"]]
-        res = pdegree_generated(exprs)
-        return {"d": res.d, "selected": [_fmt(x) for x in res.selected],
-                "operations": ["pdegree_generated"]}
-
-    if kind == "classify":
-        X = _hypersurface(field, task)
-        cls = fermat.classify(X)
-        return {"d": cls.d, "verdict": cls.verdict, "codim": cls.codim,
-                "rational_point": _fmt_point(cls.rational_point),
-                "equation": X.defining_upoly().format(),
-                "operations": ["invariant_d", "classify", "rational_point"]}
-
-    if kind == "rational-point":
-        X = _hypersurface(field, task)
-        point = fermat.rational_point(X)
-        return {"point": _fmt_point(point),
-                "p_linear_independent": p_linear_independent(list(X.coeffs)),
-                "operations": ["rational_point", "p_linear_independent"],
-                "asserted": ["point_satisfies_equation"] if point else []}
-
-    if kind == "curve-normalize":
-        nf = _normal_form(field, task)
-        curves.normalization(nf)
-        return {"lambda": _fmt(nf.lam), "Q": _fmt(nf.q_of_lambda()),
-                "root_coeffs": [_fmt(c) for c in nf.root_coeffs],
-                "scale_unit": _fmt(nf.scale_unit),
-                "slot_to_index": list(nf.slot_to_index),
-                "operations": ["normal_form", "normalization"],
-                "asserted": ["pullback_vanishes", "preimage_length_p"]}
-
-    if kind == "curve-singular":
-        nf = _normal_form(field, task)
-        sp = curves.singular_point(nf)
-        return {"point_on_line": [_fmt_ext(c) for c in sp.point_on_line],
-                "image_point": [_fmt_ext(c) for c in sp.image_point],
-                "residue_degree": sp.residue_degree,
-                "operations": ["singular_point"],
-                "asserted": ["image_satisfies_singular_ideal"]}
-
-    if kind == "curve-conductor":
-        nf = _normal_form(field, task)
-        cp = curves.conductor_profile(nf)
-        return {"case": cp.case, "dim_subalgebra": cp.dim_subalgebra,
-                "dim_conductor_ring": cp.ring.dim_K,
-                "residue_degree": cp.residue_degree, "chart": cp.chart_index,
-                "operations": ["conductor_profile"],
-                "asserted": ["gorenstein_halving", "L_meets_subalgebra_in_K",
-                             "conductor_exactness_guard"]}
-
-    if kind == "curve-cohomology":
-        nf = _normal_form(field, task)
-        cp = curves.conductor_profile(nf)
-        gc = curves.glueing_cohomology(cp.ring, cp.subalgebra_basis)
-        return {"h0": gc.h0, "h1": gc.h1, "admissible": gc.admissible,
-                "operations": ["conductor_profile", "glueing_cohomology"]}
-
-    if kind == "artin-edim":
-        algebra = _algebra_from_description(task["algebra"])
-        report = artin.edim(algebra)
-        return {"dim": report.dim_total, "residue_dim": report.residue_dim,
-                "edim": report.edim, "operations": ["edim"]}
-
-    if kind == "verify-codim":
-        X = _hypersurface(field, task)
-        chk = verify_codim(X)
-        return {"predicted_d": chk.predicted_d, "oracle_codim": chk.oracle_codim,
-                "match": chk.match,
-                "operations": ["buchberger", "ideal_dimension", "verify_codim"]}
-
-    if kind == "verify-all":
-        entries = catalog.load_catalog(task.get("catalog"))
-        results = [catalog.check_catalog_entry(e) for e in entries]
-        return {"entries": results, "ok": all(r["ok"] for r in results),
-                "operations": ["verify_all"]}
-
-    raise JobValidationError("unknown task kind %r" % kind)
+    return TASK_HANDLERS[task["kind"]](FunctionField.from_descriptor(field_desc), task)
 
 
 def _task_worker(payload):
@@ -211,26 +225,37 @@ def _task_worker(payload):
     return record
 
 
+def _worker_count(jobs, n_items):
+    """Processes worth starting: at most one per item and one per CPU, at least one."""
+    return max(1, min(jobs, n_items, os.cpu_count() or 1))
+
+
+def _run_records(worker, items, jobs, fail_fast):
+    """worker(item) for every item, in order; with fail_fast, stop after the first not ok.
+
+    More than one worker runs the items in a process pool, which finishes them
+    all before the list is cut; one worker runs them here and stops early.
+    """
+    workers = _worker_count(jobs, len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = pool.map(worker, items)
+    else:
+        records = map(worker, items)
+    out = []
+    for record in records:
+        out.append(record)
+        if fail_fast and not record["ok"]:
+            break
+    return out
+
+
 def run_job(job, jobs=1, fail_fast=False):
     """Execute a validated job dict; returns the report dict."""
     field = validate_job(job)
     payloads = [(job["field"], task) for task in job["tasks"]]
     start = time.perf_counter()
-    records = []
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_task_worker, payloads))
-        if fail_fast:
-            for i, r in enumerate(records):
-                if not r["ok"]:
-                    records = records[: i + 1]
-                    break
-    else:
-        for payload in payloads:
-            record = _task_worker(payload)
-            records.append(record)
-            if fail_fast and not record["ok"]:
-                break
+    records = _run_records(_task_worker, payloads, jobs, fail_fast)
     return {
         "field": {"p": field.p, "vars": list(field.vars)},
         "tasks": records,
@@ -242,20 +267,7 @@ def run_job(job, jobs=1, fail_fast=False):
 def run_catalog(entries, jobs=1, fail_fast=False):
     """Check every catalog entry (optionally in parallel); order-normalized report."""
     start = time.perf_counter()
-    if jobs > 1 and len(entries) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_entry_worker, entries))
-        if fail_fast:
-            for i, r in enumerate(results):
-                if not r["ok"]:
-                    results = results[: i + 1]
-                    break
-    else:
-        results = []
-        for e in entries:
-            results.append(_entry_worker(e))
-            if fail_fast and not results[-1]["ok"]:
-                break
+    results = _run_records(_entry_worker, entries, jobs, fail_fast)
     return {
         "entries": results,
         "ok": all(r["ok"] for r in results),
@@ -329,40 +341,24 @@ def main(argv=None):
                 with open(args.job) as fh:
                     job = json.load(fh)
             report = run_job(job, jobs=args.jobs, fail_fast=args.fail_fast)
-            emit(report)
-            return 0 if report["ok"] else 1
-
-        if args.command == "verify-all":
+        elif args.command == "verify-all":
             entries = catalog.load_catalog(args.catalog)
             report = run_catalog(entries, jobs=args.jobs, fail_fast=args.fail_fast)
-            emit(report)
-            if not report["ok"]:
-                for r in report["entries"]:
-                    if not r["ok"]:
-                        print("FAILED: %s" % r["name"], file=sys.stderr)
-            return 0 if report["ok"] else 1
-
-        if args.command == "pdegree":
-            field_desc = json.loads(args.field)
-            report = run_job({"field": field_desc,
+        elif args.command == "pdegree":
+            report = run_job({"field": json.loads(args.field),
                               "tasks": [{"kind": "pdegree", "exprs": args.exprs}]})
-            emit(report)
-            return 0 if report["ok"] else 1
-
-        if args.command == "classify":
-            field_desc = json.loads(args.field)
+        else:
             lams = [e for group in args.lambdas for e in group]
-            report = run_job({"field": field_desc,
+            report = run_job({"field": json.loads(args.field),
                               "tasks": [{"kind": "classify", "lambda": lams}]})
-            emit(report)
-            return 0 if report["ok"] else 1
-    except (JobValidationError, ParseError, json.JSONDecodeError) as exc:
+    except (JobValidationError, ParseError, json.JSONDecodeError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    raise AssertionError("unreachable")
+    emit(report)
+    for entry in report.get("entries", []):
+        if not entry["ok"]:
+            print("FAILED: %s" % entry["name"], file=sys.stderr)
+    return 0 if report["ok"] else 1
 
 
 if __name__ == "__main__":

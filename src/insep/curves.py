@@ -13,7 +13,6 @@ from .fieldarith import (
     RatFunc,
     SimpleExtensionField,
     TruncSeriesRing,
-    in_span,
     row_space_basis,
 )
 from .fermat import PFermatHypersurface, invariant_d, singular_ideal
@@ -434,16 +433,12 @@ def glueing_cohomology(ring, subalg_basis):
     Exactness of 0 -> H^0 -> subalg (+) L -> O_A -> H^1 -> 0 reduces both
     numbers to subspace dimension counts over K.
     """
-    basis = [list(v) for v in subalg_basis]
-    span = row_space_basis(ring.K, basis)
-    if len(span) != len(basis):
-        basis = [list(v) for v in span]
-    if not in_span(ring.K, basis, ring.one_vec()):
+    basis = row_space_basis(ring.K, [list(v) for v in subalg_basis])
+    if len(row_space_basis(ring.K, basis + [ring.one_vec()])) != len(basis):
         raise NotASubalgebraError("1 is not in the span")
-    for i, a in enumerate(basis):
-        for b in basis[i:]:
-            if not in_span(ring.K, basis, ring.mul(a, b)):
-                raise NotASubalgebraError("span is not closed under multiplication")
+    products = [ring.mul(a, b) for i, a in enumerate(basis) for b in basis[i:]]
+    if len(row_space_basis(ring.K, basis + products)) != len(basis):
+        raise NotASubalgebraError("span is not closed under multiplication")
     h0 = _subspace_intersection_dim(ring.K, basis, ring.l_span())
     h1 = ring.dim_K - len(basis) - ring.p + h0
     p = ring.p

@@ -3,14 +3,15 @@ fields, degree-p root extensions, truncated series, dense linear algebra, and
 the expression parser."""
 
 from .extension import ExtElem, NotAPthPowerCheckError, SimpleExtensionField, extension_tower
-from .matrix import Matrix, in_span, kernel_basis, linear_solve, rank, row_space_basis
-from .multipoly import MAX_VARIABLES, MultiPoly, poly_gcd
+from .matrix import Matrix, row_space_basis
+from .multipoly import CACHE_SIZE, MAX_VARIABLES, MultiPoly, poly_gcd
 from .parser import ParseError, UnknownVariableError, parse_expr
 from .primefield import SUPPORTED_PRIMES, FpElem, PrimeField
 from .ratfunc import FunctionField, RatFunc
 from .series import TruncSeries, TruncSeriesRing
 
 __all__ = [
+    "CACHE_SIZE",
     "ExtElem",
     "FpElem",
     "FunctionField",
@@ -27,11 +28,7 @@ __all__ = [
     "TruncSeriesRing",
     "UnknownVariableError",
     "extension_tower",
-    "in_span",
-    "kernel_basis",
-    "linear_solve",
     "parse_expr",
     "poly_gcd",
-    "rank",
     "row_space_basis",
 ]

@@ -182,7 +182,7 @@ class SimpleExtensionField:
         """
         from ..frobenius import membership_in_pspan
 
-        bottom_val = self.to_bottom_through_tower(elem)
+        bottom_val = self.to_bottom(elem)
         if bottom_val is None:
             return None
         combo = membership_in_pspan(bottom_val, self.moduli)
@@ -195,9 +195,6 @@ class SimpleExtensionField:
                 term = term * (self.level_gen(level) ** e)
             root = root + term
         return root
-
-    def to_bottom_through_tower(self, elem):
-        return self.to_bottom(elem)
 
     def level_gen(self, level):
         """The root adjoined at the given tower level, as an element of this field."""

@@ -63,10 +63,6 @@ class Matrix:
         _, _, pivots = self._echelon()
         return len(pivots)
 
-    def rref(self):
-        rows, _, pivots = self._echelon()
-        return Matrix(self.field, rows), pivots
-
     def kernel_basis(self):
         """Vectors spanning {x : A x = 0}, one per free column."""
         rows, _, pivots = self._echelon()
@@ -97,19 +93,6 @@ class Matrix:
         return x
 
 
-def linear_solve(matrix, b):
-    """A particular solution of A x = b, or None when the system is inconsistent."""
-    return matrix.solve(b)
-
-
-def kernel_basis(matrix):
-    return matrix.kernel_basis()
-
-
-def rank(matrix):
-    return matrix.rank()
-
-
 def row_space_basis(field, vectors):
     """An rref basis for the span of the given vectors (dropping zero rows)."""
     vecs = [v for v in vectors if any(v)]
@@ -118,12 +101,3 @@ def row_space_basis(field, vectors):
     rows, _, pivots = Matrix(field, vecs)._echelon()
     return [rows[i] for i in range(len(pivots))]
 
-
-def in_span(field, basis, vector):
-    """Whether vector lies in the span of basis (a list of equal-length vectors)."""
-    if not any(vector):
-        return True
-    if not basis:
-        return False
-    m = Matrix(field, basis + [vector])
-    return m.rank() == Matrix(field, basis).rank()

@@ -6,7 +6,12 @@ canonical forms is lexicographic on the fixed variable list, which is plain
 tuple comparison on exponent vectors.
 """
 
+from functools import lru_cache
+
 MAX_VARIABLES = 4
+# entries kept by each memoized exact computation (gcd, Frobenius coordinates,
+# p-span membership); least recently used entries go first
+CACHE_SIZE = 20_000
 
 
 class MultiPoly:
@@ -338,30 +343,15 @@ def poly_gcd(a, b):
     mono_b = _monomial_content(b)
     common = tuple(min(x, y) for x, y in zip(mono_a, mono_b))
     if any(mono_a) or any(mono_b):
-        stripped = _gcd_cached(_shift_down(a, mono_a), _shift_down(b, mono_b))
+        stripped = _gcd_prs(_shift_down(a, mono_a), _shift_down(b, mono_b))
         lifted = MultiPoly(a.p, a.vars,
                            {tuple(x + d for x, d in zip(e, common)): c
                             for e, c in stripped.terms.items()})
         return lifted
-    return _gcd_cached(a, b)
+    return _gcd_prs(a, b)
 
 
-_GCD_CACHE = {}
-_GCD_CACHE_MAX = 20_000
-
-
-def _gcd_cached(a, b):
-    key = (a, b)
-    hit = _GCD_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = _gcd_prs(a, b)
-    if len(_GCD_CACHE) >= _GCD_CACHE_MAX:
-        _GCD_CACHE.clear()
-    _GCD_CACHE[key] = result
-    return result
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def _gcd_prs(a, b):
     if a.is_zero():
         return b.monic()

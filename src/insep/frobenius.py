@@ -7,9 +7,10 @@ out of ordinary K-linear systems on the g_e.
 """
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import product
 
-from .fieldarith import Matrix, MultiPoly, RatFunc
+from .fieldarith import CACHE_SIZE, Matrix, MultiPoly, RatFunc
 
 PSPAN_BASIS_CAP = 4
 
@@ -43,15 +44,9 @@ class PBasisResult:
     d: int
 
 
-_DECOMP_CACHE = {}
-_DECOMP_CACHE_MAX = 20_000
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def frobenius_decompose(f):
     """Write f = a/b as (a*b^(p-1))/b^p and split the numerator by exponents mod p."""
-    hit = _DECOMP_CACHE.get(f)
-    if hit is not None:
-        return hit
     p = f.p
     n = len(f.vars)
     b = f.den
@@ -70,11 +65,7 @@ def frobenius_decompose(f):
         if g:
             coords[e] = g
     assert len(coords) <= p ** n
-    result = FrobeniusCoordinates(element=f, coords=coords)
-    if len(_DECOMP_CACHE) >= _DECOMP_CACHE_MAX:
-        _DECOMP_CACHE.clear()
-    _DECOMP_CACHE[f] = result
-    return result
+    return FrobeniusCoordinates(element=f, coords=coords)
 
 
 def is_pth_power(f):
@@ -136,26 +127,16 @@ def p_linear_relation(elems):
     return kernel[0]
 
 
-_PSPAN_CACHE = {}
-_PSPAN_CACHE_MAX = 20_000
-
-
 def membership_in_pspan(mu, basis):
     """Solve mu = sum_a d_a^p * prod_j basis_j^(a_j) over a in {0..p-1}^len(basis).
 
     Returns {exponent tuple: d_a} with zero coefficients omitted, or None when
     mu does not lie in K^p(basis).
     """
-    key = (mu, tuple(basis))
-    if key in _PSPAN_CACHE:
-        return _PSPAN_CACHE[key]
-    result = _membership_in_pspan(mu, list(basis))
-    if len(_PSPAN_CACHE) >= _PSPAN_CACHE_MAX:
-        _PSPAN_CACHE.clear()
-    _PSPAN_CACHE[key] = result
-    return result
+    return _membership_in_pspan(mu, tuple(basis))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _membership_in_pspan(mu, basis):
     if len(basis) > PSPAN_BASIS_CAP:
         raise ValueError("p-span membership supports at most %d generators" % PSPAN_BASIS_CAP)
@@ -201,11 +182,6 @@ def pdegree_generated(gens):
         if membership_in_pspan(mu, selected) is None:
             selected.append(mu)
     return PBasisResult(examined=examined, selected=tuple(selected), d=len(selected))
-
-
-def pdegree_all_orders(gens):
-    """The set of d values over every scan order (a field invariant, so size 1)."""
-    return {pdegree_generated(list(perm)).d for perm in permutations(gens)}
 
 
 def imperfection_degree(field):

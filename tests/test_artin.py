@@ -1,7 +1,6 @@
 import pytest
 
 from insep.artin import (
-    ArtinError,
     DimensionOverflowError,
     FiniteLocalAlgebra,
     InvalidPresentationError,
@@ -9,7 +8,6 @@ from insep.artin import (
     adjoin_root,
     base_field_algebra,
     edim,
-    geometric_edim_formula,
     tensor_self,
     truncated_polynomial_algebra,
 )
@@ -187,10 +185,3 @@ def test_residue_dim_divides_total():
     for A in algebras:
         assert A.dim % A.residue_dim == 0
 
-
-def test_geometric_edim_formula():
-    assert geometric_edim_formula(3, 2) == 1
-    assert geometric_edim_formula(2, 2) == 0
-    assert geometric_edim_formula(3, 1) == 2
-    with pytest.raises(ArtinError):
-        geometric_edim_formula(1, 2)

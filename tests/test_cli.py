@@ -1,11 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from insep.catalog import load_default_catalog
-from insep.cli import JobValidationError, main, run_catalog, run_job, strip_timing
+from insep.cli import JobValidationError, _worker_count, main, run_catalog, run_job, strip_timing
 from insep.fieldarith import FunctionField, parse_expr
 
 
@@ -81,6 +82,14 @@ def test_reports_deterministic_across_runs_and_jobs():
     assert a == b == c
 
 
+def test_worker_count_is_clamped():
+    cpus = os.cpu_count() or 1
+    assert _worker_count(10**9, 3) == min(3, cpus)
+    assert _worker_count(10**9, 10**9) == cpus
+    assert _worker_count(4, 0) == 1
+    assert _worker_count(0, 5) == 1
+
+
 def test_report_expressions_reparse():
     job = {"field": {"p": 3, "vars": ["s", "t"]},
            "tasks": [{"kind": "classify", "lambda": ["t", "s^3*t", "1"]},
@@ -126,6 +135,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(bad_expr)]) == 2
     err = capsys.readouterr().err
     assert "position" in err
+
+    mistyped = [
+        ([["x"]], "task 0: must be a JSON object"),
+        ([{"kind": "classify", "lambda": [1, "s", "1"]}], "task 0: lambda must be a list of strings"),
+        ([{"kind": "classify", "lambda": "st"}], "task 0: lambda must be a list of strings"),
+    ]
+    for tasks, message in mistyped:
+        bad_type = tmp_path / "bad_type.json"
+        bad_type.write_text(json.dumps({"field": {"p": 2, "vars": ["s", "t"]}, "tasks": tasks}))
+        assert main(["run", str(bad_type)]) == 2
+        assert message in capsys.readouterr().err
 
     failing = tmp_path / "fail.json"
     failing.write_text(json.dumps({"field": {"p": 2, "vars": ["s", "t"]},

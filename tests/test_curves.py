@@ -179,8 +179,13 @@ def test_glueing_cohomology_rejects_non_subalgebra():
     # the line K*u is not unital
     v = [ring.K.zero()] * ring.dim_K
     v[ring.p] = ring.K.one()
-    with pytest.raises(NotASubalgebraError):
+    with pytest.raises(NotASubalgebraError, match="1 is not in the span"):
         glueing_cohomology(ring, [v])
+    # K*1 + K*x holds 1 but not x*x = x^2, the third degree-zero basis vector
+    x = [ring.K.zero()] * ring.dim_K
+    x[1] = ring.K.one()
+    with pytest.raises(NotASubalgebraError, match="not closed under multiplication"):
+        glueing_cohomology(ring, [ring.one_vec(), x])
 
 
 def test_remains_integral():
