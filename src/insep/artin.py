@@ -7,9 +7,9 @@ designated generators of the maximal ideal; computing the radical from scratch
 in characteristic p is deliberately avoided.
 """
 
-import random
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .fieldarith import (
     FunctionField,
@@ -22,8 +22,6 @@ from .fieldarith import (
 from .frobenius import is_pth_power
 
 DIMENSION_CAP = 512
-ASSOC_FULL_CAP = 48
-ASSOC_SAMPLE = 4000
 
 
 class ArtinError(ValueError):
@@ -63,23 +61,26 @@ class FiniteLocalAlgebra:
     of field elements) generating the designated maximal ideal.
     """
 
-    def __init__(self, field, dim, table, maxideal_gens, check=True):
+    def __init__(self, field, dim, table, maxideal_gens):
         self.field = field
         self.dim = dim
         self.table = table
         self.maxideal_gens = [list(g) for g in maxideal_gens]
-        if check:
-            self._check_identity()
-            self._check_commutative()
-            self._check_associative()
+        self._check_identity()
+        self._check_commutative()
+        self._check_associative()
         self.m_basis = self._ideal_basis(self.maxideal_gens)
         self.residue_dim = self.dim - len(self.m_basis)
-        if check:
-            self._check_nilpotent()
-            self._residue = ResidueData(self)
-            self._residue.certify_field()
-        else:
-            self._residue = ResidueData(self)
+        # m^(k+1) = span{g v : g a generator of m, v in m^k}; it must shrink to 0
+        self.m_powers = [self.m_basis]
+        while self.m_powers[-1]:
+            nxt = row_space_basis(self.field, [self.mul_vec(g, v) for g in self.maxideal_gens
+                                               for v in self.m_powers[-1]])
+            if len(nxt) >= len(self.m_powers[-1]):
+                raise NotLocalError("designated ideal is not nilpotent")
+            self.m_powers.append(nxt)
+        self._residue = ResidueData(self)
+        self._residue.certify_field()
 
     # -- element helpers ----------------------------------------------------
 
@@ -146,23 +147,42 @@ class FiniteLocalAlgebra:
                 if a != b:
                     raise ArtinError("multiplication table is not commutative")
 
-    def _assoc_triple_ok(self, i, j, k):
-        left = self.mul_vec(self.from_table_entry(self.table[i][j]), self.basis_vec(k))
-        right = self.mul_vec(self.basis_vec(i), self.from_table_entry(self.table[j][k]))
-        return all(x == y for x, y in zip(left, right))
-
     def _check_associative(self):
-        n = self.dim
-        if n <= ASSOC_FULL_CAP:
-            triples = product(range(n), repeat=3)
-        else:
-            # full O(n^3) is too slow here; deterministic sample instead
-            rng = random.Random(887 * n)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                       for _ in range(ASSOC_SAMPLE))
-        for i, j, k in triples:
-            if not self._assoc_triple_ok(i, j, k):
-                raise ArtinError("multiplication table is not associative at (%d,%d,%d)" % (i, j, k))
+        """Exact: (e_g e_x) e_y = e_g (e_x e_y) for every g in G and all x, y.
+
+        The left nucleus {a : (a x) y = a (x y) for all x, y} is a subspace that
+        contains 1 and is closed under products (Teichmueller identity; Schafer,
+        An Introduction to Nonassociative Algebras, 1966).  An index joins G
+        unless e_i is already reached, i.e. a unit times e_g e_j for some g in G
+        and some reached e_j, starting from e_0 = 1.  Then every basis element
+        lies in the nucleus once G does, so the nucleus is all of A.
+        """
+        table = self.table
+        gens, reached = [], {0}
+        for i in range(self.dim):
+            if i in reached:
+                continue
+            gens.append(i)
+            todo = [(i, j) for j in reached]
+            while todo:
+                g, j = todo.pop()
+                entry = [m for m, c in table[g][j].items() if c]
+                if len(entry) == 1 and entry[0] not in reached:
+                    reached.add(entry[0])
+                    todo.extend((h, entry[0]) for h in gens)
+        for g in gens:
+            for x in range(self.dim):
+                for y in range(self.dim):
+                    diff = {}
+                    for m, c in table[g][x].items():
+                        for k, d in table[m][y].items():
+                            diff[k] = diff[k] + c * d if k in diff else c * d
+                    for m, c in table[x][y].items():
+                        for k, d in table[g][m].items():
+                            diff[k] = diff[k] - c * d if k in diff else -(c * d)
+                    if any(diff.values()):
+                        raise ArtinError("multiplication table is not associative "
+                                         "at (%d,%d,%d)" % (g, x, y))
 
     def _ideal_basis(self, gens):
         products = []
@@ -170,31 +190,6 @@ class FiniteLocalAlgebra:
             for j in range(self.dim):
                 products.append(self.mul_vec(g, self.basis_vec(j)))
         return row_space_basis(self.field, products)
-
-    def _check_nilpotent(self):
-        current = self.m_basis
-        while current:
-            nxt = row_space_basis(
-                self.field,
-                [self.mul_vec(a, b) for a in current for b in self.m_basis],
-            )
-            if len(nxt) >= len(current):
-                raise NotLocalError("designated ideal is not nilpotent")
-            current = nxt
-
-    def ideal_power_basis(self, k):
-        """Basis of m^k as a subspace (m^0 = A)."""
-        if k == 0:
-            return [self.basis_vec(i) for i in range(self.dim)]
-        current = self.m_basis
-        for _ in range(k - 1):
-            if not current:
-                return []
-            current = row_space_basis(
-                self.field,
-                [self.mul_vec(a, b) for a in current for b in self.m_basis],
-            )
-        return current
 
     def __repr__(self):
         return "FiniteLocalAlgebra(dim=%d over %r)" % (self.dim, self.field)
@@ -205,15 +200,9 @@ class ResidueData:
 
     def __init__(self, algebra):
         self.algebra = algebra
-        field = algebra.field
-        m_rows = [list(v) for v in algebra.m_basis]
-        if m_rows:
-            reduced, _, pivots = Matrix(field, m_rows)._echelon()
-            self.m_rref = [reduced[i] for i in range(len(pivots))]
-            self.pivots = pivots
-        else:
-            self.m_rref = []
-            self.pivots = []
+        # m_basis is in reduced echelon form: each row leads with 1 at its pivot
+        self.m_rref = algebra.m_basis
+        self.pivots = [next(c for c, x in enumerate(row) if x) for row in self.m_rref]
         pivot_set = set(self.pivots)
         self.free_cols = [c for c in range(algebra.dim) if c not in pivot_set]
         self.q = len(self.free_cols)
@@ -353,11 +342,17 @@ def _is_irreducible_mod_p(coeffs, p):
 # -- the three operations ------------------------------------------------------
 
 
+def _within_cap(dim):
+    """dim itself, checked against DIMENSION_CAP before any table is built."""
+    if dim > DIMENSION_CAP:
+        raise DimensionOverflowError("dim %d exceeds cap %d" % (dim, DIMENSION_CAP))
+    return dim
+
+
 def edim(algebra):
     """Embedding dimension: dim of m/m^2 over the residue field A/m."""
     dim_m = len(algebra.m_basis)
-    m_sq = algebra.ideal_power_basis(2)
-    dim_m_sq = len(m_sq)
+    dim_m_sq = len(algebra.m_powers[1]) if dim_m else 0
     q = algebra.residue_dim
     diff = dim_m - dim_m_sq
     if diff % q:
@@ -371,7 +366,7 @@ def edim(algebra):
     )
 
 
-def tensor_self(field, pth_powers, check=True):
+def tensor_self(field, pth_powers):
     """L (x)_K L for L = K(b_1^(1/p), ..., b_m^(1/p)), as an L-algebra.
 
     In the basis of monomials in the nilpotents U_i - a_i (exponents < p), the
@@ -380,6 +375,7 @@ def tensor_self(field, pth_powers, check=True):
     pth_powers = list(pth_powers)
     m = len(pth_powers)
     p = field.p
+    dim = _within_cap(p ** m)
     try:
         tower = extension_tower(field, pth_powers)
     except NotAPthPowerCheckError as exc:
@@ -388,7 +384,6 @@ def tensor_self(field, pth_powers, check=True):
     index = {e: i for i, e in enumerate(exponents)}
     one = tower.one() if m else field.one()
     coeff_field = tower if m else field
-    dim = p ** m
     table = []
     for a in exponents:
         row = []
@@ -405,10 +400,10 @@ def tensor_self(field, pth_powers, check=True):
         v = [coeff_field.zero()] * dim
         v[index[e]] = one
         gens.append(v)
-    return FiniteLocalAlgebra(coeff_field, dim, table, gens, check=check)
+    return FiniteLocalAlgebra(coeff_field, dim, table, gens)
 
 
-def adjoin_root(algebra, f, r, check=True, dimension_cap=DIMENSION_CAP):
+def adjoin_root(algebra, f, r):
     """A = R[T]/(T^(p^r) - f^p), with maximal ideal lifted from R plus one new generator.
 
     The new generator is h = T^(p^(r-s)) - c where c^(p^s) = (residue of f)^p
@@ -420,9 +415,7 @@ def adjoin_root(algebra, f, r, check=True, dimension_cap=DIMENSION_CAP):
     p = field.characteristic
     n_r = algebra.dim
     q = p ** r
-    dim = q * n_r
-    if dim > dimension_cap:
-        raise DimensionOverflowError("dim %d exceeds cap %d" % (dim, dimension_cap))
+    dim = _within_cap(q * n_r)
 
     fp = algebra.pow_vec(f, p)
 
@@ -473,7 +466,7 @@ def adjoin_root(algebra, f, r, check=True, dimension_cap=DIMENSION_CAP):
         h[idx(i, 0)] = h[idx(i, 0)] - c
     gens.append(h)
 
-    return FiniteLocalAlgebra(field, dim, table, gens, check=check)
+    return FiniteLocalAlgebra(field, dim, table, gens)
 
 
 # -- convenience constructors used by tests and the CLI -------------------------
@@ -487,6 +480,7 @@ def base_field_algebra(field):
 def truncated_polynomial_algebra(field, exponents):
     """k[u_1,...,u_r]/(u_1^(a_1),...,u_r^(a_r)) with its monomial basis."""
     exponents = list(exponents)
+    _within_cap(prod(exponents))
     monos = sorted(product(*[range(a) for a in exponents]))
     index = {e: i for i, e in enumerate(monos)}
     one = field.one()

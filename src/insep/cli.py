@@ -204,6 +204,10 @@ def validate_job(job):
                 except ParseError as exc:
                     raise JobValidationError(
                         "task %d: bad expression %r: %s" % (i, expr, exc)) from exc
+        if not isinstance(task.get("algebra", {}), dict):
+            raise JobValidationError("task %d: algebra must be a JSON object" % i)
+        if not isinstance(task.get("catalog", ""), str):
+            raise JobValidationError("task %d: catalog must be a string" % i)
     return field
 
 

@@ -1,6 +1,10 @@
+from itertools import product
+
 import pytest
 
+from insep import artin
 from insep.artin import (
+    ArtinError,
     DimensionOverflowError,
     FiniteLocalAlgebra,
     InvalidPresentationError,
@@ -128,6 +132,94 @@ def test_adjoin_root_dimension_cap():
     R = truncated_polynomial_algebra(F2, [4, 4, 4])  # dim 64
     with pytest.raises(DimensionOverflowError):
         adjoin_root(R, R.zero_vec(), 4)
+
+
+def test_dimension_cap_is_checked_before_any_table(monkeypatch):
+    def build(*args):
+        raise AssertionError("a table was built past the dimension cap")
+
+    monkeypatch.setattr(artin, "product", build)
+    monkeypatch.setattr(artin, "extension_tower", build)
+    with pytest.raises(DimensionOverflowError):
+        truncated_polynomial_algebra(F2, [1000, 1000])  # dim 10^6
+    K = FunctionField(7, ["s", "t", "u", "v"])
+    with pytest.raises(DimensionOverflowError):
+        tensor_self(K, K.gens())  # dim 7^4 = 2401
+
+
+def test_table_without_identity_rejected():
+    one = F2.one()
+    table = [[{0: one}, {}], [{}, {1: one}]]
+    with pytest.raises(ArtinError, match="not the identity"):
+        FiniteLocalAlgebra(F2, 2, table, [])
+
+
+def test_noncommutative_table_rejected():
+    one, zero = F2.one(), F2.zero()
+    # e_1 e_2 = e_1, but e_2 e_1 = 0
+    table = [[{0: one}, {1: one}, {2: one}], [{1: one}, {}, {1: one}], [{2: one}, {}, {}]]
+    with pytest.raises(ArtinError, match="not commutative"):
+        FiniteLocalAlgebra(F2, 3, table, [[zero, one, zero], [zero, zero, one]])
+
+
+def test_nonassociative_table_rejected():
+    # x^2 = y, xy = 0, y^2 = x: (x x) y = x but x (x y) = 0
+    one, zero = F3.one(), F3.zero()
+    table = [[{0: one}, {1: one}, {2: one}], [{1: one}, {2: one}, {}], [{2: one}, {}, {1: one}]]
+    with pytest.raises(ArtinError, match="not associative"):
+        FiniteLocalAlgebra(F3, 3, table, [[zero, one, zero], [zero, zero, one]])
+
+
+def _brute_force_associative(field, table):
+    n = len(table)
+
+    def mul(a, b):
+        out = [field.zero()] * n
+        for i, j in product(range(n), repeat=2):
+            for m, c in table[i][j].items():
+                out[m] = out[m] + a[i] * b[j] * c
+        return out
+
+    basis = [[field.one() if k == i else field.zero() for k in range(n)] for i in range(n)]
+    return all(mul(mul(x, y), z) == mul(x, mul(y, z))
+               for x, y, z in product(basis, repeat=3))
+
+
+def _random_table(rng, field):
+    """A truncated polynomial algebra in a scaled, permuted basis; often one product
+    e_i e_j (i, j >= 1) is replaced by a random sparse vector."""
+    A = truncated_polynomial_algebra(field, rng.choice([[3], [4], [2, 2], [3, 2], [2, 2, 2]]))
+    n = A.dim
+    scale = [field.one()] + [field.from_int(rng.randrange(1, field.p)) for _ in range(1, n)]
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    table = [[None] * n for _ in range(n)]
+    for i, j in product(range(n), repeat=2):
+        # (s_i e_i)(s_j e_j) = sum_m (s_i s_j c_m / s_m) (s_m e_m)
+        table[perm[i]][perm[j]] = {perm[m]: c * scale[i] * scale[j] / scale[m]
+                                   for m, c in A.table[i][j].items()}
+    if rng.random() < 0.6:
+        i, j = rng.randrange(1, n), rng.randrange(1, n)
+        table[i][j] = table[j][i] = {m: field.from_int(rng.randrange(1, field.p))
+                                     for m in range(n) if rng.random() < 0.3}
+    return table
+
+
+def test_associativity_check_agrees_with_brute_force():
+    rng = seeded(4091)
+    verdicts = []
+    for field in (F2, F3):
+        for _ in range(50):
+            table = _random_table(rng, field)
+            bare = FiniteLocalAlgebra.__new__(FiniteLocalAlgebra)  # the check alone
+            bare.field, bare.dim, bare.table = field, len(table), table
+            try:
+                bare._check_associative()
+                exact = True
+            except ArtinError:
+                exact = False
+            assert exact == _brute_force_associative(field, table)
+            verdicts.append(exact)
+    assert True in verdicts and False in verdicts
 
 
 def _random_base(rng, field):

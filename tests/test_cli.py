@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import insep
 from insep.catalog import load_default_catalog
 from insep.cli import JobValidationError, _worker_count, main, run_catalog, run_job, strip_timing
 from insep.fieldarith import FunctionField, parse_expr
@@ -140,6 +141,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         ([["x"]], "task 0: must be a JSON object"),
         ([{"kind": "classify", "lambda": [1, "s", "1"]}], "task 0: lambda must be a list of strings"),
         ([{"kind": "classify", "lambda": "st"}], "task 0: lambda must be a list of strings"),
+        ([{"kind": "artin-edim", "algebra": "x"}], "task 0: algebra must be a JSON object"),
+        ([{"kind": "verify-all", "catalog": 0}], "task 0: catalog must be a string"),
     ]
     for tasks, message in mistyped:
         bad_type = tmp_path / "bad_type.json"
@@ -158,8 +161,12 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_stdin_and_subprocess():
     job = json.dumps({"field": {"p": 2, "vars": ["s", "t"]},
                       "tasks": [{"kind": "rational-point", "lambda": ["t", "t", "1"]}]})
+    # the child finds the same insep package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(insep.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", "insep.cli", "run", "-"],
-                          input=job, capture_output=True, text=True)
+                          input=job, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["tasks"][0]["result"]["point"] == ["1", "1", "0"]
