@@ -17,6 +17,7 @@ from .fieldarith import (
     NotAPthPowerCheckError,
     PrimeField,
     extension_tower,
+    power,
     row_space_basis,
 )
 from .frobenius import is_pth_power
@@ -116,19 +117,7 @@ class FiniteLocalAlgebra:
         return out
 
     def pow_vec(self, a, n):
-        result = self.one_vec()
-        base = a
-        while n > 0:
-            if n & 1:
-                result = self.mul_vec(result, base)
-            base = self.mul_vec(base, base)
-            n >>= 1
-        return result
-
-    def scalar_vec(self, c):
-        v = self.zero_vec()
-        v[0] = c
-        return v
+        return power(a, n, self.one_vec(), self.mul_vec)
 
     # -- construction invariants ----------------------------------------------------
 
@@ -230,14 +219,7 @@ class ResidueData:
         return self.project(self.algebra.mul_vec(self.section(qa), self.section(qb)))
 
     def pow(self, qa, n):
-        result = self.one
-        base = qa
-        while n > 0:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        return power(qa, n, self.one, self.mul)
 
     def as_base_scalar(self, qv):
         """For one-dimensional residue fields, the value under A/m = k."""
@@ -271,8 +253,7 @@ class ResidueData:
         powers = [self.one]
         current = self.one
         while True:
-            span = [list(v) for v in powers]
-            m = Matrix(field, [[span[j][i] for j in range(len(span))] for i in range(self.q)])
+            m = Matrix(field, powers).transpose()
             current = self.mul(current, qv)
             sol = m.solve(list(current))
             if sol is not None:

@@ -72,13 +72,11 @@ def check_catalog_entry(entry):
     if cls.d == 1 and X.n == 2 and X.p <= 5:
         operations += ["normal_form", "normalization", "singular_point",
                        "conductor_profile", "glueing_cohomology"]
-        nf = curves.normal_form(X.field, *X.coeffs)
-        nu = curves.normalization(nf)
-        checks["preimage_length"] = curves.preimage_length_of_u0_section(nu) == X.p
-        sp = curves.singular_point(nf)
+        cp = curves.conductor_profile(curves.normal_form(X.field, *X.coeffs))
+        sp = cp.sp
+        checks["preimage_length"] = curves.preimage_length_of_u0_section(sp.nu) == X.p
         if "residue_degree" in expect:
             checks["residue_degree"] = sp.residue_degree == expect["residue_degree"]
-        cp = curves.conductor_profile(nf)
         checks["conductor_dim"] = cp.dim_subalgebra == X.p * (X.p - 1) // 2
         if "conductor_case" in expect:
             checks["conductor_case"] = cp.case == expect["conductor_case"]

@@ -177,6 +177,46 @@ TASK_KINDS = tuple(TASK_HANDLERS)
 # -- job validation and task execution ----------------------------------------
 
 
+def _check_expressions(i, key, exprs, field):
+    """exprs must be a list of strings that parse in field."""
+    if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
+        raise JobValidationError("task %d: %s must be a list of strings" % (i, key))
+    for expr in exprs:
+        try:
+            parse_expr(expr, field)
+        except ParseError as exc:
+            raise JobValidationError(
+                "task %d: %s: bad expression %r: %s" % (i, key, expr, exc)) from exc
+
+
+def _is_int(x):
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_algebra(i, desc):
+    construction = desc.get("construction")
+    if construction == "tensor-self":
+        try:
+            field = FunctionField.from_descriptor(desc.get("field"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise JobValidationError(
+                "task %d: algebra.field: bad field descriptor: %s" % (i, exc)) from exc
+        _check_expressions(i, "algebra.pth_powers", desc.get("pth_powers"), field)
+    elif construction == "adjoin-root":
+        for key in ("p", "r"):
+            if not _is_int(desc.get(key)):
+                raise JobValidationError("task %d: algebra.%s must be an integer" % (i, key))
+        for key, values in (("base_exponents", desc.get("base_exponents", [])),
+                            ("f", desc.get("f"))):
+            if not isinstance(values, list) or not all(_is_int(v) for v in values):
+                raise JobValidationError(
+                    "task %d: algebra.%s must be a list of integers" % (i, key))
+    else:
+        raise JobValidationError("task %d: algebra.construction must be "
+                                 "'tensor-self' or 'adjoin-root'" % i)
+
+
 def validate_job(job):
     if not isinstance(job, dict):
         raise JobValidationError("job must be a JSON object")
@@ -195,17 +235,12 @@ def validate_job(job):
         if kind not in TASK_KINDS:
             raise JobValidationError("task %d: unknown kind %r" % (i, kind))
         for key in ("exprs", "lambda"):
-            exprs = task.get(key, [])
-            if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
-                raise JobValidationError("task %d: %s must be a list of strings" % (i, key))
-            for expr in exprs:
-                try:
-                    parse_expr(expr, field)
-                except ParseError as exc:
-                    raise JobValidationError(
-                        "task %d: bad expression %r: %s" % (i, expr, exc)) from exc
-        if not isinstance(task.get("algebra", {}), dict):
+            _check_expressions(i, key, task.get(key, []), field)
+        algebra = task.get("algebra", {})
+        if not isinstance(algebra, dict):
             raise JobValidationError("task %d: algebra must be a JSON object" % i)
+        if kind == "artin-edim":
+            _check_algebra(i, algebra)
         if not isinstance(task.get("catalog", ""), str):
             raise JobValidationError("task %d: catalog must be a string" % i)
     return field
@@ -358,7 +393,14 @@ def main(argv=None):
     except (JobValidationError, ParseError, json.JSONDecodeError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    emit(report)
+    try:
+        emit(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; stdout goes to devnull so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before the report was written", file=sys.stderr)
+        return 1
     for entry in report.get("entries", []):
         if not entry["ok"]:
             print("FAILED: %s" % entry["name"], file=sys.stderr)

@@ -17,6 +17,7 @@ from .fieldarith import (
 )
 from .fermat import PFermatHypersurface, invariant_d, singular_ideal
 from .frobenius import is_pth_power, membership_in_pspan
+from .upoly import UPoly
 
 CASE_P2 = "P2"
 CASE_RESIDUE_L = "ResidueL"
@@ -140,26 +141,6 @@ class NormalizationMap:
         )
 
 
-def _bivar_mul(a, b, zero):
-    res = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            key = (i1 + i2, j1 + j2)
-            res[key] = res.get(key, zero) + c1 * c2
-    return {k: v for k, v in res.items() if v}
-
-
-def _bivar_pow(a, n, one_elem, zero):
-    result = {(0, 0): one_elem}
-    base = dict(a)
-    while n > 0:
-        if n & 1:
-            result = _bivar_mul(result, base, zero)
-        base = _bivar_mul(base, base, zero)
-        n >>= 1
-    return result
-
-
 def normalization(nf):
     """The map P^1_L -> X; the pulled-back equation is checked to vanish exactly."""
     field = nf.field
@@ -173,14 +154,8 @@ def normalization(nf):
         raise AssertionError("q_root^p != Q(lambda)")
 
     # nu*(f) = lam*T0^p + Q*T1^p + (-x*T0 - q_root*T1)^p must vanish identically
-    zero = L.zero()
-    u2 = {(1, 0): -x, (0, 1): -q_root}
-    total = _bivar_pow(u2, p, L.one(), zero)
-    lamL = L.lift(nf.lam)
-    qL = L.lift(nf.q_of_lambda())
-    total[(p, 0)] = total.get((p, 0), zero) + lamL
-    total[(0, p)] = total.get((0, p), zero) + qL
-    if any(v for v in total.values()):
+    u2 = UPoly(L, 2, {(1, 0): -x, (0, 1): -q_root})
+    if u2 ** p + UPoly.from_power_form(L, [L.lift(nf.lam), L.lift(nf.q_of_lambda())], p):
         raise AssertionError("pullback of the defining equation did not vanish")
 
     # degree one: the preimage of the U_0 = 0 section is V_+(T_0), of K-length p
@@ -206,6 +181,7 @@ class SingularPointData:
     point_on_line: tuple   # (-rho : 1) in P^1_L
     image_point: tuple     # coordinates of a_0 in P^2, as elements of L
     residue_degree: int    # 1 or p
+    nu: NormalizationMap   # the normalization the point was found on
 
 
 def singular_point(nf):
@@ -238,7 +214,8 @@ def singular_point(nf):
     # U_1 pulls back to T_1 = 1 at a, so the affine coordinates are the others
     affine = (image_point[0], image_point[2])
     degree = 1 if all(c.in_base() for c in affine) else p
-    return SingularPointData(point_on_line=a, image_point=image_point, residue_degree=degree)
+    return SingularPointData(point_on_line=a, image_point=image_point, residue_degree=degree,
+                             nu=nu)
 
 
 # -- conductor rings ---------------------------------------------------------------
@@ -306,6 +283,7 @@ class ConductorProfile:
     case: str
     residue_degree: int
     witnesses: dict
+    sp: SingularPointData
 
 
 def _subspace_intersection_dim(field, basis_a, basis_b):
@@ -326,9 +304,9 @@ def conductor_profile(nf):
     p = nf.p
     if p > 5:
         raise UnsupportedPError("conductor computations support p <= 5 only")
-    nu = normalization(nf)
-    L = nu.line_field
     sp = singular_point(nf)
+    nu = sp.nu
+    L = nu.line_field
     ring = ConductorRing(L)
     series = ring.series
 
@@ -403,7 +381,7 @@ def conductor_profile(nf):
     return ConductorProfile(ring=ring, chart_index=chart, images=images,
                             subalgebra_basis=tuple(tuple(v) for v in basis),
                             dim_subalgebra=dim_sub, case=case,
-                            residue_degree=sp.residue_degree, witnesses=witnesses)
+                            residue_degree=sp.residue_degree, witnesses=witnesses, sp=sp)
 
 
 # -- base change, glueing cohomology, multiple-curve arithmetic ----------------------

@@ -8,12 +8,7 @@ otherwise has singular locus of codimension exactly d.
 from dataclasses import dataclass
 
 from .fieldarith import Matrix, RatFunc, row_space_basis
-from .frobenius import (
-    membership_in_pspan,
-    p_linear_relation,
-    pdegree_generated,
-    pth_root,
-)
+from .frobenius import p_linear_relation, pdegree_generated, pth_root
 from .upoly import UPoly
 
 VERDICT_REGULAR = "Regular"
@@ -61,9 +56,6 @@ class PFermatHypersurface:
     def defining_upoly(self, normalized=False):
         coeffs = self.ratios() if normalized else list(self.coeffs)
         return UPoly.from_power_form(self.field, coeffs, self.p)
-
-    def format_equation(self):
-        return self.defining_upoly().format() + " = 0"
 
 
 @dataclass(frozen=True)
@@ -116,17 +108,6 @@ def classify(X):
                           rational_point=point, pth_power_certificate=None)
 
 
-def _pbasis_indices(X):
-    """Indices j whose ratio lambda_j/lambda_r enters the greedy p-basis."""
-    indices = []
-    kept = []
-    for j, mu in enumerate(X.ratios()):
-        if membership_in_pspan(mu, kept) is None:
-            indices.append(j)
-            kept.append(mu)
-    return indices
-
-
 def coefficient_derivations(X):
     """Vectors c^(i) with D_i = sum_k c_k d/dt_k satisfying D_i(mu_{j_m}) = delta_im.
 
@@ -135,11 +116,13 @@ def coefficient_derivations(X):
     """
     field = X.field
     nvars = len(field.vars)
-    indices = _pbasis_indices(X)
+    ratios = X.ratios()
+    # a selected ratio is not spanned by the ratios before it, so it is not equal
+    # to any of them: its first position is the index the greedy pass kept
+    indices = [ratios.index(mu) for mu in pdegree_generated(ratios).selected]
     d = len(indices)
     if d == 0:
         raise DegenerateCaseError("all coefficient ratios are p-th powers (d = 0)")
-    ratios = X.ratios()
     jac = [[ratios[j].derivative(k) for k in range(nvars)] for j in indices]
     m = Matrix(field, jac)
     out = []

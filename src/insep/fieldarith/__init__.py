@@ -6,7 +6,7 @@ from .extension import ExtElem, NotAPthPowerCheckError, SimpleExtensionField, ex
 from .matrix import Matrix, row_space_basis
 from .multipoly import CACHE_SIZE, MAX_VARIABLES, MultiPoly, poly_gcd
 from .parser import ParseError, UnknownVariableError, parse_expr
-from .primefield import SUPPORTED_PRIMES, FpElem, PrimeField
+from .primefield import SUPPORTED_PRIMES, FpElem, PrimeField, power
 from .ratfunc import FunctionField, RatFunc
 from .series import TruncSeries, TruncSeriesRing
 
@@ -30,5 +30,6 @@ __all__ = [
     "extension_tower",
     "parse_expr",
     "poly_gcd",
+    "power",
     "row_space_basis",
 ]

@@ -7,6 +7,7 @@ vectors over the base field in the basis 1, x, ..., x^(p-1).
 """
 
 from .matrix import Matrix
+from .primefield import power
 
 
 class NotAPthPowerCheckError(ValueError):
@@ -64,7 +65,7 @@ class ExtElem:
         for j in range(f.p):
             unit = ExtElem(f, [base.one() if i == j else base.zero() for i in range(f.p)])
             cols.append((self * unit).coeffs)
-        m = Matrix(base, [[cols[j][i] for j in range(f.p)] for i in range(f.p)])
+        m = Matrix(base, cols).transpose()
         rhs = [base.one()] + [base.zero()] * (f.p - 1)
         sol = m.solve(rhs)
         if sol is None:
@@ -72,14 +73,7 @@ class ExtElem:
         return ExtElem(f, sol)
 
     def __pow__(self, n):
-        result = self.field.one()
-        b = self
-        while n > 0:
-            if n & 1:
-                result = result * b
-            b = b * b
-            n >>= 1
-        return result
+        return power(self, n, self.field.one())
 
     def __eq__(self, other):
         return (

@@ -17,11 +17,6 @@ class Matrix:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
 
-    @classmethod
-    def identity(cls, field, n):
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
     def transpose(self):
         return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
                                    for j in range(self.ncols)])

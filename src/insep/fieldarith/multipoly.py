@@ -8,6 +8,8 @@ tuple comparison on exponent vectors.
 
 from functools import lru_cache
 
+from .primefield import power
+
 MAX_VARIABLES = 4
 # entries kept by each memoized exact computation (gcd, Frobenius coordinates,
 # p-span membership); least recently used entries go first
@@ -123,14 +125,7 @@ class MultiPoly:
         return MultiPoly(p, self.vars, {e: (k * c) % p for e, k in self.terms.items()})
 
     def __pow__(self, n):
-        result = MultiPoly.const(self.p, self.vars, 1)
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, MultiPoly.const(self.p, self.vars, 1))
 
     # -- lex order helpers ----------------------------------------------
 
@@ -148,11 +143,6 @@ class MultiPoly:
             return self
         lc = self.leading_coeff()
         return self.scale(pow(lc, self.p - 2, self.p))
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, var_idx):
         if not self.terms:
@@ -260,15 +250,6 @@ def _as_univariate(f, var_idx):
         coef = coeffs.setdefault(d, {})
         coef[e2] = c
     return {d: MultiPoly(f.p, f.vars, cs) for d, cs in coeffs.items()}
-
-
-def _from_univariate(p, variables, var_idx, coeffs):
-    terms = {}
-    for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            e2 = tuple(x if i != var_idx else d for i, x in enumerate(e))
-            terms[e2] = c
-    return MultiPoly(p, variables, terms)
 
 
 def _mul_by_power(f, var_idx, k):

@@ -1,6 +1,20 @@
-"""Prime fields F_p for small p, with element objects usable in generic linear algebra."""
+"""Prime fields F_p for small p, with element objects usable in generic linear algebra,
+and the square-and-multiply power that every ring of the kernel uses."""
+
+import operator
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
+
+
+def power(x, n, one, mul=operator.mul):
+    """x^n for n >= 0 by square-and-multiply, starting from ``one``."""
+    result = one
+    while n > 0:
+        if n & 1:
+            result = mul(result, x)
+        x = mul(x, x)
+        n >>= 1
+    return result
 
 
 class FpElem:

@@ -5,7 +5,7 @@ global lex order, so structural equality coincides with field equality.
 """
 
 from .multipoly import MAX_VARIABLES, MultiPoly, poly_gcd
-from .primefield import SUPPORTED_PRIMES
+from .primefield import SUPPORTED_PRIMES, power
 
 
 class RatFunc:
@@ -89,14 +89,7 @@ class RatFunc:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = RatFunc(MultiPoly.const(self.p, self.vars, 1), reduce=False)
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, RatFunc(MultiPoly.const(self.p, self.vars, 1), reduce=False))
 
     def __eq__(self, other):
         return (
@@ -181,9 +174,6 @@ class FunctionField:
 
     def gens(self):
         return [self.gen(v) for v in self.vars]
-
-    def from_poly(self, poly):
-        return RatFunc(poly)
 
     # the degree of imperfection of F_p(t_1,...,t_n) is n
     def imperfection_degree(self):

@@ -1,5 +1,7 @@
 """Truncated power series L[u]/(u^N): exact arithmetic modulo u^N."""
 
+from .primefield import power
+
 
 class TruncSeries:
     """An element of coeff_field[u]/(u^order)."""
@@ -37,14 +39,7 @@ class TruncSeries:
         return TruncSeries(self.ring, res)
 
     def __pow__(self, n):
-        result = self.ring.one()
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one())
 
     def inverse(self):
         """Inverse when the constant term is a unit, by back-substitution."""

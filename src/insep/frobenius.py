@@ -155,8 +155,7 @@ def _membership_in_pspan(mu, basis):
     if not keys:
         # everything in sight is zero
         return {} if mu.is_zero() else None
-    m = Matrix(field, [[columns[j][i] for j in range(len(monomials))] for i in range(len(keys))])
-    sol = m.solve(target)
+    sol = Matrix(field, columns).transpose().solve(target)
     if sol is None:
         return None
     return {a: c for a, c in zip(exponents, sol) if c}

@@ -4,6 +4,8 @@ The U-variables are the projective coordinates; the ground-field variables
 live only inside coefficients.  Supports grevlex and lex term orders.
 """
 
+from .fieldarith import power
+
 GREVLEX = "grevlex"
 LEX = "lex"
 
@@ -122,14 +124,7 @@ class UPoly:
         return UPoly(self.field, self.nvars, {e: c * coeff for e, c in self.terms.items()})
 
     def __pow__(self, n):
-        result = UPoly(self.field, self.nvars, {(0,) * self.nvars: self.field.one()})
-        base = self
-        while n > 0:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, UPoly(self.field, self.nvars, {(0,) * self.nvars: self.field.one()}))
 
     def leading_monomial(self, order):
         if not self.terms:
@@ -144,13 +139,6 @@ class UPoly:
             return self
         lc = self.leading_coeff(order)
         return UPoly(self.field, self.nvars, {e: c / lc for e, c in self.terms.items()})
-
-    def homogeneous_degree(self):
-        """The common total degree of all terms, or None if inhomogeneous/zero."""
-        degs = {sum(e) for e in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     def evaluate(self, values, one, embed_coeff=None):
         """Evaluate at ring elements; ``embed_coeff`` maps K-coefficients into that ring."""

@@ -137,12 +137,40 @@ def test_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "position" in err
 
+    tensor = {"construction": "tensor-self", "field": {"p": 2, "vars": ["s", "t"]},
+              "pth_powers": ["s", "t"]}
+    adjoin = {"construction": "adjoin-root", "p": 2, "base_exponents": [2], "f": [0, 1], "r": 1}
+    for algebra in (tensor, adjoin):
+        well_typed = tmp_path / "well_typed.json"
+        well_typed.write_text(json.dumps({"field": {"p": 2, "vars": ["s", "t"]},
+                                          "tasks": [{"kind": "artin-edim", "algebra": algebra}]}))
+        assert main(["run", str(well_typed)]) == 0
+        capsys.readouterr()
+
     mistyped = [
         ([["x"]], "task 0: must be a JSON object"),
         ([{"kind": "classify", "lambda": [1, "s", "1"]}], "task 0: lambda must be a list of strings"),
         ([{"kind": "classify", "lambda": "st"}], "task 0: lambda must be a list of strings"),
         ([{"kind": "artin-edim", "algebra": "x"}], "task 0: algebra must be a JSON object"),
         ([{"kind": "verify-all", "catalog": 0}], "task 0: catalog must be a string"),
+        ([{"kind": "artin-edim", "algebra": {"construction": "x"}}],
+         "task 0: algebra.construction must be 'tensor-self' or 'adjoin-root'"),
+        ([{"kind": "artin-edim", "algebra": dict(tensor, field={"p": 4, "vars": ["s"]})}],
+         "task 0: algebra.field: bad field descriptor"),
+        ([{"kind": "artin-edim", "algebra": dict(tensor, pth_powers="st")}],
+         "task 0: algebra.pth_powers must be a list of strings"),
+        ([{"kind": "artin-edim", "algebra": dict(tensor, pth_powers=["s", "u"])}],
+         "task 0: algebra.pth_powers: bad expression 'u'"),
+        ([{"kind": "artin-edim", "algebra": dict(adjoin, p="2")}],
+         "task 0: algebra.p must be an integer"),
+        ([{"kind": "artin-edim", "algebra": dict(adjoin, p=2.7)}],
+         "task 0: algebra.p must be an integer"),
+        ([{"kind": "artin-edim", "algebra": dict(adjoin, r=True)}],
+         "task 0: algebra.r must be an integer"),
+        ([{"kind": "artin-edim", "algebra": dict(adjoin, base_exponents="2")}],
+         "task 0: algebra.base_exponents must be a list of integers"),
+        ([{"kind": "artin-edim", "algebra": {k: v for k, v in adjoin.items() if k != "f"}}],
+         "task 0: algebra.f must be a list of integers"),
     ]
     for tasks, message in mistyped:
         bad_type = tmp_path / "bad_type.json"
@@ -158,18 +186,38 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _child_env():
+    """The environment of a child that finds the same insep package as this process."""
+    src = os.path.dirname(os.path.dirname(insep.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_cli_stdin_and_subprocess():
     job = json.dumps({"field": {"p": 2, "vars": ["s", "t"]},
                       "tasks": [{"kind": "rational-point", "lambda": ["t", "t", "1"]}]})
-    # the child finds the same insep package as this process, installed or not
-    src = os.path.dirname(os.path.dirname(insep.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-m", "insep.cli", "run", "-"],
-                          input=job, capture_output=True, text=True, env=env)
+                          input=job, capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["tasks"][0]["result"]["point"] == ["1", "1", "0"]
+
+
+def test_cli_reader_closes_pipe_early(tmp_path):
+    # the report of 2000 tasks is larger than a pipe buffer, so writing it blocks
+    # until the reader has gone and then fails
+    job = tmp_path / "big.json"
+    job.write_text(json.dumps({"field": {"p": 2, "vars": ["t"]},
+                               "tasks": [{"kind": "pdegree", "exprs": ["t"]}] * 2000}))
+    proc = subprocess.Popen([sys.executable, "-m", "insep.cli", "run", str(job)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=_child_env())
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
 
 
 def test_cli_classify_command(capsys):

@@ -1,5 +1,7 @@
 import pytest
 
+from insep import curves
+from insep.catalog import check_catalog_entry, load_default_catalog
 from insep.curves import (
     CASE_P2,
     CASE_RESIDUE_K,
@@ -272,3 +274,16 @@ def test_oracle_confirms_singular_point_support():
         for gen in gb.generators:
             value = gen.evaluate(list(sp.image_point), L.one(), embed_coeff=L.lift)
             assert not value  # the singular point lies in the oracle's locus
+
+
+def test_catalog_entry_runs_each_curve_stage_once(monkeypatch):
+    calls = {"normalization": 0, "singular_point": 0}
+    for name in calls:
+        def counted(nf, _stage=getattr(curves, name), _name=name):
+            calls[_name] += 1
+            return _stage(nf)
+        monkeypatch.setattr(curves, name, counted)
+    entry = next(e for e in load_default_catalog() if e["name"] == "f3st-residueK-curve")
+    record = check_catalog_entry(entry)
+    assert record["ok"] and "conductor_profile" in record["operations"]
+    assert calls == {"normalization": 1, "singular_point": 1}
