@@ -16,7 +16,7 @@ from .fieldarith import (
     row_space_basis,
 )
 from .fermat import PFermatHypersurface, invariant_d, singular_ideal
-from .frobenius import is_pth_power, membership_in_pspan
+from .frobenius import in_pspan, is_pth_power, membership_in_pspan
 from .upoly import UPoly
 
 CASE_P2 = "P2"
@@ -395,7 +395,7 @@ def remains_integral(nf, b):
     """
     if is_pth_power(b):
         raise TrivialExtensionError("%r is already a p-th power in K" % (b,))
-    return membership_in_pspan(b, [nf.lam]) is None
+    return not in_pspan(b, [nf.lam])
 
 
 @dataclass(frozen=True)

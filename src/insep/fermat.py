@@ -7,7 +7,7 @@ otherwise has singular locus of codimension exactly d.
 
 from dataclasses import dataclass
 
-from .fieldarith import Matrix, RatFunc, row_space_basis
+from .fieldarith import Matrix
 from .frobenius import p_linear_relation, pdegree_generated, pth_root
 from .upoly import UPoly
 
@@ -169,24 +169,6 @@ def singular_ideal_partials(X):
         if poly:
             gens.append(poly)
     return gens
-
-
-def singular_ideals_agree(X):
-    """Row-space equality over K of the two generating sets (same graded piece)."""
-    field = X.field
-    a = [g.coefficient_vector(X.p) for g in singular_ideal(X)]
-    r = X.reference_index()
-    lr = X.coeffs[r]
-    b = []
-    for g in singular_ideal_partials(X):
-        vec = g.coefficient_vector(X.p)
-        b.append([c / lr for c in vec])  # compare in the normalized scale
-    span_a = row_space_basis(field, a)
-    span_b = row_space_basis(field, b)
-    if len(span_a) != len(span_b):
-        return False
-    both = row_space_basis(field, [list(v) for v in span_a] + [list(v) for v in span_b])
-    return len(both) == len(span_a)
 
 
 def geometric_generic_edim(X):

@@ -110,14 +110,14 @@ class SimpleExtensionField:
     """L = base(b^(1/p)) for a modulus b in the bottom function field, b not in base^p."""
 
     def __init__(self, base, beta, gen_name=None):
-        from ..frobenius import membership_in_pspan
+        from ..frobenius import in_pspan
 
         self.base = base
         self.p = base.characteristic
         self.characteristic = self.p
         self.beta = beta  # element of the bottom rational function field
         self.gen_name = gen_name or ("x%d" % (len(base.moduli) + 1))
-        if membership_in_pspan(beta, base.moduli) is not None:
+        if in_pspan(beta, base.moduli):
             raise NotAPthPowerCheckError(
                 "modulus %r is a p-th power in the base field" % (beta,))
         self._beta_in_base = base.from_bottom(beta)

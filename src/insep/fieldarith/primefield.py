@@ -7,14 +7,21 @@ SUPPORTED_PRIMES = (2, 3, 5, 7)
 
 
 def power(x, n, one, mul=operator.mul):
-    """x^n for n >= 0 by square-and-multiply, starting from ``one``."""
-    result = one
-    while n > 0:
+    """x^n for n >= 0 by square-and-multiply; ``one`` is the value for n = 0.
+
+    The result starts at the lowest set bit and x is not squared past the
+    highest one, so x^n takes (bit length - 1) + (set bits - 1) products.
+    """
+    if n == 0:
+        return one
+    result = None
+    while True:
         if n & 1:
-            result = mul(result, x)
-        x = mul(x, x)
+            result = x if result is None else mul(result, x)
         n >>= 1
-    return result
+        if not n:
+            return result
+        x = mul(x, x)
 
 
 class FpElem:

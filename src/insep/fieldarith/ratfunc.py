@@ -98,10 +98,6 @@ class RatFunc:
             and self.den == other.den
         )
 
-    def cross_equals(self, other):
-        """Equality by cross-multiplication: a/b = c/d iff ad = bc."""
-        return (self.num * other.den) == (other.num * self.den)
-
     def __hash__(self):
         if self._hash is None:
             self._hash = hash((self.num, self.den))
@@ -223,4 +219,11 @@ class FunctionField:
 
     @classmethod
     def from_descriptor(cls, desc):
-        return cls(int(desc["p"]), [str(v) for v in desc["vars"]])
+        """The field of a JSON descriptor {"p": int, "vars": [names]}; types are checked, not coerced."""
+        p, variables = desc["p"], desc["vars"]
+        # JSON true/false arrive as bool, a subclass of int
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError("p must be an integer")
+        if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+            raise ValueError("vars must be a list of strings")
+        return cls(p, variables)

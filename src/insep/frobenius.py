@@ -1,9 +1,15 @@
-"""Frobenius-coordinate decomposition over K = F_p(t_1,...,t_n) and the exact
-linear algebra over K that it turns p-th-power questions into.
+"""Frobenius coordinates and p-degrees over K = F_p(t_1,...,t_n), by exact
+linear algebra over K.
 
 Every f in K can be written uniquely as f = sum_e g_e^p t^e over the monomial
-exponents e in {0,...,p-1}^n; coefficients of K^p-linear relations then fall
-out of ordinary K-linear systems on the g_e.
+exponents e in {0,...,p-1}^n.  These coordinates give p-th roots, the witness
+coefficients of membership in K^p(mu_1,...,mu_k), and K^p-linear relations, as
+ordinary K-linear systems on the g_e.
+
+The p-degree needs no coordinates.  Since t_1,...,t_n is a p-basis of K,
+mu_1,...,mu_k are p-independent iff their differentials, the Jacobian rows
+(d mu_i / d t_j)_j, are K-linearly independent (Matsumura, Commutative Ring
+Theory, Thm 26.5).  So d is a rank with at most n columns.
 """
 
 from dataclasses import dataclass
@@ -25,14 +31,6 @@ class FrobeniusCoordinates:
 
     element: RatFunc
     coords: dict
-
-    def reassemble(self):
-        field = self.element.field()
-        total = field.zero()
-        for e, g in self.coords.items():
-            mono = RatFunc(MultiPoly(field.p, field.vars, {e: 1}), reduce=False)
-            total = total + (g ** field.p) * mono
-        return total
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,8 @@ def membership_in_pspan(mu, basis):
     """Solve mu = sum_a d_a^p * prod_j basis_j^(a_j) over a in {0..p-1}^len(basis).
 
     Returns {exponent tuple: d_a} with zero coefficients omitted, or None when
-    mu does not lie in K^p(basis).
+    mu does not lie in K^p(basis).  The system has p^len(basis) unknowns; when
+    only the yes/no answer is needed, in_pspan is a rank with at most n columns.
     """
     return _membership_in_pspan(mu, tuple(basis))
 
@@ -161,26 +160,33 @@ def _membership_in_pspan(mu, basis):
     return {a: c for a, c in zip(exponents, sol) if c}
 
 
-def pspan_combination_value(combo, basis, field):
-    """Evaluate sum_a d_a^p * prod basis^a for a membership witness."""
-    total = field.zero()
-    p = field.p
-    for a, d in combo.items():
-        term = d ** p
-        for g, e in zip(basis, a):
-            term = term * (g ** e)
-        total = total + term
-    return total
-
-
 def pdegree_generated(gens):
-    """Greedy p-basis of K^p(gens): keep each generator not spanned by the kept ones."""
-    examined = tuple(gens)
-    selected = []
+    """Greedy p-basis of K^p(gens): keep each generator not spanned by the kept ones.
+
+    A generator is spanned iff its Jacobian row does not raise the K-rank of
+    the rows kept so far.
+    """
+    return _pdegree_generated(tuple(gens))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _pdegree_generated(examined):
+    selected, rows = [], []
     for mu in examined:
-        if membership_in_pspan(mu, selected) is None:
+        nvars = len(mu.vars)
+        if len(rows) == nvars:
+            break  # the kept rows already span all n differentials
+        row = [mu.derivative(k) for k in range(nvars)]
+        if Matrix(mu.field(), rows + [row]).rank() > len(rows):
             selected.append(mu)
+            rows.append(row)
     return PBasisResult(examined=examined, selected=tuple(selected), d=len(selected))
+
+
+def in_pspan(mu, basis):
+    """True iff mu lies in K^p(basis): adding it does not raise the p-degree."""
+    basis = tuple(basis)
+    return pdegree_generated(basis + (mu,)).d == pdegree_generated(basis).d
 
 
 def imperfection_degree(field):

@@ -51,3 +51,13 @@ def random_nonzero_ratfunc(rng, field, max_terms=3, max_exp=2):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def reassemble(fc):
+    """sum_e g_e^p t^e over Frobenius coordinates: gives back the decomposed element."""
+    field = fc.element.field()
+    total = field.zero()
+    for e, g in fc.coords.items():
+        mono = RatFunc(MultiPoly(field.p, field.vars, {e: 1}), reduce=False)
+        total = total + (g ** field.p) * mono
+    return total

@@ -157,6 +157,10 @@ def test_cli_exit_codes(tmp_path, capsys):
          "task 0: algebra.construction must be 'tensor-self' or 'adjoin-root'"),
         ([{"kind": "artin-edim", "algebra": dict(tensor, field={"p": 4, "vars": ["s"]})}],
          "task 0: algebra.field: bad field descriptor"),
+        ([{"kind": "artin-edim", "algebra": dict(tensor, field={"p": 2, "vars": "st"})}],
+         "task 0: algebra.field: bad field descriptor: vars must be a list of strings"),
+        ([{"kind": "artin-edim", "algebra": dict(tensor, field={"p": "2", "vars": ["s", "t"]})}],
+         "task 0: algebra.field: bad field descriptor: p must be an integer"),
         ([{"kind": "artin-edim", "algebra": dict(tensor, pth_powers="st")}],
          "task 0: algebra.pth_powers must be a list of strings"),
         ([{"kind": "artin-edim", "algebra": dict(tensor, pth_powers=["s", "u"])}],
@@ -172,9 +176,20 @@ def test_cli_exit_codes(tmp_path, capsys):
         ([{"kind": "artin-edim", "algebra": {k: v for k, v in adjoin.items() if k != "f"}}],
          "task 0: algebra.f must be a list of integers"),
     ]
-    for tasks, message in mistyped:
+    pdegree = [{"kind": "pdegree", "exprs": ["s", "t"]}]
+    mistyped_fields = [
+        ({"p": 2, "vars": "st"}, "bad field descriptor: vars must be a list of strings"),
+        ({"p": 2, "vars": ["s", "s"]}, "bad field descriptor: duplicate variable names"),
+        ({"p": "2", "vars": ["s", "t"]}, "bad field descriptor: p must be an integer"),
+        ({"p": True, "vars": ["s", "t"]}, "bad field descriptor: p must be an integer"),
+        ({"p": 2.0, "vars": ["s", "t"]}, "bad field descriptor: p must be an integer"),
+    ]
+    st = {"p": 2, "vars": ["s", "t"]}
+    cases = ([(st, tasks, message) for tasks, message in mistyped]
+             + [(field, pdegree, message) for field, message in mistyped_fields])
+    for field, tasks, message in cases:
         bad_type = tmp_path / "bad_type.json"
-        bad_type.write_text(json.dumps({"field": {"p": 2, "vars": ["s", "t"]}, "tasks": tasks}))
+        bad_type.write_text(json.dumps({"field": field, "tasks": tasks}))
         assert main(["run", str(bad_type)]) == 2
         assert message in capsys.readouterr().err
 

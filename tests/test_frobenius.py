@@ -7,16 +7,16 @@ from insep.frobenius import (
     NotAPthPowerError,
     frobenius_decompose,
     imperfection_degree,
+    in_pspan,
     is_pth_power,
     membership_in_pspan,
     p_linear_independent,
     p_linear_relation,
     pdegree_generated,
-    pspan_combination_value,
     pth_root,
 )
 
-from conftest import random_nonzero_ratfunc, random_ratfunc, seeded
+from conftest import random_nonzero_ratfunc, random_ratfunc, reassemble, seeded
 
 
 def test_decompose_monomial(K2st):
@@ -38,7 +38,7 @@ def test_decompose_fraction_satisfies_reassembly(K2st):
     assert set(fc.coords) == {(1, 0), (0, 1)}
     # both coordinates are 1/(s+t): squaring and reassembling recovers f
     assert fc.coords[(1, 0)] == K2st.one() / (s + t)
-    assert fc.reassemble() == f
+    assert reassemble(fc) == f
 
 
 def test_reassembly_on_500_random_elements(K2st, K3st):
@@ -47,7 +47,7 @@ def test_reassembly_on_500_random_elements(K2st, K3st):
     for field in (K2st, K3st):
         for _ in range(250):
             f = random_ratfunc(rng, field)
-            assert frobenius_decompose(f).reassemble() == f
+            assert reassemble(frobenius_decompose(f)) == f
             count += 1
     assert count == 500
 
@@ -95,6 +95,19 @@ def test_membership_examples(K2st, K3t):
     assert membership_in_pspan(t3 * t3, [t3]) == {(2,): K3t.one()}
     assert membership_in_pspan(s, [t]) is None
     assert membership_in_pspan(s * s * t, [t]) == {(1,): s}
+    assert in_pspan(t3 * t3, [t3]) and in_pspan(s * s * t, [t]) and in_pspan(s * s, [])
+    assert not in_pspan(s, [t]) and not in_pspan(s, [t, t * t * s * s])
+
+
+def _pspan_combination_value(combo, basis, field):
+    """Evaluate sum_a d_a^p * prod basis^a for a membership witness."""
+    total = field.zero()
+    for a, d in combo.items():
+        term = d ** field.p
+        for g, e in zip(basis, a):
+            term = term * (g ** e)
+        total = total + term
+    return total
 
 
 def test_membership_witness_reassembles(K2st, K3st):
@@ -109,7 +122,7 @@ def test_membership_witness_reassembles(K2st, K3st):
                 combo_val = combo_val + (d ** field.p) * (gens[0] ** i)
             witness = membership_in_pspan(combo_val, [gens[0]])
             assert witness is not None
-            assert pspan_combination_value(witness, [gens[0]], field) == combo_val
+            assert _pspan_combination_value(witness, [gens[0]], field) == combo_val
 
 
 def test_pdegree_examples(K2st):
@@ -117,6 +130,43 @@ def test_pdegree_examples(K2st):
     assert pdegree_generated([s, t]).d == 2
     assert pdegree_generated([t, s * s * t]).d == 1
     assert pdegree_generated([]).d == 0
+
+
+def _greedy_by_membership(gens):
+    """The greedy p-basis pass over Frobenius-coordinate membership systems."""
+    selected = []
+    for mu in gens:
+        if membership_in_pspan(mu, selected) is None:
+            selected.append(mu)
+    return tuple(selected)
+
+
+# (p, variables, largest generator count): the membership systems of the pass
+# above have p^k unknowns for k kept generators, so the counts stay small
+JACOBIAN_FAMILIES = [(2, "st", 4), (3, "st", 4), (5, "st", 2), (7, "st", 2),
+                     (2, "stu", 4), (3, "stu", 3)]
+
+
+def test_jacobian_selection_matches_membership_greedy():
+    rng = seeded(777)
+    for p, variables, most in JACOBIAN_FAMILIES:
+        field = FunctionField(p, list(variables))
+        for _ in range(12):
+            gens = [random_nonzero_ratfunc(rng, field, max_terms=2, max_exp=1)
+                    for _ in range(rng.randrange(1, most + 1))]
+            if rng.randrange(3) == 0:
+                # a generator inside K^p(gens[0]), so the pass must skip it
+                a, b = (random_ratfunc(rng, field, max_terms=2, max_exp=1) for _ in range(2))
+                gens.append(a ** p * gens[0] + b ** p)
+            assert pdegree_generated(gens).selected == _greedy_by_membership(gens)
+
+
+def test_pdegree_f7_cliff_case():
+    K = FunctionField(7, ["s", "t"])
+    gens = [parse_expr(e, K) for e in ("(6*s*t+5*t)/s", "(4*t+2)/(s*t)", "s/(s+3*t)")]
+    result = pdegree_generated(gens)
+    assert result.d == 2
+    assert result.selected == tuple(gens[:2])
 
 
 def test_pbasis_spans_every_examined_generator(K2st, K3st):

@@ -52,6 +52,11 @@ def test_canonical_form_idempotent(K2st, K3st):
             assert f.den.leading_coeff() == 1
 
 
+def _cross_equals(a, b):
+    """Equality by cross-multiplication: a/b = c/d iff ad = bc."""
+    return (a.num * b.den) == (b.num * a.den)
+
+
 def test_cross_multiplication_agrees_with_structural_equality(K2st, K3st):
     rng = seeded(606)
     checked = 0
@@ -59,14 +64,34 @@ def test_cross_multiplication_agrees_with_structural_equality(K2st, K3st):
         for _ in range(260):
             a = random_ratfunc(rng, field)
             b = random_ratfunc(rng, field)
-            assert (a == b) == a.cross_equals(b)
+            assert (a == b) == _cross_equals(a, b)
             checked += 1
             # unreduced presentations of the same value compare equal
             scale = random_nonzero_ratfunc(rng, field)
             c = RatFunc(a.num * scale.num, a.den * scale.num)
-            assert c == a and a.cross_equals(c)
+            assert c == a and _cross_equals(a, c)
             checked += 1
     assert checked >= 500
+
+
+def test_power_makes_no_product_with_one(K3st, monkeypatch):
+    f = parse_expr("(s+t)/(s*t+1)", K3st)
+    expected = {2: f * f, 5: f * f * f * f * f}
+    products = []
+    mul = RatFunc.__mul__
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting_mul)
+    for n, count in ((2, 1), (5, 3)):
+        products.clear()
+        assert f ** n == expected[n]
+        assert len(products) == count
+    products.clear()
+    assert f ** 0 == K3st.one() and f ** 1 == f and not products
+    assert f ** -2 == expected[2].inverse()
 
 
 def test_formatting_reparses(K3st):
