@@ -20,7 +20,6 @@ from .fieldarith import (
     power,
     row_space_basis,
 )
-from .frobenius import is_pth_power
 
 DIMENSION_CAP = 512
 
@@ -291,7 +290,7 @@ def _is_irreducible(field, coeffs):
             e += 1
         # only the shape T^(p^e) - c arises here; irreducible iff c is not a p-th power
         if deg == p ** e and e >= 1 and all(not c for c in coeffs[1:-1]):
-            return not is_pth_power(-coeffs[0])
+            return field.pth_root(-coeffs[0]) is None
         raise ResidueFieldError("cannot decide irreducibility of %r over %r" % (coeffs, field))
     raise ResidueFieldError("cannot decide irreducibility over %r" % (field,))
 

@@ -4,16 +4,42 @@ Each entry names a hypersurface by its coefficient expressions and records the
 expected invariant, verdict, rational-point existence, and (for d = 1 plane
 curves) the conductor case; checking an entry runs classification, the Groebner
 oracle, and the curve pipeline, and reports every assertion made.
+
+The input checks that job files and catalog files share live here too: a
+malformed file raises JobValidationError, and the command line exits with 2.
 """
 
 import json
 from importlib import resources
 
 from . import curves, fermat
-from .fieldarith import FunctionField, parse_expr
+from .fieldarith import FunctionField, ParseError, parse_expr
 from .frobenius import imperfection_degree, p_linear_independent
 from .groebner import verify_codim
 from .upoly import UPoly
+
+
+class JobValidationError(ValueError):
+    """A job file or catalog file that is malformed."""
+
+
+def check_field(where, desc):
+    """The field of a descriptor; where names the descriptor in the message."""
+    try:
+        return FunctionField.from_descriptor(desc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise JobValidationError("%s: bad field descriptor: %s" % (where, exc)) from exc
+
+
+def check_expressions(where, exprs, field):
+    """exprs must be a list of strings that parse in field."""
+    if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
+        raise JobValidationError("%s must be a list of strings" % where)
+    for expr in exprs:
+        try:
+            parse_expr(expr, field)
+        except ParseError as exc:
+            raise JobValidationError("%s: bad expression %r: %s" % (where, expr, exc)) from exc
 
 
 def load_default_catalog():
@@ -22,15 +48,29 @@ def load_default_catalog():
 
 
 def load_catalog(path=None):
+    """The entries of a catalog file (the shipped one for None), checked before use."""
     if path is None:
-        return load_default_catalog()
-    with open(path) as fh:
-        return json.load(fh)
+        entries = load_default_catalog()
+    else:
+        with open(path) as fh:
+            entries = json.load(fh)
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise JobValidationError("a catalog must be a JSON array of objects")
+    for i, entry in enumerate(entries):
+        where = "catalog entry %d (%s)" % (i, entry.get("name", "<unnamed>"))
+        field = check_field(where + ": field", entry.get("field"))
+        lams = entry.get("lambda")
+        if not isinstance(lams, list) or len(lams) < 2:
+            raise JobValidationError("%s: lambda must be a list of at least two strings" % where)
+        check_expressions(where + ": lambda", lams, field)
+    return entries
 
 
-def entry_hypersurface(entry):
-    field = FunctionField.from_descriptor(entry["field"])
-    lams = tuple(parse_expr(e, field) for e in entry["lambda"])
+def hypersurface(field, exprs):
+    """The hypersurface sum_i lambda_i U_i^p whose coefficients the expressions give."""
+    lams = tuple(parse_expr(e, field) for e in exprs)
+    if len(lams) < 2:
+        raise JobValidationError("need at least two coefficients")
     return fermat.PFermatHypersurface(field=field, n=len(lams) - 1, coeffs=lams)
 
 
@@ -38,7 +78,7 @@ def check_catalog_entry(entry):
     """Run every applicable check; returns a JSON-able record with pass/fail detail."""
     checks = {}
     operations = ["classify", "rational_point", "verify_codim"]
-    X = entry_hypersurface(entry)
+    X = hypersurface(FunctionField.from_descriptor(entry["field"]), entry["lambda"])
     expect = entry.get("expect", {})
     cls = fermat.classify(X)
 

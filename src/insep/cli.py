@@ -18,15 +18,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import artin, catalog, curves, fermat
+from .catalog import JobValidationError, check_expressions, check_field, hypersurface
 from .fieldarith import FunctionField, ParseError, PrimeField, parse_expr
 from .frobenius import p_linear_independent, pdegree_generated
 from .groebner import verify_codim
 
 TIMING_KEYS = ("seconds", "total_seconds")
-
-
-class JobValidationError(ValueError):
-    pass
 
 
 # -- serialization helpers -----------------------------------------------------
@@ -45,13 +42,6 @@ def _fmt_point(point):
 
 
 # -- task handlers: (field, task) -> JSON-able result, raising on task failure ----
-
-
-def _hypersurface(field, task):
-    lams = tuple(parse_expr(e, field) for e in task["lambda"])
-    if len(lams) < 2:
-        raise JobValidationError("need at least two coefficients")
-    return fermat.PFermatHypersurface(field=field, n=len(lams) - 1, coeffs=lams)
 
 
 def _normal_form(field, task):
@@ -84,7 +74,7 @@ def _pdegree(field, task):
 
 
 def _classify(field, task):
-    X = _hypersurface(field, task)
+    X = hypersurface(field, task["lambda"])
     cls = fermat.classify(X)
     return {"d": cls.d, "verdict": cls.verdict, "codim": cls.codim,
             "rational_point": _fmt_point(cls.rational_point),
@@ -93,7 +83,7 @@ def _classify(field, task):
 
 
 def _rational_point(field, task):
-    X = _hypersurface(field, task)
+    X = hypersurface(field, task["lambda"])
     point = fermat.rational_point(X)
     return {"point": _fmt_point(point),
             "p_linear_independent": p_linear_independent(list(X.coeffs)),
@@ -145,7 +135,7 @@ def _artin_edim(field, task):
 
 
 def _verify_codim(field, task):
-    chk = verify_codim(_hypersurface(field, task))
+    chk = verify_codim(hypersurface(field, task["lambda"]))
     return {"predicted_d": chk.predicted_d, "oracle_codim": chk.oracle_codim,
             "match": chk.match,
             "operations": ["buchberger", "ideal_dimension", "verify_codim"]}
@@ -153,7 +143,7 @@ def _verify_codim(field, task):
 
 def _verify_all(field, task):
     entries = catalog.load_catalog(task.get("catalog"))
-    results = [catalog.check_catalog_entry(e) for e in entries]
+    results = _run_records(_entry_worker, entries, 1, False)
     return {"entries": results, "ok": all(r["ok"] for r in results),
             "operations": ["verify_all"]}
 
@@ -177,18 +167,6 @@ TASK_KINDS = tuple(TASK_HANDLERS)
 # -- job validation and task execution ----------------------------------------
 
 
-def _check_expressions(i, key, exprs, field):
-    """exprs must be a list of strings that parse in field."""
-    if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
-        raise JobValidationError("task %d: %s must be a list of strings" % (i, key))
-    for expr in exprs:
-        try:
-            parse_expr(expr, field)
-        except ParseError as exc:
-            raise JobValidationError(
-                "task %d: %s: bad expression %r: %s" % (i, key, expr, exc)) from exc
-
-
 def _is_int(x):
     # JSON true/false arrive as bool, a subclass of int
     return isinstance(x, int) and not isinstance(x, bool)
@@ -197,12 +175,8 @@ def _is_int(x):
 def _check_algebra(i, desc):
     construction = desc.get("construction")
     if construction == "tensor-self":
-        try:
-            field = FunctionField.from_descriptor(desc.get("field"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise JobValidationError(
-                "task %d: algebra.field: bad field descriptor: %s" % (i, exc)) from exc
-        _check_expressions(i, "algebra.pth_powers", desc.get("pth_powers"), field)
+        field = check_field("task %d: algebra.field" % i, desc.get("field"))
+        check_expressions("task %d: algebra.pth_powers" % i, desc.get("pth_powers"), field)
     elif construction == "adjoin-root":
         for key in ("p", "r"):
             if not _is_int(desc.get(key)):
@@ -222,10 +196,7 @@ def validate_job(job):
         raise JobValidationError("job must be a JSON object")
     if "field" not in job or "tasks" not in job:
         raise JobValidationError("job needs 'field' and 'tasks'")
-    try:
-        field = FunctionField.from_descriptor(job["field"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise JobValidationError("bad field descriptor: %s" % exc) from exc
+    field = check_field("field", job["field"])
     if not isinstance(job["tasks"], list):
         raise JobValidationError("'tasks' must be a list")
     for i, task in enumerate(job["tasks"]):
@@ -235,7 +206,7 @@ def validate_job(job):
         if kind not in TASK_KINDS:
             raise JobValidationError("task %d: unknown kind %r" % (i, kind))
         for key in ("exprs", "lambda"):
-            _check_expressions(i, key, task.get(key, []), field)
+            check_expressions("task %d: %s" % (i, key), task.get(key, []), field)
         algebra = task.get("algebra", {})
         if not isinstance(algebra, dict):
             raise JobValidationError("task %d: algebra must be a JSON object" % i)
@@ -332,10 +303,9 @@ def strip_timing(obj):
     return obj
 
 
-def emit(report, stream=None):
-    stream = stream or sys.stdout
-    json.dump(report, stream, sort_keys=True, indent=2)
-    stream.write("\n")
+def emit(report):
+    json.dump(report, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -390,7 +360,8 @@ def main(argv=None):
             lams = [e for group in args.lambdas for e in group]
             report = run_job({"field": json.loads(args.field),
                               "tasks": [{"kind": "classify", "lambda": lams}]})
-    except (JobValidationError, ParseError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (JobValidationError, ParseError, json.JSONDecodeError, OSError,
+            UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     try:

@@ -16,7 +16,7 @@ from .fieldarith import (
     row_space_basis,
 )
 from .fermat import PFermatHypersurface, invariant_d, singular_ideal
-from .frobenius import in_pspan, is_pth_power, membership_in_pspan
+from .frobenius import in_pspan, membership_in_pspan, pth_root
 from .upoly import UPoly
 
 CASE_P2 = "P2"
@@ -103,7 +103,7 @@ def normal_form(field, lam0, lam1, lam2):
     unit = coeffs[r]
     rest = [i for i in range(3) if i != r]
     ratios = {i: coeffs[i] / unit for i in rest}
-    lam_index = next((i for i in rest if not is_pth_power(ratios[i])), None)
+    lam_index = next((i for i in rest if pth_root(ratios[i]) is None), None)
     if lam_index is None:
         raise AssertionError("d = 1 but every ratio is a p-th power")
     other_index = next(i for i in rest if i != lam_index)
@@ -393,7 +393,7 @@ def remains_integral(nf, b):
     Equivalent to b not becoming a p-th power in the curve's function field,
     which for the normalized curve means b outside K^p(lambda).
     """
-    if is_pth_power(b):
+    if pth_root(b) is not None:
         raise TrivialExtensionError("%r is already a p-th power in K" % (b,))
     return not in_pspan(b, [nf.lam])
 

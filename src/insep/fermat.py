@@ -97,10 +97,10 @@ def classify(X):
                               rational_point=point, pth_power_certificate=None)
     if d == 0:
         r = X.reference_index()
-        roots = []
-        for ratio in X.ratios():
-            roots.append(pth_root(ratio))
-        cert = (X.coeffs[r], tuple(roots))
+        roots = tuple(pth_root(ratio) for ratio in X.ratios())
+        if any(root is None for root in roots):
+            raise AssertionError("d = 0 but a coefficient ratio is not a p-th power")
+        cert = (X.coeffs[r], roots)
         # f = lambda_r * (sum roots_i U_i)^p exactly
         return Classification(d=d, verdict=VERDICT_NONREDUCED, codim=None,
                               rational_point=point, pth_power_certificate=cert)
@@ -195,6 +195,8 @@ def pth_power_witness_over_root_field(X):
     p = X.p
     substituted = [c.stretch_exponents(p) for c in X.coeffs]
     roots = [pth_root(c) for c in substituted]
+    if any(root is None for root in roots):
+        raise AssertionError("a coefficient is not a p-th power after t_i -> t_i^p")
     g = UPoly.from_power_form(field, roots, 1)
     expanded = g ** p
     target = UPoly.from_power_form(field, substituted, p)

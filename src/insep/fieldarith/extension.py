@@ -125,10 +125,6 @@ class SimpleExtensionField:
     # -- tower bookkeeping -------------------------------------------------
 
     @property
-    def bottom(self):
-        return self.base.bottom
-
-    @property
     def moduli(self):
         return self.base.moduli + [self.beta]
 
@@ -213,10 +209,9 @@ class SimpleExtensionField:
         return "%r(%s) with %s^%d = %r" % (self.base, self.gen_name, self.gen_name, self.p, self.beta)
 
 
-def extension_tower(bottom_field, moduli, gen_names=None):
+def extension_tower(bottom_field, moduli):
     """Adjoin p-th roots of the given bottom-field elements in order."""
     field = bottom_field
-    for i, b in enumerate(moduli):
-        name = gen_names[i] if gen_names else None
-        field = SimpleExtensionField(field, b, gen_name=name)
+    for b in moduli:
+        field = SimpleExtensionField(field, b)
     return field

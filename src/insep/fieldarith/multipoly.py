@@ -171,9 +171,6 @@ class MultiPoly:
             rem = rem - divisor * MultiPoly(p, self.vars, {qe: qc})
         return MultiPoly(p, self.vars, quo)
 
-    def divides(self, other):
-        return other.try_divide(self) is not None if not self.is_zero() else other.is_zero()
-
     # -- calculus and Frobenius helpers -------------------------------------
 
     def derivative(self, var_idx):
@@ -191,16 +188,6 @@ class MultiPoly:
     def stretch_exponents(self, k):
         """Substitute t_i -> t_i^k; coefficients are fixed by Frobenius on F_p."""
         return MultiPoly(self.p, self.vars, {tuple(x * k for x in e): c for e, c in self.terms.items()})
-
-    def pth_root(self):
-        """Return g with g^p = self, or None.  Needs every exponent divisible by p."""
-        p = self.p
-        res = {}
-        for e, c in self.terms.items():
-            if any(x % p for x in e):
-                return None
-            res[tuple(x // p for x in e)] = c
-        return MultiPoly(p, self.vars, res)
 
     # -- formatting --------------------------------------------------------
 

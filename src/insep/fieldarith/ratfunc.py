@@ -55,12 +55,6 @@ class RatFunc:
     def is_one(self):
         return self.num.is_one() and self.den.is_one()
 
-    def is_polynomial(self):
-        return self.den.is_one()
-
-    def is_constant(self):
-        return self.num.is_constant() and self.den.is_one()
-
     def __bool__(self):
         return not self.num.is_zero()
 
@@ -177,21 +171,11 @@ class FunctionField:
 
     def pth_root(self, elem):
         """Return the p-th root if elem is a p-th power in K, else None."""
-        from ..frobenius import frobenius_decompose
+        from ..frobenius import pth_root
 
-        coords = frobenius_decompose(elem).coords
-        zero_e = (0,) * len(self.vars)
-        if not coords:
-            return self.zero()
-        if set(coords) == {zero_e}:
-            return coords[zero_e]
-        return None
+        return pth_root(elem)
 
     # tower protocol: K is its own bottom field with no adjoined roots
-    @property
-    def bottom(self):
-        return self
-
     @property
     def moduli(self):
         return []
@@ -213,9 +197,6 @@ class FunctionField:
 
     def __repr__(self):
         return "F_%d(%s)" % (self.p, ",".join(self.vars))
-
-    def descriptor(self):
-        return {"p": self.p, "vars": list(self.vars)}
 
     @classmethod
     def from_descriptor(cls, desc):

@@ -21,10 +21,6 @@ from .fieldarith import CACHE_SIZE, Matrix, MultiPoly, RatFunc
 PSPAN_BASIS_CAP = 4
 
 
-class NotAPthPowerError(ValueError):
-    """Raised when asked for a p-th root of something that has none."""
-
-
 @dataclass(frozen=True)
 class FrobeniusCoordinates:
     """The decomposition f = sum_e g_e^p t^e; zero coordinates are omitted."""
@@ -66,21 +62,17 @@ def frobenius_decompose(f):
     return FrobeniusCoordinates(element=f, coords=coords)
 
 
-def is_pth_power(f):
-    """True iff only the e = 0 Frobenius coordinate of f is nonzero (or f = 0)."""
-    coords = frobenius_decompose(f).coords
-    zero_e = (0,) * len(f.vars)
-    return set(coords) <= {zero_e}
-
-
 def pth_root(f):
-    """The unique g with g^p = f; raises NotAPthPowerError otherwise."""
+    """The unique g with g^p = f, or None when f is not a p-th power.
+
+    f is a p-th power iff its only nonzero Frobenius coordinate is the e = 0 one.
+    """
     coords = frobenius_decompose(f).coords
     zero_e = (0,) * len(f.vars)
     if not coords:
         return f.field().zero()
     if set(coords) != {zero_e}:
-        raise NotAPthPowerError("%r is not a p-th power" % (f,))
+        return None
     return coords[zero_e]
 
 

@@ -1,5 +1,7 @@
 """Buchberger's algorithm over K[U_0,...,U_n] with K a rational function field,
-plus Krull-dimension computation from the leading-term ideal.
+in grevlex, plus Krull-dimension computation from the leading-term ideal.  The
+dimension can be read off the leading-term ideal of any monomial order, so one
+order serves.
 
 This is the independent verification oracle for singular-locus codimensions:
 it must either answer correctly or fail loudly on a resource cap, never guess.
@@ -8,7 +10,7 @@ it must either answer correctly or fail loudly on a resource cap, never guess.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .upoly import GREVLEX, UPoly, mono_div, mono_divides, mono_lcm, mono_mul, order_key
+from .upoly import UPoly, grevlex_key, mono_div, mono_divides, mono_lcm, mono_mul
 
 MAX_PAIRS = 10_000
 MAX_MONOMIALS = 1_000_000
@@ -21,11 +23,9 @@ class ResourceLimitError(RuntimeError):
 @dataclass(frozen=True)
 class GroebnerBasis:
     generators: tuple
-    order: str
-    reduced: bool
 
     def leading_monomials(self):
-        return [g.leading_monomial(self.order) for g in self.generators]
+        return [g.leading_monomial() for g in self.generators]
 
 
 @dataclass(frozen=True)
@@ -40,30 +40,24 @@ class DimensionReport:
         return (n - 1) - self.projective_dim
 
 
-def normal_form(f, basis, order, counter=None, reducer_offset=0):
-    """Full remainder of f under division by basis; deterministic reducer choice.
+def normal_form(f, basis, counter=None):
+    """Full remainder of f under division by basis, in grevlex.
 
-    ``reducer_offset`` rotates the reducer preference, used by the confluence
-    property test; any admissible choice gives the same result against a
-    Groebner basis.
+    Each leading term is reduced by the first divisor in list order whose
+    leading monomial divides it.  Against a Groebner basis any other choice
+    gives the same remainder.
     """
-    lead = [(g.leading_monomial(order), g.leading_coeff(order), g) for g in basis if g]
+    lead = [(g.leading_monomial(), g.leading_coeff(), g) for g in basis if g]
     remainder = UPoly.zero(f.field, f.nvars)
     work = f
     while work:
-        e = work.leading_monomial(order)
+        e = work.leading_monomial()
         c = work.terms[e]
         if counter is not None:
             counter[0] += len(work.terms)
             if counter[0] > MAX_MONOMIALS:
                 raise ResourceLimitError("monomial budget exceeded during reduction")
-        hit = None
-        m = len(lead)
-        for i in range(m):
-            lm, lc, g = lead[(i + reducer_offset) % m]
-            if mono_divides(lm, e):
-                hit = (lm, lc, g)
-                break
+        hit = next((h for h in lead if mono_divides(h[0], e)), None)
         if hit is None:
             remainder = remainder + UPoly(f.field, f.nvars, {e: c})
             work = work - UPoly(f.field, f.nvars, {e: c})
@@ -73,78 +67,76 @@ def normal_form(f, basis, order, counter=None, reducer_offset=0):
     return remainder
 
 
-def s_polynomial(f, g, order):
-    lf = f.leading_monomial(order)
-    lg = g.leading_monomial(order)
+def s_polynomial(f, g):
+    lf = f.leading_monomial()
+    lg = g.leading_monomial()
     lcm = mono_lcm(lf, lg)
-    return (f.mul_term(f.field.one() / f.leading_coeff(order), mono_div(lcm, lf))
-            - g.mul_term(g.field.one() / g.leading_coeff(order), mono_div(lcm, lg)))
+    return (f.mul_term(f.field.one() / f.leading_coeff(), mono_div(lcm, lf))
+            - g.mul_term(g.field.one() / g.leading_coeff(), mono_div(lcm, lg)))
 
 
-def buchberger(gens, order=GREVLEX, verify=True):
-    """A reduced Groebner basis of the ideal generated by the nonzero inputs."""
+def buchberger(gens):
+    """A reduced Groebner basis of the ideal generated by the nonzero inputs.
+
+    The result is checked before it is returned: every S-polynomial and every
+    input reduces to zero, else AssertionError.
+    """
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("need at least one nonzero generator")
-    field = gens[0].field
-    nvars = gens[0].nvars
-    basis = [g.monic(order) for g in gens]
-    key = order_key(order)
+    basis = [g.monic() for g in gens]
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     counter = [0]
     processed = 0
     while pairs:
-        # normal strategy: minimal lcm in the order, ties broken on indices
+        # normal strategy: minimal lcm in grevlex, ties broken on indices
         def pair_key(p):
-            lcm = mono_lcm(basis[p[0]].leading_monomial(order), basis[p[1]].leading_monomial(order))
-            return (key(lcm), p)
+            lcm = mono_lcm(basis[p[0]].leading_monomial(), basis[p[1]].leading_monomial())
+            return (grevlex_key(lcm), p)
 
         i, j = min(pairs, key=pair_key)
         pairs.discard((i, j))
         processed += 1
         if processed > MAX_PAIRS:
             raise ResourceLimitError("pair budget exceeded")
-        li = basis[i].leading_monomial(order)
-        lj = basis[j].leading_monomial(order)
+        li = basis[i].leading_monomial()
+        lj = basis[j].leading_monomial()
         if mono_lcm(li, lj) == mono_mul(li, lj):
             continue  # coprime leading terms reduce to zero
-        s = s_polynomial(basis[i], basis[j], order)
-        rem = normal_form(s, basis, order, counter=counter)
+        s = s_polynomial(basis[i], basis[j])
+        rem = normal_form(s, basis, counter=counter)
         if rem:
-            rem = rem.monic(order)
+            rem = rem.monic()
             basis.append(rem)
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
 
-    reduced = _interreduce(_minimalize(basis, order), order)
-    gb = GroebnerBasis(generators=tuple(reduced), order=order, reduced=True)
-    if verify:
-        if not is_groebner_basis(gb):
-            raise AssertionError("produced basis failed the S-polynomial check")
-        for g in gens:
-            if normal_form(g, list(gb.generators), order):
-                raise AssertionError("input generator does not reduce to zero")
+    gb = GroebnerBasis(generators=tuple(_interreduce(_minimalize(basis))))
+    if not is_groebner_basis(gb):
+        raise AssertionError("produced basis failed the S-polynomial check")
+    for g in gens:
+        if normal_form(g, list(gb.generators)):
+            raise AssertionError("input generator does not reduce to zero")
     return gb
 
 
-def _minimalize(basis, order):
-    key = order_key(order)
+def _minimalize(basis):
     out = []
-    for g in sorted(basis, key=lambda h: key(h.leading_monomial(order))):
-        lm = g.leading_monomial(order)
-        if not any(mono_divides(h.leading_monomial(order), lm) for h in out):
+    for g in sorted(basis, key=lambda h: grevlex_key(h.leading_monomial())):
+        lm = g.leading_monomial()
+        if not any(mono_divides(h.leading_monomial(), lm) for h in out):
             out.append(g)
     return out
 
 
-def _interreduce(basis, order):
+def _interreduce(basis):
     out = []
     for i, g in enumerate(basis):
         others = basis[:i] + basis[i + 1:]
-        r = normal_form(g, others, order)
+        r = normal_form(g, others)
         if r:
-            out.append(r.monic(order))
+            out.append(r.monic())
     return out
 
 
@@ -152,25 +144,22 @@ def is_groebner_basis(gb):
     """Exhaustive check: every S-polynomial reduces to zero."""
     basis = list(gb.generators)
     for f, g in combinations(basis, 2):
-        s = s_polynomial(f, g, gb.order)
-        if normal_form(s, basis, gb.order):
+        s = s_polynomial(f, g)
+        if normal_form(s, basis):
             return False
     return True
 
 
-def ideal_dimension(gb, nvars=None):
+def ideal_dimension(gb):
     """Affine and projective dimension from independent variable subsets.
 
     A subset S of the variables is independent modulo the leading-term ideal
     iff no leading monomial involves only variables from S; the affine Krull
-    dimension is the maximal size of an independent subset.  ``nvars`` is only
-    needed for the zero ideal (no generators).
+    dimension is the maximal size of an independent subset.  A basis from
+    buchberger has at least one generator.
     """
     leads = gb.leading_monomials()
-    if gb.generators:
-        nvars = gb.generators[0].nvars
-    elif nvars is None:
-        raise ValueError("the zero ideal needs an explicit variable count")
+    nvars = gb.generators[0].nvars
     supports = [frozenset(i for i, x in enumerate(e) if x) for e in leads]
     if any(not s for s in supports):
         # a unit leading term: the whole ring, empty locus
@@ -197,7 +186,7 @@ class CodimCheck:
     match: bool
 
 
-def verify_codim(hypersurface, order=GREVLEX):
+def verify_codim(hypersurface):
     """Confirm the predicted singular codimension against the Groebner oracle.
 
     The singular locus of V_+(f) is cut out by f together with the coefficient
@@ -208,7 +197,7 @@ def verify_codim(hypersurface, order=GREVLEX):
 
     d = invariant_d(hypersurface)
     gens = [g for g in singular_ideal_partials(hypersurface) if g]
-    gb = buchberger(gens, order=order)
+    gb = buchberger(gens)
     report = ideal_dimension(gb)
     codim = report.codim_in_hypersurface(hypersurface.n)
     if d == hypersurface.n:

@@ -1,21 +1,17 @@
 """Homogeneous polynomials in U_0,...,U_n with coefficients in K = F_p(t_*).
 
 The U-variables are the projective coordinates; the ground-field variables
-live only inside coefficients.  Supports grevlex and lex term orders.
+live only inside coefficients.  The term order is grevlex: a monomial is
+larger when its total degree is higher or, at equal degree, when it has the
+smaller exponent in the last variable where the two differ.
 """
 
 from .fieldarith import power
 
-GREVLEX = "grevlex"
-LEX = "lex"
 
-
-def order_key(order):
-    if order == LEX:
-        return lambda e: e
-    if order == GREVLEX:
-        return lambda e: (sum(e), tuple(-x for x in reversed(e)))
-    raise ValueError("unknown monomial order %r" % (order,))
+def grevlex_key(e):
+    """Sort key of an exponent tuple under grevlex."""
+    return (sum(e), tuple(-x for x in reversed(e)))
 
 
 def mono_mul(a, b):
@@ -126,18 +122,18 @@ class UPoly:
     def __pow__(self, n):
         return power(self, n, UPoly(self.field, self.nvars, {(0,) * self.nvars: self.field.one()}))
 
-    def leading_monomial(self, order):
+    def leading_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial")
-        return max(self.terms, key=order_key(order))
+        return max(self.terms, key=grevlex_key)
 
-    def leading_coeff(self, order):
-        return self.terms[self.leading_monomial(order)]
+    def leading_coeff(self):
+        return self.terms[self.leading_monomial()]
 
-    def monic(self, order):
+    def monic(self):
         if not self.terms:
             return self
-        lc = self.leading_coeff(order)
+        lc = self.leading_coeff()
         return UPoly(self.field, self.nvars, {e: c / lc for e, c in self.terms.items()})
 
     def evaluate(self, values, one, embed_coeff=None):
@@ -164,10 +160,10 @@ class UPoly:
             vec[hits[0]] = c
         return vec
 
-    def format(self, names=None):
+    def format(self):
         if not self.terms:
             return "0"
-        names = names or ["U%d" % i for i in range(self.nvars)]
+        names = ["U%d" % i for i in range(self.nvars)]
         parts = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]

@@ -200,6 +200,33 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(failing)]) == 1
     capsys.readouterr()
 
+    st_entry = {"name": "e", "field": st, "lambda": ["s", "t", "1"]}
+    bad_catalogs = [
+        ({"a": 1}, "a catalog must be a JSON array of objects"),
+        ([st_entry, 3], "a catalog must be a JSON array of objects"),
+        ([{**st_entry, "lambda": "st"}],
+         "catalog entry 0 (e): lambda must be a list of at least two strings"),
+        ([{**st_entry, "lambda": ["s"]}],
+         "catalog entry 0 (e): lambda must be a list of at least two strings"),
+        ([st_entry, {**st_entry, "lambda": ["s", "u"]}],
+         "catalog entry 1 (e): lambda: bad expression 'u'"),
+        ([{**st_entry, "field": {"p": 2, "vars": "st"}}],
+         "catalog entry 0 (e): field: bad field descriptor: vars must be a list of strings"),
+    ]
+    for value, message in bad_catalogs:
+        bad_catalog = tmp_path / "bad_catalog.json"
+        bad_catalog.write_text(json.dumps(value))
+        assert main(["verify-all", "--catalog", str(bad_catalog)]) == 2
+        assert message in capsys.readouterr().err
+
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\x00")
+    for command in (["run"], ["verify-all", "--catalog"]):
+        for unreadable in (tmp_path, binary):
+            assert main(command + [str(unreadable)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def _child_env():
     """The environment of a child that finds the same insep package as this process."""
@@ -266,6 +293,27 @@ def test_remaining_task_kinds():
     assert cohomology == {"h0": 1, "h1": 1, "admissible": True,
                           "operations": ["conductor_profile", "glueing_cohomology"]}
     assert report["tasks"][2]["result"]["ok"]
+
+
+def test_verify_all_task_reports_each_entry(tmp_path):
+    good = load_default_catalog()[0]
+    raising = {"name": "all-zero", "field": {"p": 2, "vars": ["t"]}, "lambda": ["0", "0", "0"]}
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps([good, raising]))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({"a": 1}))
+    report = run_job({"field": {"p": 2, "vars": ["t"]},
+                      "tasks": [{"kind": "verify-all", "catalog": str(two)},
+                                {"kind": "verify-all", "catalog": str(malformed)}]})
+    entries = report["tasks"][0]["result"]["entries"]
+    assert [e["name"] for e in entries] == [good["name"], "all-zero"]
+    assert entries[0]["ok"]
+    assert not entries[1]["ok"]
+    assert entries[1]["error"] == {"type": "ValueError",
+                                   "message": "coefficients must not all vanish"}
+    assert not report["tasks"][0]["result"]["ok"]
+    assert not report["tasks"][1]["ok"]
+    assert report["tasks"][1]["error"]["type"] == "JobValidationError"
 
 
 def test_verify_all_cli_exit_codes(tmp_path, capsys):

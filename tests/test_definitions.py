@@ -1,0 +1,59 @@
+"""Every function, method and class in src/insep is used by the package itself.
+
+A definition counts as used when its name appears as a name or an attribute
+somewhere in src/insep outside the definition's own body.  The check goes by
+name, so a method is kept alive by any use of that attribute name.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import insep
+
+# public names that only the tests and the acceptance criteria reach
+ALLOWED = {
+    "base_field_algebra",
+    "multiple_curve_profile",
+    "remains_integral",
+    "strip_timing",  # the report contract that byte-identity checks compare
+    "UPoly.evaluate",
+}
+
+
+def _references(node):
+    counts = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            counts[sub.attr] += 1
+    return counts
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, node) for every def and class below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = prefix + child.name
+            yield qualname, child
+            yield from _definitions(child, qualname + ".")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def test_every_definition_is_referenced():
+    root = Path(insep.__file__).parent
+    modules = {path: ast.parse(path.read_text()) for path in sorted(root.rglob("*.py"))}
+    total = Counter()
+    for tree in modules.values():
+        total.update(_references(tree))
+    unused = []
+    for path, tree in modules.items():
+        for qualname, node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if total[name] == _references(node)[name] and qualname not in ALLOWED:
+                unused.append("%s:%d %s" % (path.relative_to(root), node.lineno, qualname))
+    assert not unused, "defined but never referenced in src/insep: %s" % ", ".join(unused)

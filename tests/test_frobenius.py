@@ -1,14 +1,10 @@
 from itertools import permutations
 
-import pytest
-
 from insep.fieldarith import FunctionField, parse_expr
 from insep.frobenius import (
-    NotAPthPowerError,
     frobenius_decompose,
     imperfection_degree,
     in_pspan,
-    is_pth_power,
     membership_in_pspan,
     p_linear_independent,
     p_linear_relation,
@@ -53,11 +49,8 @@ def test_reassembly_on_500_random_elements(K2st, K3st):
 
 
 def test_pth_power_detection(K2st, K3t):
-    assert is_pth_power(parse_expr("s^2+t^2", K2st))
     assert pth_root(parse_expr("s^2+t^2", K2st)) == parse_expr("s+t", K2st)
-    assert not is_pth_power(K3t.gen("t"))
-    with pytest.raises(NotAPthPowerError):
-        pth_root(K3t.gen("t"))
+    assert pth_root(K3t.gen("t")) is None
 
 
 def test_pth_root_of_fraction(K2st):
@@ -73,7 +66,6 @@ def test_root_round_trip_random(K2st, K3st):
         for _ in range(250):
             f = random_ratfunc(rng, field)
             g = f ** field.p
-            assert is_pth_power(g)
             assert pth_root(g) == f
 
 
