@@ -47,13 +47,19 @@ def load_default_catalog():
     return json.loads(text)
 
 
+def read_json(path):
+    """The JSON value in the file at path; text that is not UTF-8 JSON raises
+    JobValidationError naming the file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise JobValidationError("%s: %s" % (path, exc)) from exc
+
+
 def load_catalog(path=None):
     """The entries of a catalog file (the shipped one for None), checked before use."""
-    if path is None:
-        entries = load_default_catalog()
-    else:
-        with open(path) as fh:
-            entries = json.load(fh)
+    entries = load_default_catalog() if path is None else read_json(path)
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise JobValidationError("a catalog must be a JSON array of objects")
     for i, entry in enumerate(entries):
@@ -69,8 +75,6 @@ def load_catalog(path=None):
 def hypersurface(field, exprs):
     """The hypersurface sum_i lambda_i U_i^p whose coefficients the expressions give."""
     lams = tuple(parse_expr(e, field) for e in exprs)
-    if len(lams) < 2:
-        raise JobValidationError("need at least two coefficients")
     return fermat.PFermatHypersurface(field=field, n=len(lams) - 1, coeffs=lams)
 
 

@@ -16,10 +16,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from math import prod
 
 from . import artin, catalog, curves, fermat
 from .catalog import JobValidationError, check_expressions, check_field, hypersurface
-from .fieldarith import FunctionField, ParseError, PrimeField, parse_expr
+from .fieldarith import SUPPORTED_PRIMES, FunctionField, PrimeField, parse_expr
 from .frobenius import p_linear_independent, pdegree_generated
 from .groebner import verify_codim
 
@@ -45,26 +46,16 @@ def _fmt_point(point):
 
 
 def _normal_form(field, task):
-    lams = [parse_expr(e, field) for e in task["lambda"]]
-    if len(lams) != 3:
-        raise JobValidationError("curve tasks need exactly three coefficients")
-    return curves.normal_form(field, *lams)
+    return curves.normal_form(field, *[parse_expr(e, field) for e in task["lambda"]])
 
 
 def _algebra_from_description(desc):
-    construction = desc.get("construction")
-    if construction == "tensor-self":
+    if desc["construction"] == "tensor-self":
         field = FunctionField.from_descriptor(desc["field"])
-        powers = [parse_expr(e, field) for e in desc["pth_powers"]]
-        return artin.tensor_self(field, powers)
-    if construction == "adjoin-root":
-        base_field = PrimeField(int(desc["p"]))
-        base = artin.truncated_polynomial_algebra(base_field, desc.get("base_exponents", []))
-        f = [base_field.from_int(int(c)) for c in desc["f"]]
-        if len(f) != base.dim:
-            raise JobValidationError("f needs %d coefficients" % base.dim)
-        return artin.adjoin_root(base, f, int(desc["r"]))
-    raise JobValidationError("unknown algebra construction %r" % construction)
+        return artin.tensor_self(field, [parse_expr(e, field) for e in desc["pth_powers"]])
+    base_field = PrimeField(desc["p"])
+    base = artin.truncated_polynomial_algebra(base_field, desc.get("base_exponents", []))
+    return artin.adjoin_root(base, [base_field.from_int(c) for c in desc["f"]], desc["r"])
 
 
 def _pdegree(field, task):
@@ -181,11 +172,19 @@ def _check_algebra(i, desc):
         for key in ("p", "r"):
             if not _is_int(desc.get(key)):
                 raise JobValidationError("task %d: algebra.%s must be an integer" % (i, key))
-        for key, values in (("base_exponents", desc.get("base_exponents", [])),
-                            ("f", desc.get("f"))):
+        exponents = desc.get("base_exponents", [])
+        for key, values in (("base_exponents", exponents), ("f", desc.get("f"))):
             if not isinstance(values, list) or not all(_is_int(v) for v in values):
                 raise JobValidationError(
                     "task %d: algebra.%s must be a list of integers" % (i, key))
+        if desc["p"] not in SUPPORTED_PRIMES:
+            raise JobValidationError("task %d: algebra.p must be one of %s"
+                                     % (i, ", ".join(map(str, SUPPORTED_PRIMES))))
+        if not all(a >= 1 for a in exponents):
+            raise JobValidationError("task %d: algebra.base_exponents must be at least 1" % i)
+        if len(desc["f"]) != prod(exponents):
+            raise JobValidationError("task %d: algebra.f needs %d coefficients, one per "
+                                     "basis monomial" % (i, prod(exponents)))
     else:
         raise JobValidationError("task %d: algebra.construction must be "
                                  "'tensor-self' or 'adjoin-root'" % i)
@@ -205,8 +204,18 @@ def validate_job(job):
         kind = task.get("kind")
         if kind not in TASK_KINDS:
             raise JobValidationError("task %d: unknown kind %r" % (i, kind))
+        needed = {"pdegree": "exprs", "artin-edim": "algebra", "verify-all": None}.get(
+            kind, "lambda")
+        if needed and needed not in task:
+            raise JobValidationError("task %d: %s task needs key %r" % (i, kind, needed))
         for key in ("exprs", "lambda"):
             check_expressions("task %d: %s" % (i, key), task.get(key, []), field)
+        if needed == "lambda":
+            if kind.startswith("curve-") and len(task["lambda"]) != 3:
+                raise JobValidationError("task %d: lambda of a %s task needs exactly three "
+                                         "coefficients" % (i, kind))
+            if len(task["lambda"]) < 2:
+                raise JobValidationError("task %d: lambda needs at least two coefficients" % i)
         algebra = task.get("algebra", {})
         if not isinstance(algebra, dict):
             raise JobValidationError("task %d: algebra must be a JSON object" % i)
@@ -227,7 +236,8 @@ def _task_worker(payload):
     start = time.perf_counter()
     try:
         result = execute_task(field_desc, task)
-        record = {"kind": task["kind"], "ok": True, "result": result}
+        # a verify-all result carries the verdict of its entries
+        record = {"kind": task["kind"], "ok": result.get("ok", True), "result": result}
     except Exception as exc:  # reported per task, never aborts the job
         record = {"kind": task["kind"], "ok": False,
                   "error": {"type": type(exc).__name__, "message": str(exc)}}
@@ -344,11 +354,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            if args.job == "-":
-                job = json.load(sys.stdin)
-            else:
-                with open(args.job) as fh:
-                    job = json.load(fh)
+            job = json.load(sys.stdin) if args.job == "-" else catalog.read_json(args.job)
             report = run_job(job, jobs=args.jobs, fail_fast=args.fail_fast)
         elif args.command == "verify-all":
             entries = catalog.load_catalog(args.catalog)
@@ -360,8 +366,8 @@ def main(argv=None):
             lams = [e for group in args.lambdas for e in group]
             report = run_job({"field": json.loads(args.field),
                               "tasks": [{"kind": "classify", "lambda": lams}]})
-    except (JobValidationError, ParseError, json.JSONDecodeError, OSError,
-            UnicodeDecodeError) as exc:
+    # UnicodeDecodeError: standard input that is not UTF-8, under a strict locale
+    except (JobValidationError, json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     try:

@@ -204,11 +204,7 @@ def singular_point(nf):
     # the image must satisfy the equation and every singular-ideal generator
     X = nf.curve()
     for gen in singular_ideal(X):
-        vec = gen.coefficient_vector(p)
-        val = L.zero()
-        for coeff, coord in zip(vec, image_point):
-            val = val + L.lift(coeff) * (coord ** p)
-        if val:
+        if gen.evaluate(image_point, L.one(), embed_coeff=L.lift):
             raise AssertionError("image point misses a singular-ideal generator")
 
     # U_1 pulls back to T_1 = 1 at a, so the affine coordinates are the others
@@ -251,17 +247,8 @@ class ConductorRing:
     def one_vec(self):
         return self.flatten(self.series.one())
 
-    def l_span(self):
-        """Basis of the coefficient field L sitting in degree zero."""
-        out = []
-        for i in range(self.p):
-            vec = [self.K.zero()] * self.dim_K
-            vec[i] = self.K.one()
-            out.append(vec)
-        return out
-
     def u_level_span(self, k):
-        """Basis of the subspace u^k * L."""
+        """Basis of the subspace u^k * L; k = 0 gives the coefficient field L."""
         out = []
         for i in range(self.p):
             vec = [self.K.zero()] * self.dim_K
@@ -340,7 +327,7 @@ def conductor_profile(nf):
     if dim_sub != p * (p - 1) // 2:
         raise AssertionError("dim_K(O_A0) = %d, expected p(p-1)/2 = %d"
                              % (dim_sub, p * (p - 1) // 2))
-    if _subspace_intersection_dim(ring.K, basis, ring.l_span()) != 1:
+    if _subspace_intersection_dim(ring.K, basis, ring.u_level_span(0)) != 1:
         raise AssertionError("O_A0 /\\ L is bigger than K")
     # conductor exactness guard: u^(p-2)*L does not land inside O_A0
     top = ring.u_level_span(ring.order - 1)
@@ -417,7 +404,7 @@ def glueing_cohomology(ring, subalg_basis):
     products = [ring.mul(a, b) for i, a in enumerate(basis) for b in basis[i:]]
     if len(row_space_basis(ring.K, basis + products)) != len(basis):
         raise NotASubalgebraError("span is not closed under multiplication")
-    h0 = _subspace_intersection_dim(ring.K, basis, ring.l_span())
+    h0 = _subspace_intersection_dim(ring.K, basis, ring.u_level_span(0))
     h1 = ring.dim_K - len(basis) - ring.p + h0
     p = ring.p
     admissible = h0 == 1 and len(basis) == p * (p - 1) // 2

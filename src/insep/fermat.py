@@ -2,22 +2,18 @@
 
 The p-degree d of K^p(lambda_i/lambda_r) inside K controls everything: the
 scheme is regular iff d = n, is a p-th power (nowhere reduced) iff d = 0, and
-otherwise has singular locus of codimension exactly d.
+otherwise has singular locus of codimension exactly d.  That locus is cut out
+by f and its partials df/dt_k (singular_ideal), which the Groebner oracle reads.
 """
 
 from dataclasses import dataclass
 
-from .fieldarith import Matrix
 from .frobenius import p_linear_relation, pdegree_generated, pth_root
 from .upoly import UPoly
 
 VERDICT_REGULAR = "Regular"
 VERDICT_SINGULAR = "SingularCodim"
 VERDICT_NONREDUCED = "NonreducedEverywhere"
-
-
-class DegenerateCaseError(ValueError):
-    """No derivation separates the coefficients (d = 0)."""
 
 
 class NotIntegralError(ValueError):
@@ -53,9 +49,8 @@ class PFermatHypersurface:
         lr = self.coeffs[r]
         return [c / lr for c in self.coeffs]
 
-    def defining_upoly(self, normalized=False):
-        coeffs = self.ratios() if normalized else list(self.coeffs)
-        return UPoly.from_power_form(self.field, coeffs, self.p)
+    def defining_upoly(self):
+        return UPoly.from_power_form(self.field, list(self.coeffs), self.p)
 
 
 @dataclass(frozen=True)
@@ -108,64 +103,16 @@ def classify(X):
                           rational_point=point, pth_power_certificate=None)
 
 
-def coefficient_derivations(X):
-    """Vectors c^(i) with D_i = sum_k c_k d/dt_k satisfying D_i(mu_{j_m}) = delta_im.
+def singular_ideal(X):
+    """Generators {f, df/dt_1, ..., df/dt_n} of the singular-locus ideal, zeros dropped.
 
-    The chosen p-independent ratios have K-linearly independent differentials,
-    so the Jacobian system is solvable exactly.
+    Every derivation of K = F_p(t_1,...,t_n) is a K-combination of the d/dt_k,
+    so these generate the ideal of f and all its derivatives along K.
     """
     field = X.field
-    nvars = len(field.vars)
-    ratios = X.ratios()
-    # a selected ratio is not spanned by the ratios before it, so it is not equal
-    # to any of them: its first position is the index the greedy pass kept
-    indices = [ratios.index(mu) for mu in pdegree_generated(ratios).selected]
-    d = len(indices)
-    if d == 0:
-        raise DegenerateCaseError("all coefficient ratios are p-th powers (d = 0)")
-    jac = [[ratios[j].derivative(k) for k in range(nvars)] for j in indices]
-    m = Matrix(field, jac)
-    out = []
-    for i in range(d):
-        rhs = [field.one() if r == i else field.zero() for r in range(d)]
-        sol = m.solve(rhs)
-        if sol is None:
-            raise AssertionError("derivation system unsolvable for p-independent ratios")
-        out.append(sol)
-    return out, indices
-
-
-def _apply_derivation(X, cvec):
-    """Coefficient vector of D(f) for the normalized equation f = sum mu_j U_j^p."""
-    field = X.field
-    nvars = len(field.vars)
-    out = []
-    for mu in X.ratios():
-        val = field.zero()
-        for k in range(nvars):
-            val = val + cvec[k] * mu.derivative(k)
-        out.append(val)
-    return out
-
-
-def singular_ideal(X):
-    """Generators {f, D_1 f, ..., D_d f} of the singular-locus ideal, as U-polynomials."""
-    derivations, _ = coefficient_derivations(X)
-    field = X.field
-    gens = [X.defining_upoly(normalized=True)]
-    for cvec in derivations:
-        gens.append(UPoly.from_power_form(field, _apply_derivation(X, cvec), X.p))
-    return gens
-
-
-def singular_ideal_partials(X):
-    """The equivalent generating set {f, df/dt_1, ..., df/dt_nvars} (zeros dropped)."""
-    field = X.field
-    nvars = len(field.vars)
     gens = [X.defining_upoly()]
-    for k in range(nvars):
-        vec = [c.derivative(k) for c in X.coeffs]
-        poly = UPoly.from_power_form(field, vec, X.p)
+    for k in range(len(field.vars)):
+        poly = UPoly.from_power_form(field, [c.derivative(k) for c in X.coeffs], X.p)
         if poly:
             gens.append(poly)
     return gens

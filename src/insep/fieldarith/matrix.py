@@ -1,7 +1,8 @@
 """Exact dense linear algebra over any field object with zero()/one() elements.
 
 Pivoting picks the first symbolically nonzero entry; there is no rounding
-anywhere, so rank, kernel and solve are exact.
+anywhere, so rank, kernel and solve are exact.  One elimination serves all
+three: solve reduces the augmented matrix [A | b].
 """
 
 
@@ -21,10 +22,9 @@ class Matrix:
         return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
                                    for j in range(self.ncols)])
 
-    def _echelon(self, augment=None):
-        """Row-reduce (optionally with an augmented column); returns (rows, aug, pivots)."""
+    def _echelon(self):
+        """Row-reduce to reduced row echelon form; returns (rows, pivot columns)."""
         rows = [list(r) for r in self.rows]
-        aug = list(augment) if augment is not None else None
         pivots = []
         row = 0
         for col in range(self.ncols):
@@ -36,31 +36,24 @@ class Matrix:
             if pivot is None:
                 continue
             rows[row], rows[pivot] = rows[pivot], rows[row]
-            if aug is not None:
-                aug[row], aug[pivot] = aug[pivot], aug[row]
             inv = rows[row][col]
             rows[row] = [x / inv for x in rows[row]]
-            if aug is not None:
-                aug[row] = aug[row] / inv
             for r in range(len(rows)):
                 if r != row and rows[r][col]:
                     factor = rows[r][col]
                     rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
-                    if aug is not None:
-                        aug[r] = aug[r] - factor * aug[row]
             pivots.append(col)
             row += 1
             if row == len(rows):
                 break
-        return rows, aug, pivots
+        return rows, pivots
 
     def rank(self):
-        _, _, pivots = self._echelon()
-        return len(pivots)
+        return len(self._echelon()[1])
 
     def kernel_basis(self):
         """Vectors spanning {x : A x = 0}, one per free column."""
-        rows, _, pivots = self._echelon()
+        rows, pivots = self._echelon()
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         zero, one = self.field.zero(), self.field.one()
@@ -74,17 +67,20 @@ class Matrix:
         return basis
 
     def solve(self, b):
-        """A particular solution of A x = b, or None if inconsistent."""
+        """A particular solution of A x = b, or None if inconsistent.
+
+        [A | b] is reduced by the same elimination: the first ncols columns see
+        the pivots and operations of A alone, and a pivot in the last column
+        means the system is inconsistent.
+        """
         if len(b) != self.nrows:
             raise ValueError("dimension mismatch")
-        rows, aug, pivots = self._echelon(augment=b)
-        zero = self.field.zero()
-        for i in range(len(pivots), self.nrows):
-            if aug[i]:
-                return None
-        x = [zero] * self.ncols
+        rows, pivots = Matrix(self.field, [r + [c] for r, c in zip(self.rows, b)])._echelon()
+        if pivots and pivots[-1] == self.ncols:
+            return None
+        x = [self.field.zero()] * self.ncols
         for i, pc in enumerate(pivots):
-            x[pc] = aug[i]
+            x[pc] = rows[i][-1]
         return x
 
 
@@ -93,6 +89,6 @@ def row_space_basis(field, vectors):
     vecs = [v for v in vectors if any(v)]
     if not vecs:
         return []
-    rows, _, pivots = Matrix(field, vecs)._echelon()
+    rows, pivots = Matrix(field, vecs)._echelon()
     return [rows[i] for i in range(len(pivots))]
 

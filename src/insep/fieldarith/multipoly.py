@@ -12,7 +12,7 @@ from .primefield import power
 
 MAX_VARIABLES = 4
 # entries kept by each memoized exact computation (gcd, Frobenius coordinates,
-# p-span membership, p-degree); least recently used entries go first
+# p-degree); least recently used entries go first
 CACHE_SIZE = 20_000
 
 

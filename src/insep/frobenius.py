@@ -22,14 +22,6 @@ PSPAN_BASIS_CAP = 4
 
 
 @dataclass(frozen=True)
-class FrobeniusCoordinates:
-    """The decomposition f = sum_e g_e^p t^e; zero coordinates are omitted."""
-
-    element: RatFunc
-    coords: dict
-
-
-@dataclass(frozen=True)
 class PBasisResult:
     """A greedy p-basis for K^p(generators) inside K; d is its size."""
 
@@ -40,7 +32,10 @@ class PBasisResult:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def frobenius_decompose(f):
-    """Write f = a/b as (a*b^(p-1))/b^p and split the numerator by exponents mod p."""
+    """The coordinates {e: g_e} of f = sum_e g_e^p t^e, zero coordinates omitted.
+
+    f = a/b is written as (a*b^(p-1))/b^p and the numerator split by exponents mod p.
+    """
     p = f.p
     n = len(f.vars)
     b = f.den
@@ -59,7 +54,7 @@ def frobenius_decompose(f):
         if g:
             coords[e] = g
     assert len(coords) <= p ** n
-    return FrobeniusCoordinates(element=f, coords=coords)
+    return coords
 
 
 def pth_root(f):
@@ -67,7 +62,7 @@ def pth_root(f):
 
     f is a p-th power iff its only nonzero Frobenius coordinate is the e = 0 one.
     """
-    coords = frobenius_decompose(f).coords
+    coords = frobenius_decompose(f)
     zero_e = (0,) * len(f.vars)
     if not coords:
         return f.field().zero()
@@ -78,7 +73,7 @@ def pth_root(f):
 
 def _coordinate_matrix(elems, field):
     """Rows of Frobenius coordinates over the union of appearing exponents."""
-    decomps = [frobenius_decompose(f).coords for f in elems]
+    decomps = [frobenius_decompose(f) for f in elems]
     keys = sorted(set().union(*decomps)) if decomps else []
     zero = field.zero()
     rows = [[d.get(e, zero) for e in keys] for d in decomps]
@@ -124,11 +119,6 @@ def membership_in_pspan(mu, basis):
     mu does not lie in K^p(basis).  The system has p^len(basis) unknowns; when
     only the yes/no answer is needed, in_pspan is a rank with at most n columns.
     """
-    return _membership_in_pspan(mu, tuple(basis))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _membership_in_pspan(mu, basis):
     if len(basis) > PSPAN_BASIS_CAP:
         raise ValueError("p-span membership supports at most %d generators" % PSPAN_BASIS_CAP)
     field = mu.field()

@@ -189,15 +189,14 @@ class CodimCheck:
 def verify_codim(hypersurface):
     """Confirm the predicted singular codimension against the Groebner oracle.
 
-    The singular locus of V_+(f) is cut out by f together with the coefficient
-    partials df/dt_k; the predicted codimension is the invariant d (d = n means
-    a regular scheme, i.e. an empty singular locus).
+    The singular locus of V_+(f) is cut out by singular_ideal: f together with
+    the coefficient partials df/dt_k.  The predicted codimension is the
+    invariant d (d = n means a regular scheme, i.e. an empty singular locus).
     """
-    from .fermat import invariant_d, singular_ideal_partials
+    from .fermat import invariant_d, singular_ideal
 
     d = invariant_d(hypersurface)
-    gens = [g for g in singular_ideal_partials(hypersurface) if g]
-    gb = buchberger(gens)
+    gb = buchberger(singular_ideal(hypersurface))
     report = ideal_dimension(gb)
     codim = report.codim_in_hypersurface(hypersurface.n)
     if d == hypersurface.n:

@@ -150,16 +150,6 @@ class UPoly:
             return one - one
         return total
 
-    def coefficient_vector(self, power):
-        """Coefficients (c_0,...,c_n) when the polynomial is sum c_j U_j^power."""
-        vec = [self.field.zero()] * self.nvars
-        for e, c in self.terms.items():
-            hits = [j for j, x in enumerate(e) if x]
-            if len(hits) != 1 or e[hits[0]] != power:
-                raise ValueError("not of pure power form")
-            vec[hits[0]] = c
-        return vec
-
     def format(self):
         if not self.terms:
             return "0"

@@ -53,11 +53,10 @@ def seeded(seed):
     return random.Random(seed)
 
 
-def reassemble(fc):
+def reassemble(field, coords):
     """sum_e g_e^p t^e over Frobenius coordinates: gives back the decomposed element."""
-    field = fc.element.field()
     total = field.zero()
-    for e, g in fc.coords.items():
+    for e, g in coords.items():
         mono = RatFunc(MultiPoly(field.p, field.vars, {e: 1}), reduce=False)
         total = total + (g ** field.p) * mono
     return total

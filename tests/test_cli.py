@@ -175,6 +175,21 @@ def test_cli_exit_codes(tmp_path, capsys):
          "task 0: algebra.base_exponents must be a list of integers"),
         ([{"kind": "artin-edim", "algebra": {k: v for k, v in adjoin.items() if k != "f"}}],
          "task 0: algebra.f must be a list of integers"),
+        ([{"kind": "classify", "lambda": ["s"]}],
+         "task 0: lambda needs at least two coefficients"),
+        ([{"kind": "curve-normalize", "lambda": ["s", "t", "1", "1"]}],
+         "task 0: lambda of a curve-normalize task needs exactly three coefficients"),
+        ([{"kind": "classify"}], "task 0: classify task needs key 'lambda'"),
+        ([{"kind": "pdegree"}], "task 0: pdegree task needs key 'exprs'"),
+        ([{"kind": "artin-edim"}], "task 0: artin-edim task needs key 'algebra'"),
+        ([{"kind": "artin-edim", "algebra": dict(adjoin, base_exponents=[0], f=[])}],
+         "task 0: algebra.base_exponents must be at least 1"),
+        ([{"kind": "artin-edim", "algebra": dict(adjoin, base_exponents=[-1], f=[1])}],
+         "task 0: algebra.base_exponents must be at least 1"),
+        ([{"kind": "artin-edim", "algebra": dict(adjoin, p=4)}],
+         "task 0: algebra.p must be one of 2, 3, 5, 7"),
+        ([{"kind": "artin-edim", "algebra": dict(adjoin, base_exponents=[2, 2])}],
+         "task 0: algebra.f needs 4 coefficients"),
     ]
     pdegree = [{"kind": "pdegree", "exprs": ["s", "t"]}]
     mistyped_fields = [
@@ -221,11 +236,14 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     binary = tmp_path / "binary"
     binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\x00")
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{not json")
     for command in (["run"], ["verify-all", "--catalog"]):
-        for unreadable in (tmp_path, binary):
+        for unreadable in (tmp_path, binary, not_json):
             assert main(command + [str(unreadable)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert str(unreadable) in err
 
 
 def _child_env():
@@ -312,8 +330,17 @@ def test_verify_all_task_reports_each_entry(tmp_path):
     assert entries[1]["error"] == {"type": "ValueError",
                                    "message": "coefficients must not all vanish"}
     assert not report["tasks"][0]["result"]["ok"]
+    assert not report["tasks"][0]["ok"]
+    assert not report["ok"]
     assert not report["tasks"][1]["ok"]
     assert report["tasks"][1]["error"]["type"] == "JobValidationError"
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": {"p": 2, "vars": ["t"]},
+                               "tasks": [{"kind": "verify-all", "catalog": str(two)},
+                                         {"kind": "pdegree", "exprs": ["t"]}]}))
+    assert main(["run", str(job)]) == 1
+    assert main(["run", "--fail-fast", str(job)]) == 1
+    assert len(run_job(json.loads(job.read_text()), fail_fast=True)["tasks"]) == 1
 
 
 def test_verify_all_cli_exit_codes(tmp_path, capsys):

@@ -259,7 +259,7 @@ def test_two_term_q_normal_form():
 
 
 def test_oracle_confirms_singular_point_support():
-    from insep.fermat import singular_ideal_partials
+    from insep.fermat import singular_ideal
     from insep.groebner import buchberger, ideal_dimension
 
     for args in ((3, ["t"], ["t", "t^2", "1"]),
@@ -268,7 +268,7 @@ def test_oracle_confirms_singular_point_support():
         nf = nf_of(*args)
         sp = singular_point(nf)
         X = nf.curve()
-        gb = buchberger([g for g in singular_ideal_partials(X) if g])
+        gb = buchberger(singular_ideal(X))
         assert ideal_dimension(gb).projective_dim == 0  # isolated singular locus
         L = sp.point_on_line[0].field
         for gen in gb.generators:

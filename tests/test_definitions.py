@@ -17,7 +17,6 @@ ALLOWED = {
     "multiple_curve_profile",
     "remains_integral",
     "strip_timing",  # the report contract that byte-identity checks compare
-    "UPoly.evaluate",
 }
 
 

@@ -50,6 +50,38 @@ def test_solve_and_kernel_random(K3st):
                 assert sum((rows[i][j] * vec[j] for j in range(3)), K3st.zero()).is_zero()
         assert m.rank() + len(m.kernel_basis()) == 3
 
+    # rank-deficient systems, consistent and not, over K and over F_5
+    F5 = PrimeField(5)
+
+    def k_entry():
+        return random_ratfunc(rng, K3st, max_terms=2, max_exp=1)
+
+    def f5_entry():
+        return F5.from_int(rng.randrange(5))
+
+    for field, entry in ((K3st, k_entry), (F5, f5_entry)):
+        zero = field.zero()
+        inconsistent = 0
+        for _ in range(30):
+            top = [[entry() for _ in range(3)] for _ in range(2)]
+            c = entry()
+            rows = top + [[c * x + y for x, y in zip(top[0], top[1])]]  # rank <= 2
+            m = Matrix(field, rows)
+            if rng.randrange(2):
+                x = [entry() for _ in range(3)]
+                b = [sum((r[j] * x[j] for j in range(3)), zero) for r in rows]
+            else:
+                b = [entry() for _ in range(3)]
+            augmented = Matrix(field, [r + [v] for r, v in zip(rows, b)])
+            sol = m.solve(b)
+            assert (sol is None) == (m.rank() < augmented.rank())
+            if sol is None:
+                inconsistent += 1
+                continue
+            for r, v in zip(rows, b):
+                assert sum((r[j] * sol[j] for j in range(3)), zero) == v
+        assert inconsistent > 0
+
 
 def test_over_prime_field():
     F5 = PrimeField(5)

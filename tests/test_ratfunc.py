@@ -2,7 +2,7 @@ import pytest
 
 from insep.fieldarith import RatFunc, parse_expr, poly_gcd
 
-from conftest import random_nonzero_ratfunc, random_ratfunc, seeded
+from conftest import random_nonzero_poly, random_nonzero_ratfunc, random_ratfunc, seeded
 
 
 def test_char2_cancellation(K2st):
@@ -99,3 +99,36 @@ def test_formatting_reparses(K3st):
     for _ in range(100):
         f = random_ratfunc(rng, K3st)
         assert parse_expr(f.format(), K3st) == f
+
+
+def test_gcd_and_canonical_form_against_sympy():
+    """poly_gcd agrees with sympy's gcd over GF(p) up to a unit, and RatFunc keeps
+    a coprime numerator and denominator with a monic denominator."""
+    import sympy
+
+    from insep.fieldarith import FunctionField, MultiPoly
+
+    s, t = sympy.symbols("s t")
+
+    def to_sympy(f):
+        # a copy: from_dict converts the values of the dict it is given in place
+        return sympy.Poly.from_dict(dict(f.terms), s, t, modulus=f.p)
+
+    def from_sympy(g, p):
+        return MultiPoly(p, ("s", "t"), {m: int(c) for m, c in g.terms()})
+
+    rng = seeded(4242)
+    for p in (2, 3, 5, 7):
+        K = FunctionField(p, ["s", "t"])
+        for _ in range(12):
+            common = random_nonzero_poly(rng, K)
+            while common.is_constant():
+                common = random_nonzero_poly(rng, K)
+            a = common * random_nonzero_poly(rng, K)
+            b = common * random_nonzero_poly(rng, K)
+            expected = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)), p).monic()
+            assert poly_gcd(a, b) == expected
+            f = RatFunc(a, b)
+            assert f.num * b == f.den * a
+            assert sympy.gcd(to_sympy(f.num), to_sympy(f.den)).is_ground
+            assert f.den.leading_coeff() == 1
