@@ -8,8 +8,7 @@ in characteristic p is deliberately avoided.
 """
 
 from dataclasses import dataclass
-from itertools import product
-from math import prod
+from itertools import chain, product, repeat
 
 from .fieldarith import (
     FunctionField,
@@ -71,14 +70,14 @@ class FiniteLocalAlgebra:
         self._check_associative()
         self.m_basis = self._ideal_basis(self.maxideal_gens)
         self.residue_dim = self.dim - len(self.m_basis)
-        # m^(k+1) = span{g v : g a generator of m, v in m^k}; it must shrink to 0
-        self.m_powers = [self.m_basis]
-        while self.m_powers[-1]:
-            nxt = row_space_basis(self.field, [self.mul_vec(g, v) for g in self.maxideal_gens
-                                               for v in self.m_powers[-1]])
-            if len(nxt) >= len(self.m_powers[-1]):
-                raise NotLocalError("designated ideal is not nilpotent")
-            self.m_powers.append(nxt)
+        # A is commutative, so m is nilpotent iff each generator is; a nilpotent
+        # g has g^dim = 0, since A, gA, g^2 A, ... shrink strictly until they vanish
+        if any(any(self.pow_vec(g, self.dim)) for g in self.maxideal_gens):
+            raise NotLocalError("designated ideal is not nilpotent")
+        # m^2 = span{g v : g a generator of m, v in m}
+        self.m_sq_basis = row_space_basis(self.field, [self.mul_vec(g, v)
+                                                       for g in self.maxideal_gens
+                                                       for v in self.m_basis])
         self._residue = ResidueData(self)
         self._residue.certify_field()
 
@@ -322,17 +321,25 @@ def _is_irreducible_mod_p(coeffs, p):
 # -- the three operations ------------------------------------------------------
 
 
-def _within_cap(dim):
-    """dim itself, checked against DIMENSION_CAP before any table is built."""
-    if dim > DIMENSION_CAP:
-        raise DimensionOverflowError("dim %d exceeds cap %d" % (dim, DIMENSION_CAP))
+def check_dimension(factors):
+    """The product of the positive ints factors, checked against DIMENSION_CAP
+    before any table is built.
+
+    The product stops at the first factor that takes it past the cap, so a huge
+    exponent never becomes a huge int.
+    """
+    dim = 1
+    for factor in factors:
+        dim *= factor
+        if dim > DIMENSION_CAP:
+            raise DimensionOverflowError("dim exceeds cap %d" % DIMENSION_CAP)
     return dim
 
 
 def edim(algebra):
     """Embedding dimension: dim of m/m^2 over the residue field A/m."""
     dim_m = len(algebra.m_basis)
-    dim_m_sq = len(algebra.m_powers[1]) if dim_m else 0
+    dim_m_sq = len(algebra.m_sq_basis)
     q = algebra.residue_dim
     diff = dim_m - dim_m_sq
     if diff % q:
@@ -355,7 +362,7 @@ def tensor_self(field, pth_powers):
     pth_powers = list(pth_powers)
     m = len(pth_powers)
     p = field.p
-    dim = _within_cap(p ** m)
+    dim = check_dimension(repeat(p, m))
     try:
         tower = extension_tower(field, pth_powers)
     except NotAPthPowerCheckError as exc:
@@ -394,8 +401,8 @@ def adjoin_root(algebra, f, r):
     field = algebra.field
     p = field.characteristic
     n_r = algebra.dim
+    dim = check_dimension(chain([n_r], repeat(p, r)))
     q = p ** r
-    dim = _within_cap(q * n_r)
 
     fp = algebra.pow_vec(f, p)
 
@@ -460,7 +467,7 @@ def base_field_algebra(field):
 def truncated_polynomial_algebra(field, exponents):
     """k[u_1,...,u_r]/(u_1^(a_1),...,u_r^(a_r)) with its monomial basis."""
     exponents = list(exponents)
-    _within_cap(prod(exponents))
+    check_dimension(exponents)
     monos = sorted(product(*[range(a) for a in exponents]))
     index = {e: i for i, e in enumerate(monos)}
     one = field.one()

@@ -10,6 +10,7 @@ malformed file raises JobValidationError, and the command line exits with 2.
 """
 
 import json
+import sys
 from importlib import resources
 
 from . import curves, fermat
@@ -48,13 +49,15 @@ def load_default_catalog():
 
 
 def read_json(path):
-    """The JSON value in the file at path; text that is not UTF-8 JSON raises
-    JobValidationError naming the file."""
+    """The JSON value in the file at path, or on standard input for '-'; text that
+    is not UTF-8 JSON raises JobValidationError naming the file or <stdin>."""
     try:
+        if path == "-":
+            return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise JobValidationError("%s: %s" % (path, exc)) from exc
+        raise JobValidationError("%s: %s" % ("<stdin>" if path == "-" else path, exc)) from exc
 
 
 def load_catalog(path=None):

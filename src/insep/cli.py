@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain, repeat
 from math import prod
 
 from . import artin, catalog, curves, fermat
@@ -182,6 +183,14 @@ def _check_algebra(i, desc):
                                      % (i, ", ".join(map(str, SUPPORTED_PRIMES))))
         if not all(a >= 1 for a in exponents):
             raise JobValidationError("task %d: algebra.base_exponents must be at least 1" % i)
+        if desc["r"] < 1:
+            raise JobValidationError("task %d: algebra.r must be at least 1" % i)
+        try:
+            artin.check_dimension(chain(exponents, repeat(desc["p"], desc["r"])))
+        except artin.DimensionOverflowError:
+            raise JobValidationError(
+                "task %d: algebra.p^algebra.r * prod(algebra.base_exponents) exceeds the "
+                "dimension cap %d" % (i, artin.DIMENSION_CAP)) from None
         if len(desc["f"]) != prod(exponents):
             raise JobValidationError("task %d: algebra.f needs %d coefficients, one per "
                                      "basis monomial" % (i, prod(exponents)))
@@ -354,7 +363,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            job = json.load(sys.stdin) if args.job == "-" else catalog.read_json(args.job)
+            job = catalog.read_json(args.job)
             report = run_job(job, jobs=args.jobs, fail_fast=args.fail_fast)
         elif args.command == "verify-all":
             entries = catalog.load_catalog(args.catalog)
@@ -366,8 +375,7 @@ def main(argv=None):
             lams = [e for group in args.lambdas for e in group]
             report = run_job({"field": json.loads(args.field),
                               "tasks": [{"kind": "classify", "lambda": lams}]})
-    # UnicodeDecodeError: standard input that is not UTF-8, under a strict locale
-    except (JobValidationError, json.JSONDecodeError, OSError, UnicodeDecodeError) as exc:
+    except (JobValidationError, json.JSONDecodeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     try:

@@ -7,7 +7,11 @@ three: solve reduces the augmented matrix [A | b].
 
 
 class Matrix:
-    """A dense matrix over a field object."""
+    """A dense matrix over a field object.
+
+    Elimination skips zero cells and inverts each pivot once, so its field
+    operations scale with the nonzeros of the pivot rows, not with the size.
+    """
 
     def __init__(self, field, rows):
         self.field = field
@@ -23,25 +27,34 @@ class Matrix:
                                    for j in range(self.ncols)])
 
     def _echelon(self):
-        """Row-reduce to reduced row echelon form; returns (rows, pivot columns)."""
+        """Row-reduce to reduced row echelon form; returns (rows, pivot columns).
+
+        Each step inverts its pivot once and touches only the support of the pivot
+        row (its nonzero columns, all after the pivot column); the pivot column
+        itself becomes a unit vector.  a - f*0 == a exactly, and every field
+        keeps its elements canonical, so skipping those cells changes no value.
+        """
         rows = [list(r) for r in self.rows]
+        zero, one = self.field.zero(), self.field.one()
         pivots = []
         row = 0
         for col in range(self.ncols):
-            pivot = None
-            for r in range(row, len(rows)):
-                if rows[r][col]:
-                    pivot = r
-                    break
+            pivot = next((r for r in range(row, len(rows)) if rows[r][col]), None)
             if pivot is None:
                 continue
             rows[row], rows[pivot] = rows[pivot], rows[row]
-            inv = rows[row][col]
-            rows[row] = [x / inv for x in rows[row]]
-            for r in range(len(rows)):
-                if r != row and rows[r][col]:
-                    factor = rows[r][col]
-                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
+            prow = rows[row]
+            inv = one / prow[col]
+            prow[col] = one
+            support = [c for c in range(col + 1, self.ncols) if prow[c]]
+            for c in support:
+                prow[c] = prow[c] * inv
+            for r, other in enumerate(rows):
+                factor = other[col]
+                if r != row and factor:
+                    other[col] = zero
+                    for c in support:
+                        other[c] = other[c] - factor * prow[c]
             pivots.append(col)
             row += 1
             if row == len(rows):

@@ -49,6 +49,24 @@ def test_not_local_rejected():
         FiniteLocalAlgebra(F2, 2, table, [[zero, one]])
 
 
+def test_one_non_nilpotent_generator_rejected():
+    # k[x]/(x^2) x k with basis 1, (x, 0), (0, 1): the ideal (x, (0, 1)) has
+    # quotient k, but its generator (0, 1) is idempotent, not nilpotent
+    one, zero = F3.one(), F3.zero()
+    table = [[{0: one}, {1: one}, {2: one}], [{1: one}, {}, {}], [{2: one}, {}, {2: one}]]
+    x, e = [zero, one, zero], [zero, zero, one]
+    for gens in ([x, e], [e, x]):
+        with pytest.raises(NotLocalError, match="designated ideal is not nilpotent"):
+            FiniteLocalAlgebra(F3, 3, table, gens)
+
+
+def test_adjoin_root_at_the_dimension_cap():
+    R = truncated_polynomial_algebra(F2, [8])
+    u = R.basis_vec(1)
+    report = edim(adjoin_root(R, [a + b for a, b in zip(R.one_vec(), u)], 6))
+    assert (report.dim_total, report.dim_m, report.dim_m_sq, report.edim) == (512, 511, 509, 2)
+
+
 def test_tensor_square_edim_equals_pdegree():
     presentations = [
         (FunctionField(2, ["s", "t"]), ["s", "t"], 2),     # K^(1/2) over F2(s,t)
@@ -130,8 +148,9 @@ def test_adjoin_root_over_function_field_grows_residue():
 
 def test_adjoin_root_dimension_cap():
     R = truncated_polynomial_algebra(F2, [4, 4, 4])  # dim 64
-    with pytest.raises(DimensionOverflowError):
-        adjoin_root(R, R.zero_vec(), 4)
+    for r in (4, 10 ** 5):  # 2^(10^5) has too many digits to format
+        with pytest.raises(DimensionOverflowError):
+            adjoin_root(R, R.zero_vec(), r)
 
 
 def test_dimension_cap_is_checked_before_any_table(monkeypatch):
@@ -140,8 +159,9 @@ def test_dimension_cap_is_checked_before_any_table(monkeypatch):
 
     monkeypatch.setattr(artin, "product", build)
     monkeypatch.setattr(artin, "extension_tower", build)
-    with pytest.raises(DimensionOverflowError):
-        truncated_polynomial_algebra(F2, [1000, 1000])  # dim 10^6
+    for exponents in ([1000, 1000], [10 ** 4000] * 2):  # dim 10^6, and one of 8001 digits
+        with pytest.raises(DimensionOverflowError):
+            truncated_polynomial_algebra(F2, exponents)
     K = FunctionField(7, ["s", "t", "u", "v"])
     with pytest.raises(DimensionOverflowError):
         tensor_self(K, K.gens())  # dim 7^4 = 2401

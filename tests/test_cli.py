@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -123,7 +124,7 @@ def test_verify_all_negative_control():
     assert report["entries"][0]["name"] == entries[0]["name"]
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"field": {"p": 2, "vars": ["t"]},
                                 "tasks": [{"kind": "pdegree", "exprs": ["t"]}]}))
@@ -190,6 +191,15 @@ def test_cli_exit_codes(tmp_path, capsys):
          "task 0: algebra.p must be one of 2, 3, 5, 7"),
         ([{"kind": "artin-edim", "algebra": dict(adjoin, base_exponents=[2, 2])}],
          "task 0: algebra.f needs 4 coefficients"),
+        ([{"kind": "artin-edim", "algebra": dict(adjoin, r=0)}],
+         "task 0: algebra.r must be at least 1"),
+        ([{"kind": "artin-edim", "algebra": dict(adjoin, p=7, r=10000)}],
+         "task 0: algebra.p^algebra.r * prod(algebra.base_exponents) exceeds the "
+         "dimension cap 512"),
+        # the cap is checked before the length of f, whose message would format the product
+        ([{"kind": "artin-edim", "algebra": dict(adjoin, base_exponents=[10 ** 4000] * 2)}],
+         "task 0: algebra.p^algebra.r * prod(algebra.base_exponents) exceeds the "
+         "dimension cap 512"),
     ]
     pdegree = [{"kind": "pdegree", "exprs": ["s", "t"]}]
     mistyped_fields = [
@@ -244,6 +254,15 @@ def test_cli_exit_codes(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert str(unreadable) in err
+    # standard input: binary under a strict UTF-8 decoder (as a strict locale gives it),
+    # not JSON, and empty
+    for command in (["run"], ["verify-all", "--catalog"]):
+        for stdin in (io.TextIOWrapper(io.BytesIO(binary.read_bytes()), encoding="utf-8"),
+                      io.StringIO("{not json"), io.StringIO("")):
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert main(command + ["-"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: <stdin>: ") and err.count("\n") == 1
 
 
 def _child_env():

@@ -1,6 +1,13 @@
-from insep.fieldarith import Matrix, PrimeField
+import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
+
+from insep.fieldarith import FunctionField, Matrix, PrimeField, extension_tower
+from insep.fieldarith.extension import ExtElem
 
 from conftest import random_ratfunc, seeded
+
+ZERO_SHARE = 0.75  # the elimination skips zeros, so the matrices are mostly zeros
 
 
 def test_identity_solve(K2st):
@@ -89,3 +96,91 @@ def test_over_prime_field():
     m = Matrix(F5, rows)
     assert m.rank() == 2
     assert len(m.kernel_basis()) == 1
+
+
+def _sparse_rows(rng, nrows, ncols, entry, zero):
+    return [[zero if rng.random() < ZERO_SHARE else entry() for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _zero_share(matrices):
+    cells = [x for rows in matrices for r in rows for x in r]
+    return sum(1 for x in cells if not x) / len(cells)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_echelon_matches_sympy_rref_over_prime_field(p):
+    F = PrimeField(p)
+    GFp = GF(p, symmetric=False)
+    rng = seeded(900 + p)
+    matrices = [_sparse_rows(rng, rng.randrange(1, 9), rng.randrange(1, 9),
+                             lambda: F.from_int(rng.randrange(1, p)), F.zero())
+                for _ in range(60)]
+    assert _zero_share(matrices) >= 0.7
+    for rows in matrices:
+        ours, pivots = Matrix(F, rows)._echelon()
+        ref, ref_pivots = DomainMatrix([[GFp(x.val) for x in r] for r in rows],
+                                       (len(rows), len(rows[0])), GFp).rref()
+        assert tuple(pivots) == tuple(ref_pivots)
+        assert [[x.val for x in r] for r in ours] == [[int(x) for x in r] for r in ref.to_list()]
+
+
+def _check_sparse_system(field, rows, entry):
+    m = Matrix(field, rows)
+    zero, one = field.zero(), field.one()
+    ncols = m.ncols
+    reduced, pivots = m._echelon()
+    for i, pc in enumerate(pivots):
+        assert [r[pc] for r in reduced] == [one if k == i else zero for k in range(m.nrows)]
+    kernel = m.kernel_basis()
+    assert m.rank() == len(pivots) and m.rank() + len(kernel) == ncols
+    for vec in kernel:
+        for r in rows:
+            assert not sum((r[j] * vec[j] for j in range(ncols)), zero)
+    x = [entry() for _ in range(ncols)]
+    b = [sum((r[j] * x[j] for j in range(ncols)), zero) for r in rows]
+    sol = m.solve(b)
+    assert sol is not None
+    for r, v in zip(rows, b):
+        assert sum((r[j] * sol[j] for j in range(ncols)), zero) == v
+
+
+def test_sparse_elimination_over_function_field(K3st):
+    rng = seeded(910)
+
+    def entry():
+        return random_ratfunc(rng, K3st, max_terms=2, max_exp=1)
+
+    matrices = [_sparse_rows(rng, rng.randrange(2, 6), rng.randrange(2, 6), entry, K3st.zero())
+                for _ in range(20)]
+    assert _zero_share(matrices) >= 0.7
+    for rows in matrices:
+        _check_sparse_system(K3st, rows, entry)
+
+
+def test_sparse_elimination_over_extension_inverts_each_pivot_once(monkeypatch):
+    K = FunctionField(3, ["s", "t"])
+    L = extension_tower(K, [K.gen("s")])  # K(s^(1/3)), one step
+    rng = seeded(920)
+
+    def entry():  # c * x^k with c = 1 + one term; dense entries make the fractions grow fast
+        coeffs = [K.zero()] * L.p
+        coeffs[rng.randrange(L.p)] = K.one() + random_ratfunc(rng, K, max_terms=1, max_exp=1)
+        return L.from_coeffs(coeffs)
+
+    matrices = [_sparse_rows(rng, rng.randrange(2, 5), rng.randrange(2, 5), entry, L.zero())
+                for _ in range(12)]
+    assert _zero_share(matrices) >= 0.7
+    inverse = ExtElem.inverse
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(ExtElem, "inverse", counted)
+    for rows in matrices:
+        calls.clear()
+        pivots = Matrix(L, rows)._echelon()[1]
+        assert len(calls) <= len(pivots)
+        _check_sparse_system(L, rows, entry)
