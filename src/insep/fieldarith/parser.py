@@ -8,9 +8,21 @@ Grammar:
 
 NAT is a decimal literal reduced mod p, IDENT a declared variable.  Whitespace
 is insignificant.  format(parse(x)) reparses to an equal value.
+
+The parser bounds its own work: a power of a base with more than one term in
+its numerator or denominator is refused when the exponent times the total
+degree of the base exceeds MAX_POWER_DEGREE, before it is expanded, and a
+division by zero is a parse error at the '/'.
 """
 
 from .ratfunc import FunctionField
+
+# the largest exponent * total degree of a power of a sum: the shipped catalog
+# and benchmark inputs stay at or below 7, and at the cap a dense quadratic in
+# four variables takes up to about 8 s to expand
+MAX_POWER_DEGREE = 32
+# the longest decimal literal, far below the 4300 digits Python converts to int
+MAX_DIGITS = 1000
 
 
 class ParseError(ValueError):
@@ -19,6 +31,13 @@ class ParseError(ValueError):
     def __init__(self, message, position):
         super().__init__("%s (at position %d)" % (message, position))
         self.position = position
+
+
+class DivisionByZeroError(ParseError, ZeroDivisionError):
+    """A '/' whose right operand is zero, positioned at the '/'."""
+
+    def __init__(self, position):
+        super().__init__("division by zero", position)
 
 
 class UnknownVariableError(ParseError):
@@ -56,6 +75,8 @@ class _Tokens:
         end = self.pos
         while end < len(self.text) and self.text[end].isdigit():
             end += 1
+        if end - self.pos > MAX_DIGITS:
+            raise ParseError("number longer than %d digits" % MAX_DIGITS, start)
         value = int(self.text[self.pos:end])
         self.pos = end
         return value, start
@@ -103,21 +124,36 @@ def _parse_sum(toks, field):
 def _parse_term(toks, field):
     value = _parse_factor(toks, field)
     while True:
+        _, pos = toks.peek()
         op = toks.take_symbol("*/")
         if op is None:
             return value
         rhs = _parse_factor(toks, field)
-        value = value * rhs if op == "*" else value / rhs
+        if op == "*":
+            value = value * rhs
+        elif rhs.is_zero():
+            raise DivisionByZeroError(pos)
+        else:
+            value = value / rhs
 
 
 def _parse_factor(toks, field):
     value = _parse_base(toks, field)
+    _, pos = toks.peek()
     if toks.take_symbol("^"):
-        n, pos = toks.take_nat()
+        n, npos = toks.take_nat()
         if n is None:
-            raise ParseError("expected exponent after '^'", pos)
+            raise ParseError("expected exponent after '^'", npos)
+        if (max(len(value.num.terms), len(value.den.terms)) > 1
+                and n * _total_degree(value) > MAX_POWER_DEGREE):
+            raise ParseError("power too large: exponent times total degree of the base "
+                             "exceeds the cap %d" % MAX_POWER_DEGREE, pos)
         value = value ** n
     return value
+
+
+def _total_degree(value):
+    return max(sum(e) for poly in (value.num, value.den) for e in poly.terms)
 
 
 def _parse_base(toks, field):

@@ -5,7 +5,7 @@ global lex order, so structural equality coincides with field equality.
 """
 
 from .multipoly import MAX_VARIABLES, MultiPoly, poly_gcd
-from .primefield import SUPPORTED_PRIMES, power
+from .primefield import SUPPORTED_PRIMES
 
 
 class RatFunc:
@@ -25,11 +25,7 @@ class RatFunc:
             if not g.is_one():
                 num = num.try_divide(g)
                 den = den.try_divide(g)
-            lc = den.leading_coeff()
-            if lc != 1:
-                inv = pow(lc, den.p - 2, den.p)
-                num = num.scale(inv)
-                den = den.scale(inv)
+            num, den = _monic_den(num, den)
         elif num.is_zero():
             den = MultiPoly.const(den.p, den.vars, 1)
         self.num = num
@@ -58,32 +54,75 @@ class RatFunc:
     def __bool__(self):
         return not self.num.is_zero()
 
+    # Henrici's scheme (Knuth, TAOCP vol. 2, 4.5.1): cancel the small gcds of
+    # the reduced operands before multiplying, so every result is already
+    # coprime with a monic denominator and no product is reduced afterwards.
+
     def __add__(self, other):
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        return self._add(other.num, other.den)
 
     def __sub__(self, other):
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self._add(-other.num, other.den)
+
+    def _add(self, c, d):
+        """self + c/d for c/d reduced with d monic."""
+        a, b = self.num, self.den
+        if c.is_zero():
+            return self
+        if a.is_zero():
+            return RatFunc(c, d, reduce=False)
+        if b.is_one():
+            return RatFunc(_times(a, d) + c, d, reduce=False)
+        if d.is_one():
+            return RatFunc(a + c * b, b, reduce=False)
+        g = poly_gcd(b, d)
+        if g.is_one():
+            return RatFunc(a * d + c * b, b * d, reduce=False)
+        b_g = b.try_divide(g)
+        d_g = d.try_divide(g)
+        t = a * d_g + c * b_g
+        if t.is_zero():
+            return RatFunc(t, reduce=False)
+        # t is coprime to b/g and to d/g, so what it shares with b*d/g divides g
+        g2 = poly_gcd(t, g)
+        if not g2.is_one():
+            t = t.try_divide(g2)
+            d = d.try_divide(g2)
+        return RatFunc(t, _times(b_g, d), reduce=False)
 
     def __neg__(self):
         return RatFunc(-self.num, self.den, reduce=False)
 
     def __mul__(self, other):
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return RatFunc(MultiPoly.zero(a.p, a.vars), reduce=False)
+        if not d.is_one():
+            g1 = poly_gcd(a, d)
+            if not g1.is_one():
+                a = a.try_divide(g1)
+                d = d.try_divide(g1)
+        if not b.is_one():
+            g2 = poly_gcd(c, b)
+            if not g2.is_one():
+                c = c.try_divide(g2)
+                b = b.try_divide(g2)
+        return RatFunc(_times(a, c), _times(b, d), reduce=False)
 
     def __truediv__(self, other):
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def inverse(self):
+        """den/num, with the leading coefficient moved so the new denominator is monic."""
         if self.num.is_zero():
             raise ZeroDivisionError("inverting zero")
-        return RatFunc(self.den, self.num)
+        return RatFunc(*_monic_den(self.den, self.num), reduce=False)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return power(self, n, RatFunc(MultiPoly.const(self.p, self.vars, 1), reduce=False))
+        # a^n / b^n is reduced when a/b is, and b^n is monic when b is
+        return RatFunc(_power(self.num, n), _power(self.den, n), reduce=False)
 
     def __eq__(self, other):
         return (
@@ -122,6 +161,29 @@ class RatFunc:
 
     def __repr__(self):
         return self.format()
+
+
+def _monic_den(num, den):
+    """num and den scaled by one constant so that den is monic."""
+    lc = den.leading_coeff()
+    if lc == 1:
+        return num, den
+    inv = pow(lc, den.p - 2, den.p)
+    return num.scale(inv), den.scale(inv)
+
+
+def _times(x, y):
+    """x * y, without a product when either factor is 1."""
+    if x.is_one():
+        return y
+    if y.is_one():
+        return x
+    return x * y
+
+
+def _power(x, n):
+    """x ** n, without products when x is 1."""
+    return x if x.is_one() else x ** n
 
 
 def _single_factor(poly):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -137,6 +138,19 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["run", str(bad_expr)]) == 2
     err = capsys.readouterr().err
     assert "position" in err
+
+    # a division by zero and a power too large to expand are parse errors, the
+    # power one refused before any expansion
+    for kind, key, exprs in (("classify", "lambda", ["1/0", "s"]),
+                             ("classify", "lambda", ["s/(s-s)", "s"]),
+                             ("pdegree", "exprs", ["(s+t+1)^3000", "s"])):
+        bad_expr.write_text(json.dumps({"field": {"p": 2, "vars": ["s", "t"]},
+                                        "tasks": [{"kind": kind, key: exprs}]}))
+        start = time.perf_counter()
+        assert main(["run", str(bad_expr)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "position" in err
 
     tensor = {"construction": "tensor-self", "field": {"p": 2, "vars": ["s", "t"]},
               "pth_powers": ["s", "t"]}

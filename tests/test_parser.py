@@ -1,6 +1,7 @@
 import pytest
 
 from insep.fieldarith import FunctionField, ParseError, UnknownVariableError, parse_expr
+from insep.fieldarith.parser import MAX_DIGITS, MAX_POWER_DEGREE
 
 
 def test_basic_fraction(K2st):
@@ -13,6 +14,35 @@ def test_basic_fraction(K2st):
 def test_one_over_zero_raises(K2st):
     with pytest.raises(ZeroDivisionError):
         parse_expr("1/0", K2st)
+    # a parse error at the '/', also when the divisor only cancels to zero
+    for text, position in (("1/0", 1), ("s/(s-s)", 1), ("s + t / (2*s)", 6)):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, K2st)
+        assert err.value.position == position
+
+
+def test_power_of_a_sum_is_capped_before_expanding(K2st):
+    with pytest.raises(ParseError) as err:
+        parse_expr("(s+t+1)^3000", K2st)
+    assert err.value.position == 7
+    # the cap is on exponent times total degree, numerator and denominator alike
+    assert parse_expr("(s+t)^%d" % MAX_POWER_DEGREE, K2st) == parse_expr(
+        "s^%d+t^%d" % (MAX_POWER_DEGREE, MAX_POWER_DEGREE), K2st)
+    for text in ("(s+t)^%d" % (MAX_POWER_DEGREE + 1), "(s*t+1)^%d" % (MAX_POWER_DEGREE // 2 + 1),
+                 "(s/(t+1))^%d" % (MAX_POWER_DEGREE + 1)):
+        with pytest.raises(ParseError):
+            parse_expr(text, K2st)
+    # a single term costs nothing to raise to any power
+    big = 99999999999999999999
+    assert parse_expr("s^%d" % big, K2st).num.terms == {(big, 0): 1}
+    assert parse_expr("(s/t)^%d" % big, K2st).den.terms == {(0, big): 1}
+
+
+def test_overlong_number_is_a_parse_error(K2st):
+    for text in ("1" * (MAX_DIGITS + 1), "s+s^" + "9" * 5000):
+        with pytest.raises(ParseError):
+            parse_expr(text, K2st)
+    assert parse_expr("1" * MAX_DIGITS, K2st) == K2st.one()
 
 
 def test_expansion_by_repeated_multiplication(K3st):

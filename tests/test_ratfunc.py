@@ -1,6 +1,6 @@
 import pytest
 
-from insep.fieldarith import RatFunc, parse_expr, poly_gcd
+from insep.fieldarith import MultiPoly, RatFunc, parse_expr, poly_gcd
 
 from conftest import random_nonzero_poly, random_nonzero_ratfunc, random_ratfunc, seeded
 
@@ -75,22 +75,26 @@ def test_cross_multiplication_agrees_with_structural_equality(K2st, K3st):
 
 
 def test_power_makes_no_product_with_one(K3st, monkeypatch):
+    """(a/b)^n is a^n / b^n: square-and-multiply on each side, no product with 1."""
     f = parse_expr("(s+t)/(s*t+1)", K3st)
     expected = {2: f * f, 5: f * f * f * f * f}
+    side = {f.num ** k: "num" for k in range(1, 5)}
+    side.update({f.den ** k: "den" for k in range(1, 5)})
     products = []
-    mul = RatFunc.__mul__
+    mul = MultiPoly.__mul__
 
     def counting_mul(a, b):
-        products.append((a, b))
+        products.append(side[a])
         return mul(a, b)
 
-    monkeypatch.setattr(RatFunc, "__mul__", counting_mul)
+    monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
     for n, count in ((2, 1), (5, 3)):
         products.clear()
         assert f ** n == expected[n]
-        assert len(products) == count
+        assert sorted(products) == ["den"] * count + ["num"] * count
     products.clear()
     assert f ** 0 == K3st.one() and f ** 1 == f and not products
+    monkeypatch.undo()
     assert f ** -2 == expected[2].inverse()
 
 
@@ -132,3 +136,39 @@ def test_gcd_and_canonical_form_against_sympy():
             assert f.num * b == f.den * a
             assert sympy.gcd(to_sympy(f.num), to_sympy(f.den)).is_ground
             assert f.den.leading_coeff() == 1
+
+
+def test_henrici_arithmetic_matches_the_schoolbook_fraction_reduced_once():
+    """Every operation equals the schoolbook num/den reduced by one gcd at the end,
+    and sympy over GF(p) finds the result coprime with a monic denominator."""
+    import sympy
+
+    from insep.fieldarith import FunctionField
+
+    s, t = sympy.symbols("s t")
+
+    def to_sympy(f):
+        return sympy.Poly.from_dict(dict(f.terms), s, t, modulus=f.p)
+
+    rng = seeded(1010)
+    for p in (2, 3, 5, 7):
+        K = FunctionField(p, ["s", "t"])
+        for _ in range(200):
+            x = random_ratfunc(rng, K)
+            y = random_ratfunc(rng, K)
+            a, b, c, d = x.num, x.den, y.num, y.den
+            cases = [(x + y, a * d + c * b, b * d),
+                     (x - y, a * d - c * b, b * d),
+                     (x * y, a * c, b * d)]
+            if y:
+                cases += [(x / y, a * d, b * c), (y.inverse(), d, c)]
+            cases += [(x ** n, a ** n, b ** n) for n in range(3)]
+            cubes_and_up = [(x ** n, a ** n, b ** n) for n in range(3, 6)]
+            for got, num, den in cases + cubes_and_up:
+                assert got == RatFunc(num, den)
+                assert got.den.leading_coeff() == 1
+            # sympy is slow on the degree-10 operands of the higher powers, and
+            # a^n, b^n are coprime when a, b are (the n = 1 case)
+            for got, _, _ in cases:
+                if got:
+                    assert sympy.gcd(to_sympy(got.num), to_sympy(got.den)).is_ground
