@@ -4,9 +4,16 @@ Coefficients are plain ints in 1..p-1 (zero coefficients are never stored);
 exponent vectors are tuples of length n.  The global monomial order used for
 canonical forms is lexicographic on the fixed variable list, which is plain
 tuple comparison on exponent vectors.
+
+The public constructor reduces and checks what it is given.  Arithmetic builds
+its results with ``MultiPoly._new``, which wraps a dict that is canonical by
+construction, so no clean result is cleaned again.  Nothing mutates a
+MultiPoly after construction, so results may share objects, such as the one
+constant 1 of each ring.
 """
 
 from functools import lru_cache
+from operator import add, sub
 
 from .primefield import power
 
@@ -35,15 +42,30 @@ class MultiPoly:
         self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _new(cls, p, variables, terms):
+        """Wrap terms as they are: coefficients in 1..p-1, keys tuples of length n,
+        and variables a tuple."""
+        self = object.__new__(cls)
+        self.p = p
+        self.vars = variables
+        self.terms = terms
+        self._hash = None
+        return self
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, p, variables):
-        return cls(p, variables, {})
+        return cls._new(p, tuple(variables), {})
 
     @classmethod
     def const(cls, p, variables, c):
-        return cls(p, variables, {(0,) * len(variables): c})
+        variables = tuple(variables)
+        c %= p
+        if c == 1:
+            return _one(p, variables)
+        return cls._new(p, variables, {(0,) * len(variables): c} if c else {})
 
     @classmethod
     def variable(cls, p, variables, name):
@@ -57,10 +79,12 @@ class MultiPoly:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {(0,) * len(self.vars): 1}
+        terms = self.terms
+        return len(terms) == 1 and terms.get((0,) * len(self.vars)) == 1
 
     def is_constant(self):
-        return all(all(e == 0 for e in expo) for expo in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and (0,) * len(self.vars) in terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -85,47 +109,73 @@ class MultiPoly:
             raise ValueError("polynomials from different rings")
 
     def __add__(self, other):
+        return self._add(other, 1)
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def _add(self, other, sign):
+        """self + sign * other."""
         self._check(other)
         res = dict(self.terms)
         p = self.p
         for expo, c in other.terms.items():
-            s = (res.get(expo, 0) + c) % p
+            s = (res.get(expo, 0) + sign * c) % p
             if s:
                 res[expo] = s
             else:
                 res.pop(expo, None)
-        return MultiPoly(self.p, self.vars, res)
+        return MultiPoly._new(p, self.vars, res)
 
     def __neg__(self):
         p = self.p
-        return MultiPoly(p, self.vars, {e: (-c) % p for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+        return MultiPoly._new(p, self.vars, {e: p - c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
-        res = {}
-        p = self.p
+        acc = {}
+        get = acc.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = (res.get(e, 0) + c1 * c2) % p
-                if s:
-                    res[e] = s
-                else:
-                    res.pop(e, None)
-        return MultiPoly(self.p, self.vars, res)
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+        # one reduction mod p per monomial, after every product has been added
+        p = self.p
+        res = {}
+        for e, c in acc.items():
+            c %= p
+            if c:
+                res[e] = c
+        return MultiPoly._new(p, self.vars, res)
 
     def scale(self, c):
-        c %= self.p
-        if c == 0:
-            return MultiPoly.zero(self.p, self.vars)
         p = self.p
-        return MultiPoly(p, self.vars, {e: (k * c) % p for e, k in self.terms.items()})
+        c %= p
+        if c == 0:
+            return MultiPoly.zero(p, self.vars)
+        return MultiPoly._new(p, self.vars, {e: (k * c) % p for e, k in self.terms.items()})
 
     def __pow__(self, n):
-        return power(self, n, MultiPoly.const(self.p, self.vars, 1))
+        """f^n from the base-p digits of n: over F_p, f^(d p^k) = (f^d)(t^(p^k)),
+        so each digit d costs one power f^d (shared between equal digits), one
+        substitution and one product."""
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        p = self.p
+        digit_powers = {}
+        result = None
+        stretch = 1
+        while n:
+            n, d = divmod(n, p)
+            if d:
+                if d not in digit_powers:
+                    digit_powers[d] = power(self, d, None)
+                term = digit_powers[d]
+                if stretch > 1:
+                    term = term.stretch_exponents(stretch)
+                result = term if result is None else result * term
+            stretch *= p
+        return MultiPoly.const(p, self.vars, 1) if result is None else result
 
     # -- lex order helpers ----------------------------------------------
 
@@ -142,6 +192,8 @@ class MultiPoly:
         if not self.terms:
             return self
         lc = self.leading_coeff()
+        if lc == 1:
+            return self
         return self.scale(pow(lc, self.p - 2, self.p))
 
     def degree_in(self, var_idx):
@@ -152,42 +204,53 @@ class MultiPoly:
     # -- division ---------------------------------------------------------
 
     def try_divide(self, divisor):
-        """Return self / divisor if the division is exact, else None."""
+        """Return self / divisor if the division is exact, else None.
+
+        Lex-order division on one remainder dict: each step removes the leading
+        term and subtracts the quotient term times the rest of the divisor.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = self
-        quo = {}
         p = self.p
         dlm = divisor.leading_monomial()
-        dlc = divisor.leading_coeff()
-        dlc_inv = pow(dlc, p - 2, p)
-        while rem.terms:
-            rlm = rem.leading_monomial()
-            qe = tuple(a - b for a, b in zip(rlm, dlm))
+        dlc_inv = pow(divisor.terms[dlm], p - 2, p)
+        tail = [(e, c) for e, c in divisor.terms.items() if e != dlm]
+        rem = dict(self.terms)
+        quo = {}
+        while rem:
+            rlm = max(rem)
+            qe = tuple(map(sub, rlm, dlm))
             if any(e < 0 for e in qe):
                 return None
-            qc = (rem.terms[rlm] * dlc_inv) % p
+            qc = (rem.pop(rlm) * dlc_inv) % p
             quo[qe] = qc
-            rem = rem - divisor * MultiPoly(p, self.vars, {qe: qc})
-        return MultiPoly(p, self.vars, quo)
+            for e, c in tail:
+                m = tuple(map(add, qe, e))
+                s = (rem.get(m, 0) - qc * c) % p
+                if s:
+                    rem[m] = s
+                else:
+                    del rem[m]  # qc * c is nonzero mod p, so m was present
+        return MultiPoly._new(p, self.vars, quo)
 
     # -- calculus and Frobenius helpers -------------------------------------
 
     def derivative(self, var_idx):
+        # lowering one exponent is injective on the terms it keeps
         res = {}
         p = self.p
         for e, c in self.terms.items():
-            if e[var_idx] == 0:
-                continue
             k = (c * e[var_idx]) % p
             if k:
-                e2 = tuple(x - 1 if i == var_idx else x for i, x in enumerate(e))
-                res[e2] = (res.get(e2, 0) + k) % p
-        return MultiPoly(p, self.vars, {e: c for e, c in res.items() if c})
+                res[e[:var_idx] + (e[var_idx] - 1,) + e[var_idx + 1:]] = k
+        return MultiPoly._new(p, self.vars, res)
 
     def stretch_exponents(self, k):
-        """Substitute t_i -> t_i^k; coefficients are fixed by Frobenius on F_p."""
-        return MultiPoly(self.p, self.vars, {tuple(x * k for x in e): c for e, c in self.terms.items()})
+        """Substitute t_i -> t_i^k for k >= 1; coefficients are fixed by Frobenius on F_p."""
+        if k < 1:
+            raise ValueError("stretch factor must be at least 1")
+        return MultiPoly._new(self.p, self.vars,
+                              {tuple(x * k for x in e): c for e, c in self.terms.items()})
 
     # -- formatting --------------------------------------------------------
 
@@ -215,6 +278,17 @@ class MultiPoly:
         return self.format()
 
 
+# the constant 1 of each ring, built once: (p, variables) -> MultiPoly
+_ONES = {}
+
+
+def _one(p, variables):
+    one = _ONES.get((p, variables))
+    if one is None:
+        one = _ONES[(p, variables)] = MultiPoly._new(p, variables, {(0,) * len(variables): 1})
+    return one
+
+
 # -- gcd machinery ------------------------------------------------------------
 
 
@@ -233,29 +307,35 @@ def _as_univariate(f, var_idx):
     coeffs = {}
     for e, c in f.terms.items():
         d = e[var_idx]
-        e2 = tuple(x if i != var_idx else 0 for i, x in enumerate(e))
         coef = coeffs.setdefault(d, {})
-        coef[e2] = c
-    return {d: MultiPoly(f.p, f.vars, cs) for d, cs in coeffs.items()}
+        coef[e[:var_idx] + (0,) + e[var_idx + 1:]] = c
+    return {d: MultiPoly._new(f.p, f.vars, cs) for d, cs in coeffs.items()}
+
+
+def _coeff_in(f, var_idx, d):
+    """The coefficient of the d-th power of the main variable, with exponent 0 there."""
+    return MultiPoly._new(f.p, f.vars, {e[:var_idx] + (0,) + e[var_idx + 1:]: c
+                                        for e, c in f.terms.items() if e[var_idx] == d})
 
 
 def _mul_by_power(f, var_idx, k):
-    return MultiPoly(f.p, f.vars,
-                     {tuple(x + k if i == var_idx else x for i, x in enumerate(e)): c
-                      for e, c in f.terms.items()})
+    return MultiPoly._new(f.p, f.vars,
+                          {e[:var_idx] + (e[var_idx] + k,) + e[var_idx + 1:]: c
+                           for e, c in f.terms.items()})
 
 
 def _pseudo_rem(a, b, var_idx):
     """Pseudo-remainder of a by b in the main variable: lc(b)^(da-db+1) * a mod b."""
     da = a.degree_in(var_idx)
     db = b.degree_in(var_idx)
-    lcb = _as_univariate(b, var_idx)[db]
-    zero = MultiPoly.zero(a.p, a.vars)
+    lcb = _coeff_in(b, var_idx, db)
     rem = a
     # one scaling step per virtual degree keeps the classical prem normalization
     for d in range(da, db - 1, -1):
-        lead = _as_univariate(rem, var_idx).get(d, zero) if not rem.is_zero() else zero
-        rem = rem * lcb - _mul_by_power(lead * b, var_idx, d - db)
+        lead = _coeff_in(rem, var_idx, d)
+        rem = rem * lcb
+        if lead.terms:
+            rem = rem - _mul_by_power(lead * b, var_idx, d - db)
         if not rem.is_zero() and rem.degree_in(var_idx) >= d:
             raise AssertionError("pseudo-division failed to lower the degree")
     return rem, da, db
@@ -285,8 +365,7 @@ def _monomial_content(f):
 def _shift_down(f, expo):
     if not any(expo):
         return f
-    return MultiPoly(f.p, f.vars,
-                     {tuple(x - d for x, d in zip(e, expo)): c for e, c in f.terms.items()})
+    return MultiPoly._new(f.p, f.vars, {tuple(map(sub, e, expo)): c for e, c in f.terms.items()})
 
 
 def poly_gcd(a, b):
@@ -312,10 +391,8 @@ def poly_gcd(a, b):
     common = tuple(min(x, y) for x, y in zip(mono_a, mono_b))
     if any(mono_a) or any(mono_b):
         stripped = _gcd_prs(_shift_down(a, mono_a), _shift_down(b, mono_b))
-        lifted = MultiPoly(a.p, a.vars,
-                           {tuple(x + d for x, d in zip(e, common)): c
-                            for e, c in stripped.terms.items()})
-        return lifted
+        return MultiPoly._new(a.p, a.vars, {tuple(map(add, e, common)): c
+                                            for e, c in stripped.terms.items()})
     return _gcd_prs(a, b)
 
 
@@ -359,7 +436,7 @@ def _gcd_prs(a, b):
         A, B = B, rem.try_divide(divisor)
         if B is None:
             raise AssertionError("subresultant division was not exact")
-        g = _as_univariate(A, main)[A.degree_in(main)]
+        g = _coeff_in(A, main, A.degree_in(main))
         if delta == 0:
             pass  # h unchanged
         elif delta == 1:

@@ -1,7 +1,9 @@
 """Rational function fields K = F_p(t_1, ..., t_n) with canonical reduced fractions.
 
 Canonical form: gcd(num, den) is a unit and the denominator is monic under the
-global lex order, so structural equality coincides with field equality.
+global lex order, so structural equality coincides with field equality.  Nothing
+mutates a RatFunc after construction, so a field hands out one shared zero and
+one shared one.
 """
 
 from .multipoly import MAX_VARIABLES, MultiPoly, poly_gcd
@@ -15,7 +17,7 @@ class RatFunc:
 
     def __init__(self, num, den=None, reduce=True):
         if den is None:
-            den = MultiPoly.const(num.p, num.vars, 1)
+            den = MultiPoly.const(num.p, num.vars, 1)  # the ring's shared 1
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if reduce and den.is_one():
@@ -26,7 +28,7 @@ class RatFunc:
                 num = num.try_divide(g)
                 den = den.try_divide(g)
             num, den = _monic_den(num, den)
-        elif num.is_zero():
+        elif num.is_zero() and not den.is_one():
             den = MultiPoly.const(den.p, den.vars, 1)
         self.num = num
         self.den = den
@@ -95,8 +97,11 @@ class RatFunc:
 
     def __mul__(self, other):
         a, b, c, d = self.num, self.den, other.num, other.den
-        if a.is_zero() or c.is_zero():
-            return RatFunc(MultiPoly.zero(a.p, a.vars), reduce=False)
+        # a zero operand is itself the canonical zero 0/1
+        if a.is_zero():
+            return self
+        if c.is_zero():
+            return other
         if not d.is_one():
             g1 = poly_gcd(a, d)
             if not g1.is_one():
@@ -211,12 +216,14 @@ class FunctionField:
         self.p = p
         self.characteristic = p
         self.vars = variables
+        self._zero = RatFunc(MultiPoly.zero(p, variables), reduce=False)
+        self._one = RatFunc(MultiPoly.const(p, variables, 1), reduce=False)
 
     def zero(self):
-        return RatFunc(MultiPoly.zero(self.p, self.vars), reduce=False)
+        return self._zero
 
     def one(self):
-        return RatFunc(MultiPoly.const(self.p, self.vars, 1), reduce=False)
+        return self._one
 
     def from_int(self, n):
         return RatFunc(MultiPoly.const(self.p, self.vars, n), reduce=False)

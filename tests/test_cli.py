@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -294,6 +295,19 @@ def test_cli_stdin_and_subprocess():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["tasks"][0]["result"]["point"] == ["1", "1", "0"]
+
+
+def test_python_m_insep_runs_the_readme_sample_job(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("### Job files")
+    start = readme.index("```json\n", start) + len("```json\n")
+    job = tmp_path / "sample.json"
+    job.write_text(readme[start:readme.index("```", start)])
+    proc = subprocess.run([sys.executable, "-m", "insep", "run", str(job)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["ok"] and len(report["tasks"]) == 11
 
 
 def test_cli_reader_closes_pipe_early(tmp_path):
