@@ -299,10 +299,10 @@ def conductor_profile(nf):
 
     rho = -sp.point_on_line[0]
     # s = T0/T1 expands as u - rho in the local parameter u
-    s_series = series.from_coeffs([-rho, L.one()] if ring.order > 1 else [-rho])
+    s_series = series.from_coeffs([-rho, L.one()])
     x = L.gen()
     # U2/U1 pulls back to -x*s - q_root
-    u2_over_u1 = -(series.constant(x) * s_series) - series.constant(nu.q_root)
+    u2_over_u1 = -(series.lift(x) * s_series) - series.lift(nu.q_root)
 
     if sp.image_point[0]:
         chart = 0
@@ -340,8 +340,8 @@ def conductor_profile(nf):
     elif sp.residue_degree == 1:
         case = CASE_RESIDUE_K
         consts = [im.coeffs[0] for im in images]
-        v = ring.flatten(images[0] - series.constant(consts[0]))
-        w = ring.flatten(images[1] - series.constant(consts[1]))
+        v = ring.flatten(images[0] - series.lift(consts[0]))
+        w = ring.flatten(images[1] - series.lift(consts[1]))
         alpha = ring.unflatten(v).coeffs[1]
         beta = ring.unflatten(w).coeffs[1]
         m = Matrix(ring.K, [list(alpha.coeffs), list(beta.coeffs)])
@@ -353,7 +353,7 @@ def conductor_profile(nf):
         idx = next(i for i, im in enumerate(images) if not im.coeffs[0].in_base())
         h = images[idx]
         mu = h.coeffs[0]
-        f_part = h - series.constant(mu)
+        f_part = h - series.lift(mu)
         if f_part.order_of_vanishing() != 1:
             raise AssertionError("ResidueL witness f does not lie in m \\ m^2")
         witnesses = {"mu": mu, "f": ring.flatten(f_part)}

@@ -1,14 +1,20 @@
 """Exact arithmetic kernel: prime fields, sparse polynomials, rational function
-fields, degree-p root extensions, truncated series, dense linear algebra, and
-the expression parser."""
+fields, dense linear algebra, the expression parser, and the quotient rings
+base[y]/(y^n - beta) (degree-p root extensions and truncated series) with one
+element type whose inverse is the Frobenius norm."""
 
-from .extension import ExtElem, NotAPthPowerCheckError, SimpleExtensionField, extension_tower
+from .extension import (
+    ExtElem,
+    NotAPthPowerCheckError,
+    SimpleExtensionField,
+    TruncSeriesRing,
+    extension_tower,
+)
 from .matrix import Matrix, row_space_basis
 from .multipoly import CACHE_SIZE, MAX_VARIABLES, MultiPoly, poly_gcd
 from .parser import ParseError, UnknownVariableError, parse_expr
 from .primefield import SUPPORTED_PRIMES, FpElem, PrimeField, power
 from .ratfunc import FunctionField, RatFunc
-from .series import TruncSeries, TruncSeriesRing
 
 __all__ = [
     "CACHE_SIZE",
@@ -24,7 +30,6 @@ __all__ = [
     "RatFunc",
     "SUPPORTED_PRIMES",
     "SimpleExtensionField",
-    "TruncSeries",
     "TruncSeriesRing",
     "UnknownVariableError",
     "extension_tower",

@@ -1,12 +1,19 @@
-"""Purely inseparable extensions K(b^(1/p)) of height one, stackable into towers.
+"""Quotient rings base[y]/(y^n - beta) with one element type, ExtElem.
 
-The modulus b must come from the bottom rational function field and must not be
-a p-th power there modulo the roots already adjoined; this is exactly what makes
-the quotient base[x]/(x^p - b) a field.  Elements are length-p coefficient
-vectors over the base field in the basis 1, x, ..., x^(p-1).
+Two rings of the package have this shape.  A SimpleExtensionField is the purely
+inseparable extension K(b^(1/p)) of height one: n = p and beta = b.  The modulus
+b must come from the bottom rational function field and must not be a p-th
+power there modulo the roots already adjoined; this is exactly what makes the
+quotient a field, and such fields stack into towers.  A TruncSeriesRing is
+base[u]/(u^n) with n <= p: beta = 0, and products past u^(n-1) are never formed.
+Elements are length-n coefficient vectors over the base in the basis
+1, y, ..., y^(n-1).
+
+In characteristic p both rings send a^p into the base: the field because
+y^p = beta, the series ring because u^p = 0.  So every inverse is
+a^(-1) = a^(p-1) * (a^p)^(-1), one inverse in the base and no linear algebra.
 """
 
-from .matrix import Matrix
 from .primefield import power
 
 
@@ -15,15 +22,19 @@ class NotAPthPowerCheckError(ValueError):
 
 
 class ExtElem:
-    """An element of a SimpleExtensionField, as a vector over the base field."""
+    """An element of base[y]/(y^n - beta), as its coefficient vector over the base.
+
+    The one element type of SimpleExtensionField and TruncSeriesRing; its inverse
+    is the Frobenius norm in both.
+    """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
         self.field = field
         self.coeffs = tuple(coeffs)
-        if len(self.coeffs) != field.p:
-            raise ValueError("need %d coefficients" % field.p)
+        if len(self.coeffs) != field.degree:
+            raise ValueError("need %d coefficients" % field.degree)
 
     def __add__(self, other):
         return ExtElem(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
@@ -35,42 +46,37 @@ class ExtElem:
         return ExtElem(self.field, [-a for a in self.coeffs])
 
     def __mul__(self, other):
-        p = self.field.p
-        base = self.field.base
+        n = self.field.degree
         beta = self.field._beta_in_base
-        raw = [base.zero() for _ in range(2 * p - 1)]
+        # with beta = 0 the products past y^(n-1) vanish, so they are never formed
+        top = 2 * n - 1 if beta else n
+        raw = [self.field.base.zero()] * top
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.coeffs[:top - i]):
                 if b:
                     raw[i + j] = raw[i + j] + a * b
-        # reduce with x^p = beta
-        res = raw[:p]
-        for k in range(p, 2 * p - 1):
+        # reduce with y^n = beta
+        res = raw[:n]
+        for k in range(n, top):
             if raw[k]:
-                res[k - p] = res[k - p] + raw[k] * beta
+                res[k - n] = res[k - n] + raw[k] * beta
         return ExtElem(self.field, res)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def inverse(self):
-        if not self:
-            raise ZeroDivisionError("inverting zero extension element")
-        f = self.field
-        base = f.base
-        # multiplication by self is base-linear; solve M u = e_0 exactly
-        cols = []
-        for j in range(f.p):
-            unit = ExtElem(f, [base.one() if i == j else base.zero() for i in range(f.p)])
-            cols.append((self * unit).coeffs)
-        m = Matrix(base, cols).transpose()
-        rhs = [base.one()] + [base.zero()] * (f.p - 1)
-        sol = m.solve(rhs)
-        if sol is None:
-            raise ZeroDivisionError("nonzero element was not invertible; modulus check must have failed")
-        return ExtElem(f, sol)
+        """a^(p-1) * (a^p)^(-1): a^p lies in the base, and a is a unit iff it is nonzero."""
+        ring = self.field
+        conj = self ** (ring.p - 1)
+        norm = conj * self
+        if not norm.in_base():
+            raise AssertionError("a^p = %r does not lie in the base" % (norm,))
+        if not norm.coeffs[0]:
+            raise ZeroDivisionError("%r is not a unit" % (self,))
+        return conj * ring.lift(norm.coeffs[0].inverse())
 
     def __pow__(self, n):
         return power(self, n, self.field.one())
@@ -91,6 +97,10 @@ class ExtElem:
     def in_base(self):
         return not any(self.coeffs[1:])
 
+    def order_of_vanishing(self):
+        """The least i with a nonzero coefficient of y^i; n for zero."""
+        return next((i for i, c in enumerate(self.coeffs) if c), len(self.coeffs))
+
     def __repr__(self):
         gen = self.field.gen_name
         parts = []
@@ -98,7 +108,7 @@ class ExtElem:
             if not c:
                 continue
             if i == 0:
-                parts.append("(%r)" % c)
+                parts.append("(%r)" % (c,))
             elif i == 1:
                 parts.append("(%r)*%s" % (c, gen))
             else:
@@ -106,7 +116,20 @@ class ExtElem:
         return " + ".join(parts) if parts else "0"
 
 
-class SimpleExtensionField:
+class _QuotientRing:
+    """What both rings share: base, p, degree n, beta in the base, and the constants."""
+
+    def zero(self):
+        return ExtElem(self, [self.base.zero()] * self.degree)
+
+    def one(self):
+        return self.lift(self.base.one())
+
+    def lift(self, elem_of_base):
+        return ExtElem(self, [elem_of_base] + [self.base.zero()] * (self.degree - 1))
+
+
+class SimpleExtensionField(_QuotientRing):
     """L = base(b^(1/p)) for a modulus b in the bottom function field, b not in base^p."""
 
     def __init__(self, base, beta, gen_name=None):
@@ -115,6 +138,7 @@ class SimpleExtensionField:
         self.base = base
         self.p = base.characteristic
         self.characteristic = self.p
+        self.degree = self.p
         self.beta = beta  # element of the bottom rational function field
         self.gen_name = gen_name or ("x%d" % (len(base.moduli) + 1))
         if in_pspan(beta, base.moduli):
@@ -132,8 +156,7 @@ class SimpleExtensionField:
         return self.p * self.base.dim_over_bottom()
 
     def from_bottom(self, elem):
-        c = self.base.from_bottom(elem)
-        return ExtElem(self, [c] + [self.base.zero()] * (self.p - 1))
+        return self.lift(self.base.from_bottom(elem))
 
     def to_bottom(self, elem):
         """The bottom-field value of elem, or None if it does not lie there."""
@@ -143,14 +166,8 @@ class SimpleExtensionField:
 
     # -- field protocol -------------------------------------------------------
 
-    def zero(self):
-        return ExtElem(self, [self.base.zero()] * self.p)
-
-    def one(self):
-        return ExtElem(self, [self.base.one()] + [self.base.zero()] * (self.p - 1))
-
     def from_int(self, n):
-        return ExtElem(self, [self.base.from_int(n)] + [self.base.zero()] * (self.p - 1))
+        return self.lift(self.base.from_int(n))
 
     def gen(self):
         z, o = self.base.zero(), self.base.one()
@@ -159,9 +176,6 @@ class SimpleExtensionField:
     def from_coeffs(self, coeffs):
         """Element with the given base-field coefficients in the basis 1, x, ..., x^(p-1)."""
         return ExtElem(self, coeffs)
-
-    def lift(self, elem_of_base):
-        return ExtElem(self, [elem_of_base] + [self.base.zero()] * (self.p - 1))
 
     def pth_root(self, elem):
         """Return w with w^p = elem, or None.
@@ -192,8 +206,7 @@ class SimpleExtensionField:
             raise ValueError("no tower level %d" % level)
         if level == depth - 1:
             return self.gen()
-        inner = self.base.level_gen(level)
-        return ExtElem(self, [inner] + [self.base.zero()] * (self.p - 1))
+        return self.lift(self.base.level_gen(level))
 
     def __eq__(self, other):
         return (
@@ -207,6 +220,42 @@ class SimpleExtensionField:
 
     def __repr__(self):
         return "%r(%s) with %s^%d = %r" % (self.base, self.gen_name, self.gen_name, self.p, self.beta)
+
+
+class TruncSeriesRing(_QuotientRing):
+    """base[u]/(u^order) for 1 <= order <= p, so that a^p = a_0^p lies in the base."""
+
+    gen_name = "u"
+
+    def __init__(self, base, order):
+        self.base = base
+        self.p = base.characteristic
+        if not 1 <= order <= self.p:
+            raise ValueError("order must lie between 1 and p = %d" % self.p)
+        self.degree = order
+        self._beta_in_base = base.zero()
+
+    def gen(self):
+        """The class of u (zero when order == 1)."""
+        return self.from_coeffs([self.base.zero(), self.base.one()])
+
+    def from_coeffs(self, coeffs):
+        """sum_i coeffs[i] u^i, padded with zeros or cut off at u^order."""
+        coeffs = list(coeffs)[:self.degree]
+        return ExtElem(self, coeffs + [self.base.zero()] * (self.degree - len(coeffs)))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TruncSeriesRing)
+            and self.base == other.base
+            and self.degree == other.degree
+        )
+
+    def __hash__(self):
+        return hash(("TruncSeriesRing", self.base, self.degree))
+
+    def __repr__(self):
+        return "%r[u]/(u^%d)" % (self.base, self.degree)
 
 
 def extension_tower(bottom_field, moduli):

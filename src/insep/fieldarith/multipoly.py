@@ -19,7 +19,8 @@ from .primefield import power
 
 MAX_VARIABLES = 4
 # entries kept by each memoized exact computation (gcd, Frobenius coordinates,
-# p-degree); least recently used entries go first
+# p-degree) and by the tables of ring constants and fields; least recently used
+# entries go first
 CACHE_SIZE = 20_000
 
 
@@ -278,15 +279,10 @@ class MultiPoly:
         return self.format()
 
 
-# the constant 1 of each ring, built once: (p, variables) -> MultiPoly
-_ONES = {}
-
-
+@lru_cache(maxsize=CACHE_SIZE)
 def _one(p, variables):
-    one = _ONES.get((p, variables))
-    if one is None:
-        one = _ONES[(p, variables)] = MultiPoly._new(p, variables, {(0,) * len(variables): 1})
-    return one
+    """The constant 1 of each ring, built once."""
+    return MultiPoly._new(p, variables, {(0,) * len(variables): 1})
 
 
 # -- gcd machinery ------------------------------------------------------------

@@ -6,7 +6,9 @@ mutates a RatFunc after construction, so a field hands out one shared zero and
 one shared one.
 """
 
-from .multipoly import MAX_VARIABLES, MultiPoly, poly_gcd
+from functools import lru_cache
+
+from .multipoly import CACHE_SIZE, MAX_VARIABLES, MultiPoly, poly_gcd
 from .primefield import SUPPORTED_PRIMES
 
 
@@ -45,7 +47,7 @@ class RatFunc:
         return self.num.vars
 
     def field(self):
-        return FunctionField(self.p, self.vars)
+        return _field(self.p, self.vars)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -277,3 +279,9 @@ class FunctionField:
         if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
             raise ValueError("vars must be a list of strings")
         return cls(p, variables)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _field(p, variables):
+    """The one field object of each (p, variables), so its elements share its zero and one."""
+    return FunctionField(p, variables)

@@ -1,8 +1,9 @@
-"""Every function, method and class in src/insep is used by the package itself.
+"""Every function, method, class and import in src/insep is used by the package itself.
 
 A definition counts as used when its name appears as a name or an attribute
 somewhere in src/insep outside the definition's own body.  The check goes by
-name, so a method is kept alive by any use of that attribute name.
+name, so a method is kept alive by any use of that attribute name.  An imported
+name counts as used when its module reads it or lists it in ``__all__``.
 """
 
 import ast
@@ -41,9 +42,15 @@ def _definitions(node, prefix=""):
             yield from _definitions(child, prefix)
 
 
+ROOT = Path(insep.__file__).parent
+
+
+def _modules():
+    return {path: ast.parse(path.read_text()) for path in sorted(ROOT.rglob("*.py"))}
+
+
 def test_every_definition_is_referenced():
-    root = Path(insep.__file__).parent
-    modules = {path: ast.parse(path.read_text()) for path in sorted(root.rglob("*.py"))}
+    modules = _modules()
     total = Counter()
     for tree in modules.values():
         total.update(_references(tree))
@@ -54,5 +61,29 @@ def test_every_definition_is_referenced():
             if name.startswith("__") and name.endswith("__"):
                 continue
             if total[name] == _references(node)[name] and qualname not in ALLOWED:
-                unused.append("%s:%d %s" % (path.relative_to(root), node.lineno, qualname))
+                unused.append("%s:%d %s" % (path.relative_to(ROOT), node.lineno, qualname))
     assert not unused, "defined but never referenced in src/insep: %s" % ", ".join(unused)
+
+
+def _exported(tree):
+    """The names a module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_every_import_is_used():
+    unused = []
+    for path, tree in _modules().items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # ``import a.b`` binds ``a``
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append("%s:%d %s" % (path.relative_to(ROOT), node.lineno, name))
+    assert not unused, "imported but never used in src/insep: %s" % ", ".join(unused)

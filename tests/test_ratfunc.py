@@ -29,6 +29,11 @@ def test_division_by_zero(K2st):
         RatFunc(K2st.one().num, K2st.zero().num)
 
 
+def test_elements_of_one_ring_share_one_field(K3st):
+    s, t = K3st.gens()
+    assert (s + t).field() is (s * t).inverse().field()
+
+
 def test_field_axioms_random(K3st):
     rng = seeded(404)
     for _ in range(150):

@@ -1,6 +1,8 @@
 import pytest
 
 from insep.fieldarith import (
+    FunctionField,
+    Matrix,
     NotAPthPowerCheckError,
     SimpleExtensionField,
     TruncSeriesRing,
@@ -54,14 +56,16 @@ def test_tower_of_two_roots(K2st):
 
 
 def test_trunc_series_arithmetic(K3t):
-    R = TruncSeriesRing(K3t, 4)
+    R = TruncSeriesRing(K3t, 3)
     u = R.gen()
     one = R.one()
     f = one + u
     g = f.inverse()
     assert f * g == one
-    assert (u ** 4).order_of_vanishing() == 4  # truncated away
+    assert (u ** 3).order_of_vanishing() == 3  # truncated away
     assert (u * u).order_of_vanishing() == 2
+    with pytest.raises(ValueError):
+        TruncSeriesRing(K3t, 4)  # above p, a^p would leave the base
 
 
 def test_trunc_series_random_inverse(K3t):
@@ -79,3 +83,68 @@ def test_series_non_unit(K3t):
     R = TruncSeriesRing(K3t, 3)
     with pytest.raises(ZeroDivisionError):
         R.gen().inverse()
+
+
+def _matrix_inverse(a):
+    """Reference inverse: multiplication by a is base-linear, so solve M v = e_0."""
+    ring, base = a.field, a.field.base
+    n = ring.degree
+    cols = [(a * ring.from_coeffs([base.one() if i == j else base.zero() for i in range(n)])).coeffs
+            for j in range(n)]
+    sol = Matrix(base, cols).transpose().solve([base.one()] + [base.zero()] * (n - 1))
+    if sol is None:
+        raise ZeroDivisionError("not a unit")
+    return ring.from_coeffs(sol)
+
+
+def _random_elem(rng, ring, bottom):
+    if isinstance(ring, FunctionField):
+        return bottom(rng, ring)
+    return ring.from_coeffs([_random_elem(rng, ring.base, bottom) for _ in range(ring.degree)])
+
+
+def _small_ratfunc(rng, K):
+    return random_ratfunc(rng, K, max_terms=2, max_exp=1)
+
+
+def _prime_field_const(rng, K):
+    return K.from_int(rng.randrange(K.p))
+
+
+def _norm_inverse_cases():
+    """(ring, bottom-field coefficients, number of units) for the cross-check."""
+    for p in (2, 3, 5, 7):
+        K = FunctionField(p, ["t"])
+        yield SimpleExtensionField(K, K.gen("t")), _small_ratfunc, 3
+    K2 = FunctionField(2, ["s", "t"])
+    yield extension_tower(K2, K2.gens()), _small_ratfunc, 3
+    # over F_3(s,t) the matrix reference meets the bivariate gcd cliff on
+    # rational coefficients (tens of seconds for one element), so these are in F_3
+    K3 = FunctionField(3, ["s", "t"])
+    yield extension_tower(K3, K3.gens()), _prime_field_const, 2
+    for p in (3, 5):
+        K = FunctionField(p, ["t"])
+        yield TruncSeriesRing(SimpleExtensionField(K, K.gen("t")), p - 1), _small_ratfunc, 3
+
+
+def test_norm_inverse_matches_the_matrix_inverse():
+    rng = seeded(1212)
+    for ring, bottom, count in _norm_inverse_cases():
+        units = []
+        while len(units) < count:
+            a = _random_elem(rng, ring, bottom)
+            if a.coeffs[0]:  # a unit in every ring here
+                units.append(a)
+        for a in units:
+            inv = a.inverse()
+            assert a * inv == ring.one(), (ring, a)
+            assert inv == _matrix_inverse(a), (ring, a)
+        with pytest.raises(ZeroDivisionError):
+            ring.zero().inverse()
+        # the generator has zero constant term: a non-unit of the series ring only
+        y = ring.gen()
+        if isinstance(ring, TruncSeriesRing):
+            with pytest.raises(ZeroDivisionError):
+                y.inverse()
+        else:
+            assert y * y.inverse() == ring.one()
