@@ -69,7 +69,6 @@ class FiniteLocalAlgebra:
         self._check_commutative()
         self._check_associative()
         self.m_basis = self._ideal_basis(self.maxideal_gens)
-        self.residue_dim = self.dim - len(self.m_basis)
         # A is commutative, so m is nilpotent iff each generator is; a nilpotent
         # g has g^dim = 0, since A, gA, g^2 A, ... shrink strictly until they vanish
         if any(any(self.pow_vec(g, self.dim)) for g in self.maxideal_gens):
@@ -79,6 +78,7 @@ class FiniteLocalAlgebra:
                                                        for g in self.maxideal_gens
                                                        for v in self.m_basis])
         self._residue = ResidueData(self)
+        self.residue_dim = self._residue.q
         self._residue.certify_field()
 
     # -- element helpers ----------------------------------------------------
@@ -219,19 +219,13 @@ class ResidueData:
     def pow(self, qa, n):
         return power(qa, n, self.one, self.mul)
 
-    def as_base_scalar(self, qv):
-        """For one-dimensional residue fields, the value under A/m = k."""
-        if self.q != 1:
-            raise ResidueFieldError("residue field has dimension %d > 1" % self.q)
-        return qv[0] / self.one[0]
-
     def pth_root(self, qv):
         """A p-th root inside A/m, or None if there is none."""
         field = self.algebra.field
         p = field.characteristic
         if self.q == 1:
-            val = self.as_base_scalar(qv)
-            root = field.pth_root(val)
+            # A/m = k, with qv = (qv[0] / one[0]) * one
+            root = field.pth_root(qv[0] / self.one[0])
             if root is None:
                 return None
             return tuple(x * root for x in self.one)
@@ -260,16 +254,30 @@ class ResidueData:
             powers.append(current)
 
     def certify_field(self):
-        """Raise NotLocalError unless A/m can be certified to be a field."""
-        if not any(self.one):
-            raise NotLocalError("the identity lies in the designated ideal")
-        if self.q == 1:
+        """Raise NotLocalError unless A/m can be certified to be a field.
+
+        m is nilpotent, so 1 is not in m and A/m is not zero.
+        """
+        q = self.q
+        if q == 1:
             return
         field = self.algebra.field
-        for c in range(self.q):
-            theta = tuple(field.one() if i == c else field.zero() for i in range(self.q))
+        basis = [tuple(field.one() if i == c else field.zero() for i in range(q))
+                 for c in range(q)]
+        if isinstance(field, PrimeField):
+            # Berlekamp: a finite F_p-algebra is reduced iff Frobenius is injective,
+            # and then it is a product of fields, as many as the dimension of the
+            # subspace Frobenius fixes
+            frob = [self.pow(e, field.p) for e in basis]
+            if Matrix(field, frob).rank() != q:
+                raise NotLocalError("residue ring is not a field (not reduced)")
+            fixed = [[a - b for a, b in zip(row, e)] for row, e in zip(frob, basis)]
+            if Matrix(field, fixed).rank() != q - 1:
+                raise NotLocalError("residue ring is not a field (a product of fields)")
+            return
+        for theta in basis:
             poly = self.minpoly(theta)
-            if len(poly) - 1 == self.q:
+            if len(poly) - 1 == q:
                 if _is_irreducible(field, poly):
                     return
                 raise NotLocalError("residue ring is not a field (reducible minimal polynomial)")
@@ -278,44 +286,17 @@ class ResidueData:
 
 
 def _is_irreducible(field, coeffs):
-    """Irreducibility of a monic univariate polynomial over the base field."""
-    if isinstance(field, PrimeField):
-        return _is_irreducible_mod_p([c.val for c in coeffs], field.p)
+    """Irreducibility of a monic T^(p^e) - c over a function field: c is not a p-th power."""
     if isinstance(field, FunctionField):
         p = field.p
         deg = len(coeffs) - 1
         e = 0
         while p ** (e + 1) <= deg:
             e += 1
-        # only the shape T^(p^e) - c arises here; irreducible iff c is not a p-th power
         if deg == p ** e and e >= 1 and all(not c for c in coeffs[1:-1]):
             return field.pth_root(-coeffs[0]) is None
         raise ResidueFieldError("cannot decide irreducibility of %r over %r" % (coeffs, field))
     raise ResidueFieldError("cannot decide irreducibility over %r" % (field,))
-
-
-def _poly_mod(num, den, p):
-    num = list(num)
-    while len(num) >= len(den):
-        if num[-1] % p:
-            factor = num[-1] * pow(den[-1], p - 2, p)
-            shift = len(num) - len(den)
-            for i, c in enumerate(den):
-                num[shift + i] = (num[shift + i] - factor * c) % p
-        num.pop()
-    return num
-
-
-def _is_irreducible_mod_p(coeffs, p):
-    deg = len(coeffs) - 1
-    if deg <= 1:
-        return deg == 1
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            den = list(tail) + [1]
-            if all(c % p == 0 for c in _poly_mod(coeffs, den, p)):
-                return False
-    return True
 
 
 # -- the three operations ------------------------------------------------------
@@ -356,38 +337,17 @@ def edim(algebra):
 def tensor_self(field, pth_powers):
     """L (x)_K L for L = K(b_1^(1/p), ..., b_m^(1/p)), as an L-algebra.
 
-    In the basis of monomials in the nilpotents U_i - a_i (exponents < p), the
-    structure constants are 0/1: each nilpotent has vanishing p-th power.
+    It is L[u_1, ..., u_m]/(u_i^p) in the nilpotents u_i = U_i - a_i: each has
+    vanishing p-th power.
     """
     pth_powers = list(pth_powers)
-    m = len(pth_powers)
-    p = field.p
-    dim = check_dimension(repeat(p, m))
+    exponents = [field.p] * len(pth_powers)
+    check_dimension(exponents)
     try:
         tower = extension_tower(field, pth_powers)
     except NotAPthPowerCheckError as exc:
         raise InvalidPresentationError(str(exc)) from exc
-    exponents = sorted(product(range(p), repeat=m))
-    index = {e: i for i, e in enumerate(exponents)}
-    one = tower.one() if m else field.one()
-    coeff_field = tower if m else field
-    table = []
-    for a in exponents:
-        row = []
-        for b in exponents:
-            total = tuple(x + y for x, y in zip(a, b))
-            if all(x < p for x in total):
-                row.append({index[total]: one})
-            else:
-                row.append({})
-        table.append(row)
-    gens = []
-    for i in range(m):
-        e = tuple(1 if j == i else 0 for j in range(m))
-        v = [coeff_field.zero()] * dim
-        v[index[e]] = one
-        gens.append(v)
-    return FiniteLocalAlgebra(coeff_field, dim, table, gens)
+    return truncated_polynomial_algebra(tower, exponents)
 
 
 def adjoin_root(algebra, f, r):
@@ -410,23 +370,21 @@ def adjoin_root(algebra, f, r):
         return j * n_r + i
 
     table = [[None] * dim for _ in range(dim)]
-    pair_products = {}
-    for i in range(n_r):
-        for k in range(i, n_r):
-            pair_products[(i, k)] = algebra.from_table_entry(algebra.table[i][k])
     for i in range(n_r):
         for k in range(n_r):
-            prod_vec = pair_products[(min(i, k), max(i, k))]
+            # e_i T^j * e_k T^l = (e_i e_k) T^(j+l), and T^q = f^p
+            pair = {m: c for m, c in algebra.table[i][k].items() if c}
             reduced = None
             for j in range(q):
                 for l in range(q):
                     e = j + l
                     if e < q:
-                        entry = {idx(m, e): c for m, c in enumerate(prod_vec) if c}
+                        entry = {idx(m, e): c for m, c in pair.items()}
                     else:
                         if reduced is None:
-                            reduced = algebra.mul_vec(prod_vec, fp)
-                        entry = {idx(m, e - q): c for m, c in enumerate(reduced) if c}
+                            reduced = {m: c for m, c in enumerate(
+                                algebra.mul_vec(algebra.from_table_entry(pair), fp)) if c}
+                        entry = {idx(m, e - q): c for m, c in reduced.items()}
                     table[idx(i, j)][idx(k, l)] = entry
 
     residue = algebra._residue
@@ -456,16 +414,11 @@ def adjoin_root(algebra, f, r):
     return FiniteLocalAlgebra(field, dim, table, gens)
 
 
-# -- convenience constructors used by tests and the CLI -------------------------
-
-
-def base_field_algebra(field):
-    """The algebra A = k itself (zero maximal ideal)."""
-    return FiniteLocalAlgebra(field, 1, [[{0: field.one()}]], [])
+# -- the monomial table builder --------------------------------------------------
 
 
 def truncated_polynomial_algebra(field, exponents):
-    """k[u_1,...,u_r]/(u_1^(a_1),...,u_r^(a_r)) with its monomial basis."""
+    """k[u_1,...,u_r]/(u_1^(a_1),...,u_r^(a_r)) with its monomial basis; r = 0 gives k."""
     exponents = list(exponents)
     check_dimension(exponents)
     monos = sorted(product(*[range(a) for a in exponents]))

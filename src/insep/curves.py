@@ -274,12 +274,8 @@ class ConductorProfile:
 
 
 def _subspace_intersection_dim(field, basis_a, basis_b):
-    if not basis_a or not basis_b:
-        return 0
-    da = len(row_space_basis(field, [list(v) for v in basis_a]))
-    db = len(row_space_basis(field, [list(v) for v in basis_b]))
-    dsum = len(row_space_basis(field, [list(v) for v in basis_a] + [list(v) for v in basis_b]))
-    return da + db - dsum
+    """dim(A /\\ B) = dim A + dim B - dim(A + B), given a basis of A and one of B."""
+    return len(basis_a) + len(basis_b) - len(row_space_basis(field, basis_a + basis_b))
 
 
 def conductor_profile(nf):

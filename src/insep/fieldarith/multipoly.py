@@ -394,10 +394,6 @@ def poly_gcd(a, b):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _gcd_prs(a, b):
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
     if a.is_constant() or b.is_constant():
         return MultiPoly.const(a.p, a.vars, 1)
     if a == b:

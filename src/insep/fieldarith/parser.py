@@ -19,7 +19,8 @@ from .ratfunc import FunctionField
 
 # the largest exponent * total degree of a power of a sum: the shipped catalog
 # and benchmark inputs stay at or below 7, and at the cap a dense quadratic in
-# four variables takes up to about 8 s to expand
+# four variables expands in about 0.01 s (under 0.1 s for any capped power tried,
+# one core of a 2-vCPU Xeon)
 MAX_POWER_DEGREE = 32
 # the longest decimal literal, far below the 4300 digits Python converts to int
 MAX_DIGITS = 1000

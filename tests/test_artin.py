@@ -10,7 +10,6 @@ from insep.artin import (
     InvalidPresentationError,
     NotLocalError,
     adjoin_root,
-    base_field_algebra,
     edim,
     tensor_self,
     truncated_polynomial_algebra,
@@ -25,7 +24,7 @@ F5 = PrimeField(5)
 
 
 def test_edim_of_field_is_zero():
-    assert edim(base_field_algebra(F3)).edim == 0
+    assert edim(truncated_polynomial_algebra(F3, [])).edim == 0
 
 
 def test_edim_principal_ideal():
@@ -127,19 +126,19 @@ def test_tensor_square_rejects_pth_powers():
 
 def test_adjoin_root_examples():
     # F3[T]/(T^3 - 1) = F3[T]/((T-1)^3)
-    R = base_field_algebra(F3)
+    R = truncated_polynomial_algebra(F3, [])
     assert edim(adjoin_root(R, R.one_vec(), 1)).edim == 1
     # F2[u]/(u^2) with T^2 = u^2: edim 1 + 1
     R = truncated_polynomial_algebra(F2, [2])
     assert edim(adjoin_root(R, R.basis_vec(1), 1)).edim == 2
     # F2[T]/(T^4)
-    R = base_field_algebra(F2)
+    R = truncated_polynomial_algebra(F2, [])
     assert edim(adjoin_root(R, R.zero_vec(), 2)).edim == 1
 
 
 def test_adjoin_root_over_function_field_grows_residue():
     K = FunctionField(2, ["t"])
-    R = base_field_algebra(K)
+    R = truncated_polynomial_algebra(K, [])
     A = adjoin_root(R, [K.gen("t")], 2)
     report = edim(A)
     assert report.edim == 1
@@ -290,10 +289,72 @@ def test_residue_dim_divides_total():
     K = FunctionField(2, ["t"])
     algebras = [
         truncated_polynomial_algebra(F2, [2, 3]),
-        base_field_algebra(F5),
-        adjoin_root(base_field_algebra(K), [K.gen("t")], 2),
+        truncated_polynomial_algebra(F5, []),
+        adjoin_root(truncated_polynomial_algebra(K, []), [K.gen("t")], 2),
         tensor_self(FunctionField(3, ["s", "t"]), [parse_expr("s", {"p": 3, "vars": ["s", "t"]})]),
     ]
     for A in algebras:
         assert A.dim % A.residue_dim == 0
 
+
+
+def _monogenic(field, g):
+    """k[x]/(g) for a monic g (coefficient list, constant term first) in the basis
+    1, x, ..., x^(n-1), with the zero ideal designated: it is local iff g is irreducible."""
+    n = len(g) - 1
+    powers = [[field.one() if i == k else field.zero() for i in range(n)] for k in range(n)]
+    for _ in range(n - 1):
+        # x * x^k shifts up one place, and x^n = -(g_0 + ... + g_(n-1) x^(n-1))
+        top = powers[-1][-1]
+        powers.append([field.zero()] + powers[-1][:-1])
+        powers[-1] = [c - top * field.from_int(gi) for c, gi in zip(powers[-1], g)]
+    table = [[{m: c for m, c in enumerate(powers[i + j]) if c} for j in range(n)]
+             for i in range(n)]
+    return FiniteLocalAlgebra(field, n, table, [])
+
+
+def test_residue_field_of_degree_two_over_f3():
+    F9 = _monogenic(F3, [1, 0, 1])  # F_3[x]/(x^2 + 1)
+    report = edim(F9)
+    assert (report.residue_dim, report.edim) == (2, 0)
+    # r = 2 takes a p-th root inside F_9 before it picks the new generator
+    f = [F3.from_int(1), F3.from_int(2)]
+    report = edim(adjoin_root(F9, f, 2))
+    assert (report.dim_total, report.residue_dim, report.edim) == (18, 2, 1)
+
+
+def test_residue_ring_that_is_not_a_field_rejected():
+    with pytest.raises(NotLocalError, match="not reduced"):
+        _monogenic(F2, [1, 0, 1])  # x^2 + 1 = (x + 1)^2
+    with pytest.raises(NotLocalError, match="product of fields"):
+        _monogenic(F2, [0, 1, 1])  # F_2[x]/(x^2 + x) = F_2 x F_2
+
+
+def test_ideal_containing_one_rejected():
+    A = truncated_polynomial_algebra(F3, [3])
+    with pytest.raises(NotLocalError):
+        FiniteLocalAlgebra(F3, A.dim, A.table, [A.one_vec()])
+    with pytest.raises(NotLocalError):
+        FiniteLocalAlgebra(F3, A.dim, A.table, [A.basis_vec(1), A.one_vec()])
+
+
+def test_prime_field_residue_test_agrees_with_sympy_irreducibility():
+    from sympy import Poly, symbols
+
+    x = symbols("x")
+    rng = seeded(1967)
+    verdicts = []
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        for degree in (2, 3, 4):
+            for _ in range(15):
+                g = [rng.randrange(p) for _ in range(degree)] + [1]
+                try:
+                    _monogenic(field, g)
+                    accepted = True
+                except NotLocalError:
+                    accepted = False
+                expected = Poly(list(reversed(g)), x, modulus=p).is_irreducible
+                assert accepted == expected, (p, g)
+                verdicts.append(accepted)
+    assert True in verdicts and False in verdicts

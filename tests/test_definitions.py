@@ -12,9 +12,9 @@ from pathlib import Path
 
 import insep
 
-# public names that only the tests and the acceptance criteria reach
+# public names that only the tests and the acceptance criteria reach; an entry
+# that is no longer defined, or is now referenced, fails the check
 ALLOWED = {
-    "base_field_algebra",
     "multiple_curve_profile",
     "remains_integral",
     "strip_timing",  # the report contract that byte-identity checks compare
@@ -49,20 +49,33 @@ def _modules():
     return {path: ast.parse(path.read_text()) for path in sorted(ROOT.rglob("*.py"))}
 
 
-def test_every_definition_is_referenced():
+def _unreferenced():
+    """Maps each definition that src/insep never names outside its own body to
+    "path:line qualname"."""
     modules = _modules()
     total = Counter()
     for tree in modules.values():
         total.update(_references(tree))
-    unused = []
+    unused = {}
     for path, tree in modules.items():
         for qualname, node in _definitions(tree):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if total[name] == _references(node)[name] and qualname not in ALLOWED:
-                unused.append("%s:%d %s" % (path.relative_to(ROOT), node.lineno, qualname))
+            if total[name] == _references(node)[name]:
+                unused[qualname] = "%s:%d %s" % (path.relative_to(ROOT), node.lineno, qualname)
+    return unused
+
+
+def test_every_definition_is_referenced():
+    unused = [where for qualname, where in _unreferenced().items() if qualname not in ALLOWED]
     assert not unused, "defined but never referenced in src/insep: %s" % ", ".join(unused)
+
+
+def test_every_allowed_name_is_defined_and_unreferenced():
+    stale = sorted(ALLOWED - set(_unreferenced()))
+    assert not stale, "ALLOWED names that are gone or referenced in src/insep: %s" % (
+        ", ".join(stale))
 
 
 def _exported(tree):

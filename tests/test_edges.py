@@ -94,10 +94,10 @@ def test_concurrent_classification_is_consistent():
 
 
 def test_edim_zero_iff_trivial_ideal():
-    from insep.artin import base_field_algebra, edim, truncated_polynomial_algebra
+    from insep.artin import edim, truncated_polynomial_algebra
     from insep.fieldarith import PrimeField
 
-    trivial = edim(base_field_algebra(PrimeField(3)))
+    trivial = edim(truncated_polynomial_algebra(PrimeField(3), []))
     assert trivial.edim == 0 and trivial.dim_m == 0
     nontrivial = edim(truncated_polynomial_algebra(PrimeField(3), [2]))
     assert nontrivial.edim > 0 and nontrivial.dim_m > 0

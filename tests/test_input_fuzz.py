@@ -1,8 +1,10 @@
-"""Fuzzing the input boundary: any expression string in a job ends in exit 0, 1 or 2,
-never in an exception escaping the command line."""
+"""Fuzzing the input boundary: any expression string in a job, and any local-algebra
+shape of an artin-edim task, ends in exit 0, 1 or 2, never in an exception escaping
+the command line."""
 
 import json
 import re
+from math import prod
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -37,6 +39,64 @@ def test_any_expression_exits_0_1_or_2(tmp_path, capsys, p, kind, text):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"field": {"p": p, "vars": ["s", "t"]}, "tasks": [task]}))
     code = main(["run", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# JSON values of the wrong type or range for some key, and a marker that deletes the key
+MISTYPED = st.sampled_from([None, True, 2.0, "2", [], {}, [2], [[1]], -1, 0, 10 ** 30, "s",
+                            ["s"], {"p": 2}])
+DELETE = object()
+POWERS = ["s", "t", "u", "s*t", "s+t", "s^2", "t^2*u", "s+1", "1", "0", "s/t", "u/(s+t)",
+          "s+", "v", ")"]
+MAX_DIM = 64
+
+
+@st.composite
+def algebra_shapes(draw):
+    """A tensor-self or adjoin-root description of dimension at most MAX_DIM, with up
+    to two keys mistyped, deleted or added."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    if draw(st.booleans()):
+        count = draw(st.integers(0, max(m for m in range(4) if p ** m <= MAX_DIM)))
+        algebra = {"construction": "tensor-self",
+                   "field": {"p": p, "vars": draw(st.lists(st.sampled_from("stu"), min_size=1,
+                                                           max_size=3, unique=True))},
+                   "pth_powers": draw(st.lists(st.sampled_from(POWERS), max_size=count))}
+    else:
+        r = draw(st.integers(1, max(r for r in range(1, 7) if p ** r <= MAX_DIM)))
+        exponents = draw(st.lists(st.integers(1, 4), max_size=3))
+        while p ** r * prod(exponents) > MAX_DIM:
+            exponents.pop()
+        # f has one coefficient per basis monomial, give or take one
+        size = max(0, prod(exponents) + draw(st.integers(-1, 1)))
+        algebra = {"construction": "adjoin-root", "p": p, "base_exponents": exponents,
+                   "f": draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size)),
+                   "r": r}
+    for key in draw(st.lists(st.sampled_from(sorted(algebra) + ["extra"]), max_size=2,
+                             unique=True)):
+        value = draw(st.one_of(MISTYPED, st.just(DELETE)))
+        if value is DELETE:
+            algebra.pop(key, None)
+        else:
+            algebra[key] = value
+    return algebra
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(algebra=st.one_of(algebra_shapes(), MISTYPED))
+@example(algebra={"construction": "adjoin-root", "p": 2, "base_exponents": [], "f": [1],
+                  "r": 6})
+@example(algebra={"construction": "tensor-self", "field": {"p": 2, "vars": ["s"]},
+                  "pth_powers": ["s", "s"]})
+def test_any_algebra_shape_exits_0_1_or_2(tmp_path, capsys, algebra):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"field": {"p": 2, "vars": ["s"]},
+                                "tasks": [{"kind": "artin-edim", "algebra": algebra}]}))
+    code = main(["run", str(path), "--jobs", "1"])
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     if code == 2:
