@@ -57,23 +57,30 @@ class FiniteLocalAlgebra:
 
     Basis element 0 is the multiplicative identity.  ``table[i][j]`` maps basis
     indices to coefficients of e_i * e_j.  ``maxideal_gens`` are vectors (lists
-    of field elements) generating the designated maximal ideal.
+    of field elements) generating the designated maximal ideal.  Over a
+    PrimeField the elements are ints: the table and the generators are made
+    canonical here (reduced mod p, zero coefficients dropped), and every vector
+    operation reduces its result once per cell.
     """
 
     def __init__(self, field, dim, table, maxideal_gens):
         self.field = field
         self.dim = dim
-        self.table = table
-        self.maxideal_gens = [list(g) for g in maxideal_gens]
+        # p over a PrimeField, None over a function field or a tower
+        self.modulus = field.p if isinstance(field, PrimeField) else None
+        self.table = self._canonical_table(table)
+        self.maxideal_gens = [self.reduce(g) for g in maxideal_gens]
         self._check_identity()
         self._check_commutative()
         self._check_associative()
-        self.m_basis = self._ideal_basis(self.maxideal_gens)
+        # m = span{g e_j}, m^2 = span{g v : g a generator of m, v in m}
+        self.m_basis = row_space_basis(self.field, [self.mul_vec(g, self.basis_vec(j))
+                                                    for g in self.maxideal_gens
+                                                    for j in range(self.dim)])
         # A is commutative, so m is nilpotent iff each generator is; a nilpotent
         # g has g^dim = 0, since A, gA, g^2 A, ... shrink strictly until they vanish
         if any(any(self.pow_vec(g, self.dim)) for g in self.maxideal_gens):
             raise NotLocalError("designated ideal is not nilpotent")
-        # m^2 = span{g v : g a generator of m, v in m}
         self.m_sq_basis = row_space_basis(self.field, [self.mul_vec(g, v)
                                                        for g in self.maxideal_gens
                                                        for v in self.m_basis])
@@ -97,42 +104,52 @@ class FiniteLocalAlgebra:
     def from_table_entry(self, entry):
         v = self.zero_vec()
         for m, c in entry.items():
-            v[m] = v[m] + c
+            v[m] = c
         return v
+
+    def reduce(self, vec):
+        """A canonical copy of vec: each int reduced mod p over a PrimeField."""
+        p = self.modulus
+        return list(vec) if p is None else [x % p for x in vec]
 
     def mul_vec(self, a, b):
         out = self.zero_vec()
+        b_support = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if not ai:
                 continue
             row = self.table[i]
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
+            for j, bj in b_support:
                 scale = ai * bj
                 for m, c in row[j].items():
-                    out[m] = out[m] + scale * c
-        return out
+                    out[m] += scale * c
+        return self.reduce(out)
 
     def pow_vec(self, a, n):
         return power(a, n, self.one_vec(), self.mul_vec)
 
     # -- construction invariants ----------------------------------------------------
 
+    def _canonical_table(self, table):
+        """The table with every coefficient canonical: reduced to 1..p-1 over a
+        PrimeField, nonzero over any field.  Equal products are then equal dicts."""
+        p = self.modulus
+        if p is None:
+            return [[{m: c for m, c in e.items() if c} for e in row] for row in table]
+        if all(0 < c < p for row in table for e in row for c in e.values()):
+            return table
+        return [[{m: c % p for m, c in e.items() if c % p} for e in row] for row in table]
+
     def _check_identity(self):
         one = self.field.one()
-        for j in range(self.dim):
-            entry = self.table[0][j]
-            if {m: c for m, c in entry.items() if c} != {j: one}:
-                raise ArtinError("basis element 0 is not the identity")
+        if any(self.table[0][j] != {j: one} for j in range(self.dim)):
+            raise ArtinError("basis element 0 is not the identity")
 
     def _check_commutative(self):
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                a = {m: c for m, c in self.table[i][j].items() if c}
-                b = {m: c for m, c in self.table[j][i].items() if c}
-                if a != b:
-                    raise ArtinError("multiplication table is not commutative")
+        table = self.table
+        if any(table[i][j] != table[j][i]
+               for i in range(self.dim) for j in range(i + 1, self.dim)):
+            raise ArtinError("multiplication table is not commutative")
 
     def _check_associative(self):
         """Exact: (e_g e_x) e_y = e_g (e_x e_y) for every g in G and all x, y.
@@ -143,6 +160,10 @@ class FiniteLocalAlgebra:
         unless e_i is already reached, i.e. a unit times e_g e_j for some g in G
         and some reached e_j, starting from e_0 = 1.  Then every basis element
         lies in the nucleus once G does, so the nucleus is all of A.
+
+        Entries are canonical, so when e_g e_x = c e_m and e_x e_y = d e_n are
+        single terms, the two sides c e_m e_y and d e_g e_n are compared entry
+        by entry; only a product of more terms is summed into a difference.
         """
         table = self.table
         gens, reached = [], {0}
@@ -153,30 +174,42 @@ class FiniteLocalAlgebra:
             todo = [(i, j) for j in reached]
             while todo:
                 g, j = todo.pop()
-                entry = [m for m, c in table[g][j].items() if c]
+                entry = list(table[g][j])
                 if len(entry) == 1 and entry[0] not in reached:
                     reached.add(entry[0])
                     todo.extend((h, entry[0]) for h in gens)
+        p = self.modulus
+        nonzero = bool if p is None else (lambda v: v % p)
         for g in gens:
+            tg = table[g]
             for x in range(self.dim):
-                for y in range(self.dim):
-                    diff = {}
-                    for m, c in table[g][x].items():
-                        for k, d in table[m][y].items():
-                            diff[k] = diff[k] + c * d if k in diff else c * d
-                    for m, c in table[x][y].items():
-                        for k, d in table[g][m].items():
-                            diff[k] = diff[k] - c * d if k in diff else -(c * d)
-                    if any(diff.values()):
-                        raise ArtinError("multiplication table is not associative "
-                                         "at (%d,%d,%d)" % (g, x, y))
-
-    def _ideal_basis(self, gens):
-        products = []
-        for g in gens:
-            for j in range(self.dim):
-                products.append(self.mul_vec(g, self.basis_vec(j)))
-        return row_space_basis(self.field, products)
+                gx = tg[x]
+                if len(gx) == 1:
+                    (m, c), = gx.items()
+                    tm = table[m]
+                for y, xy in enumerate(table[x]):
+                    if not xy and len(gx) < 2:
+                        # e_g (e_x e_y) = 0, and (e_g e_x) e_y is 0 or c e_m e_y
+                        if not gx or not tm[y]:
+                            continue
+                    elif len(gx) == 1 == len(xy):
+                        (n, d), = xy.items()
+                        left, right = tm[y], tg[n]
+                        if (left == right if c == d else left.keys() == right.keys() and
+                                not any(nonzero(c * left[k] - d * right[k]) for k in left)):
+                            continue
+                    else:
+                        diff = {}
+                        for i, a in gx.items():
+                            for k, b in table[i][y].items():
+                                diff[k] = diff[k] + a * b if k in diff else a * b
+                        for i, a in xy.items():
+                            for k, b in tg[i].items():
+                                diff[k] = diff[k] - a * b if k in diff else -(a * b)
+                        if not any(map(nonzero, diff.values())):
+                            continue
+                    raise ArtinError("multiplication table is not associative "
+                                     "at (%d,%d,%d)" % (g, x, y))
 
     def __repr__(self):
         return "FiniteLocalAlgebra(dim=%d over %r)" % (self.dim, self.field)
@@ -201,7 +234,7 @@ class ResidueData:
             if v[pc]:
                 factor = v[pc]
                 v = [a - factor * b for a, b in zip(v, row)]
-        return v
+        return self.algebra.reduce(v)
 
     def project(self, vec):
         v = self.reduce_mod_m(vec)
@@ -223,18 +256,18 @@ class ResidueData:
         """A p-th root inside A/m, or None if there is none."""
         field = self.algebra.field
         p = field.characteristic
-        if self.q == 1:
-            # A/m = k, with qv = (qv[0] / one[0]) * one
-            root = field.pth_root(qv[0] / self.one[0])
-            if root is None:
-                return None
-            return tuple(x * root for x in self.one)
         if isinstance(field, PrimeField):
             # finite field F_(p^q): Frobenius is bijective with inverse x -> x^(p^(q-1))
             cand = self.pow(qv, p ** (self.q - 1))
             if self.pow(cand, p) == tuple(qv):
                 return cand
             return None
+        if self.q == 1:
+            # A/m = k, with qv = (qv[0] / one[0]) * one
+            root = field.pth_root(qv[0] / self.one[0])
+            if root is None:
+                return None
+            return tuple(x * root for x in self.one)
         raise ResidueFieldError(
             "p-th roots in a %d-dimensional residue field over %r are not supported"
             % (self.q, field))
@@ -271,7 +304,7 @@ class ResidueData:
             frob = [self.pow(e, field.p) for e in basis]
             if Matrix(field, frob).rank() != q:
                 raise NotLocalError("residue ring is not a field (not reduced)")
-            fixed = [[a - b for a, b in zip(row, e)] for row, e in zip(frob, basis)]
+            fixed = [[(a - b) % field.p for a, b in zip(row, e)] for row, e in zip(frob, basis)]
             if Matrix(field, fixed).rank() != q - 1:
                 raise NotLocalError("residue ring is not a field (a product of fields)")
             return
@@ -372,20 +405,15 @@ def adjoin_root(algebra, f, r):
     table = [[None] * dim for _ in range(dim)]
     for i in range(n_r):
         for k in range(n_r):
-            # e_i T^j * e_k T^l = (e_i e_k) T^(j+l), and T^q = f^p
-            pair = {m: c for m, c in algebra.table[i][k].items() if c}
-            reduced = None
+            # e_i T^j * e_k T^l = (e_i e_k) T^(j+l), and T^q = f^p; the entries
+            # for one j + l are one shared dict
+            pair = algebra.table[i][k]
+            reduced = {m: c for m, c in enumerate(
+                algebra.mul_vec(algebra.from_table_entry(pair), fp)) if c}
+            by_degree = ([{idx(m, e): c for m, c in pair.items()} for e in range(q)]
+                         + [{idx(m, e): c for m, c in reduced.items()} for e in range(q - 1)])
             for j in range(q):
-                for l in range(q):
-                    e = j + l
-                    if e < q:
-                        entry = {idx(m, e): c for m, c in pair.items()}
-                    else:
-                        if reduced is None:
-                            reduced = {m: c for m, c in enumerate(
-                                algebra.mul_vec(algebra.from_table_entry(pair), fp)) if c}
-                        entry = {idx(m, e - q): c for m, c in reduced.items()}
-                    table[idx(i, j)][idx(k, l)] = entry
+                table[idx(i, j)][k::n_r] = by_degree[j:j + q]  # l = 0..q-1 at idx(k, l)
 
     residue = algebra._residue
     fbar = residue.project(f)
@@ -399,17 +427,11 @@ def adjoin_root(algebra, f, r):
         s += 1
     lift_y = residue.section(y)
 
-    gens = []
-    for g in algebra.maxideal_gens:
-        v = [field.zero()] * dim
-        for i, c in enumerate(g):
-            v[idx(i, 0)] = c
-        gens.append(v)
-    h = [field.zero()] * dim
+    # idx(i, 0) = i: R sits in the first n_r coordinates
+    pad = [field.zero()] * (dim - n_r)
+    h = [-c for c in lift_y] + pad
     h[idx(0, p ** (r - s))] = field.one()
-    for i, c in enumerate(lift_y):
-        h[idx(i, 0)] = h[idx(i, 0)] - c
-    gens.append(h)
+    gens = [g + pad for g in algebra.maxideal_gens] + [h]
 
     return FiniteLocalAlgebra(field, dim, table, gens)
 
@@ -425,21 +447,16 @@ def truncated_polynomial_algebra(field, exponents):
     index = {e: i for i, e in enumerate(monos)}
     one = field.one()
     dim = len(monos)
+    units, empty = [{i: one} for i in range(dim)], {}  # entries are shared, never changed
     table = []
     for a in monos:
         row = []
         for b in monos:
             total = tuple(x + y for x, y in zip(a, b))
-            if all(x < bound for x, bound in zip(total, exponents)):
-                row.append({index[total]: one})
-            else:
-                row.append({})
+            row.append(units[index[total]] if all(x < bound for x, bound in
+                                                  zip(total, exponents)) else empty)
         table.append(row)
-    gens = []
-    for i, bound in enumerate(exponents):
-        if bound >= 2:
-            e = tuple(1 if j == i else 0 for j in range(len(exponents)))
-            v = [field.zero()] * dim
-            v[index[e]] = one
-            gens.append(v)
+    # u_i, for each a_i >= 2, is the one monomial of degree 1 with a 1 in place i
+    gens = [[one if sum(e) == 1 and e[i] else field.zero() for e in monos]
+            for i, bound in enumerate(exponents) if bound >= 2]
     return FiniteLocalAlgebra(field, dim, table, gens)

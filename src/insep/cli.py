@@ -164,11 +164,21 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_dimension(i, factors, product_name):
+    try:
+        artin.check_dimension(factors)
+    except artin.DimensionOverflowError:
+        raise JobValidationError("task %d: %s exceeds the dimension cap %d"
+                                 % (i, product_name, artin.DIMENSION_CAP)) from None
+
+
 def _check_algebra(i, desc):
     construction = desc.get("construction")
     if construction == "tensor-self":
         field = check_field("task %d: algebra.field" % i, desc.get("field"))
         check_expressions("task %d: algebra.pth_powers" % i, desc.get("pth_powers"), field)
+        _check_dimension(i, repeat(field.p, len(desc["pth_powers"])),
+                         "algebra.field.p^len(algebra.pth_powers)")
     elif construction == "adjoin-root":
         for key in ("p", "r"):
             if not _is_int(desc.get(key)):
@@ -185,12 +195,8 @@ def _check_algebra(i, desc):
             raise JobValidationError("task %d: algebra.base_exponents must be at least 1" % i)
         if desc["r"] < 1:
             raise JobValidationError("task %d: algebra.r must be at least 1" % i)
-        try:
-            artin.check_dimension(chain(exponents, repeat(desc["p"], desc["r"])))
-        except artin.DimensionOverflowError:
-            raise JobValidationError(
-                "task %d: algebra.p^algebra.r * prod(algebra.base_exponents) exceeds the "
-                "dimension cap %d" % (i, artin.DIMENSION_CAP)) from None
+        _check_dimension(i, chain(exponents, repeat(desc["p"], desc["r"])),
+                         "algebra.p^algebra.r * prod(algebra.base_exponents)")
         if len(desc["f"]) != prod(exponents):
             raise JobValidationError("task %d: algebra.f needs %d coefficients, one per "
                                      "basis monomial" % (i, prod(exponents)))

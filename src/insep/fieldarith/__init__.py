@@ -13,13 +13,12 @@ from .extension import (
 from .matrix import Matrix, row_space_basis
 from .multipoly import CACHE_SIZE, MAX_VARIABLES, MultiPoly, poly_gcd
 from .parser import ParseError, UnknownVariableError, parse_expr
-from .primefield import SUPPORTED_PRIMES, FpElem, PrimeField, power
+from .primefield import SUPPORTED_PRIMES, PrimeField, power
 from .ratfunc import FunctionField, RatFunc
 
 __all__ = [
     "CACHE_SIZE",
     "ExtElem",
-    "FpElem",
     "FunctionField",
     "Matrix",
     "MAX_VARIABLES",

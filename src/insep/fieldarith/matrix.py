@@ -1,9 +1,12 @@
-"""Exact dense linear algebra over any field object with zero()/one() elements.
+"""Exact dense linear algebra over any field object with zero()/one() elements;
+over a PrimeField the entries are the ints 0..p-1.
 
 Pivoting picks the first symbolically nonzero entry; there is no rounding
 anywhere, so rank, kernel and solve are exact.  One elimination serves all
 three: solve reduces the augmented matrix [A | b].
 """
+
+from .primefield import PrimeField
 
 
 class Matrix:
@@ -33,7 +36,9 @@ class Matrix:
         row (its nonzero columns, all after the pivot column); the pivot column
         itself becomes a unit vector.  a - f*0 == a exactly, and every field
         keeps its elements canonical, so skipping those cells changes no value.
+        Over a PrimeField each cell a step writes is reduced mod p.
         """
+        p = self.field.p if isinstance(self.field, PrimeField) else None
         rows = [list(r) for r in self.rows]
         zero, one = self.field.zero(), self.field.one()
         pivots = []
@@ -44,17 +49,23 @@ class Matrix:
                 continue
             rows[row], rows[pivot] = rows[pivot], rows[row]
             prow = rows[row]
-            inv = one / prow[col]
+            inv = one / prow[col] if p is None else pow(prow[col], p - 2, p)
             prow[col] = one
-            support = [c for c in range(col + 1, self.ncols) if prow[c]]
-            for c in support:
-                prow[c] = prow[c] * inv
+            support = [(c, prow[c] * inv) for c in range(col + 1, self.ncols) if prow[c]]
+            if p is not None:
+                support = [(c, x % p) for c, x in support]
+            for c, x in support:
+                prow[c] = x
             for r, other in enumerate(rows):
                 factor = other[col]
                 if r != row and factor:
                     other[col] = zero
-                    for c in support:
-                        other[c] = other[c] - factor * prow[c]
+                    if p is None:
+                        for c, x in support:
+                            other[c] = other[c] - factor * x
+                    else:
+                        for c, x in support:
+                            other[c] = (other[c] - factor * x) % p
             pivots.append(col)
             row += 1
             if row == len(rows):
@@ -77,6 +88,8 @@ class Matrix:
             for i, pc in enumerate(pivots):
                 vec[pc] = -rows[i][fc]
             basis.append(vec)
+        if isinstance(self.field, PrimeField):
+            return [[x % self.field.p for x in vec] for vec in basis]
         return basis
 
     def solve(self, b):

@@ -1,5 +1,5 @@
-"""Prime fields F_p for small p, with element objects usable in generic linear algebra,
-and the square-and-multiply power that every ring of the kernel uses."""
+"""Prime fields F_p for small p, whose elements are the ints 0..p-1, and the
+square-and-multiply power that every ring of the kernel uses."""
 
 import operator
 
@@ -24,47 +24,9 @@ def power(x, n, one, mul=operator.mul):
         x = mul(x, x)
 
 
-class FpElem:
-    """A residue modulo p.  Immutable; arithmetic stays in the same field."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val, p):
-        self.val = val % p
-        self.p = p
-
-    def __add__(self, other):
-        return FpElem(self.val + other.val, self.p)
-
-    def __sub__(self, other):
-        return FpElem(self.val - other.val, self.p)
-
-    def __neg__(self):
-        return FpElem(-self.val, self.p)
-
-    def __mul__(self, other):
-        return FpElem(self.val * other.val, self.p)
-
-    def __truediv__(self, other):
-        if other.val == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return FpElem(self.val * pow(other.val, self.p - 2, self.p), self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, FpElem) and self.p == other.p and self.val == other.val
-
-    def __hash__(self):
-        return hash((self.p, self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return "%d" % self.val
-
-
 class PrimeField:
-    """The field F_p.  Perfect: every element is its own p-th root."""
+    """The field F_p, its elements the ints 0..p-1; a routine that computes with
+    them reduces mod p itself.  Perfect: every element is its own p-th root."""
 
     def __init__(self, p):
         if p not in SUPPORTED_PRIMES:
@@ -73,13 +35,13 @@ class PrimeField:
         self.characteristic = p
 
     def zero(self):
-        return FpElem(0, self.p)
+        return 0
 
     def one(self):
-        return FpElem(1, self.p)
+        return 1
 
     def from_int(self, n):
-        return FpElem(n, self.p)
+        return n % self.p
 
     def pth_root(self, elem):
         # x^p = x in F_p, so every element is its own root.

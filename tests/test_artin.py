@@ -187,6 +187,11 @@ def test_nonassociative_table_rejected():
     table = [[{0: one}, {1: one}, {2: one}], [{1: one}, {2: one}, {}], [{2: one}, {}, {1: one}]]
     with pytest.raises(ArtinError, match="not associative"):
         FiniteLocalAlgebra(F3, 3, table, [[zero, one, zero], [zero, zero, one]])
+    # x^2 = y, xy = 0, y^2 = y: (x x) y = y but x (x y) = 0, the one failing
+    # triple with g = x, where x y is zero and x x a single term
+    table = [[{0: one}, {1: one}, {2: one}], [{1: one}, {2: one}, {}], [{2: one}, {}, {2: one}]]
+    with pytest.raises(ArtinError, match=r"not associative at \(1,1,2\)"):
+        FiniteLocalAlgebra(F3, 3, table, [[zero, one, zero], [zero, zero, one]])
 
 
 def _brute_force_associative(field, table):
@@ -197,7 +202,7 @@ def _brute_force_associative(field, table):
         for i, j in product(range(n), repeat=2):
             for m, c in table[i][j].items():
                 out[m] = out[m] + a[i] * b[j] * c
-        return out
+        return [v % field.p for v in out]
 
     basis = [[field.one() if k == i else field.zero() for k in range(n)] for i in range(n)]
     return all(mul(mul(x, y), z) == mul(x, mul(y, z))
@@ -214,8 +219,8 @@ def _random_table(rng, field):
     table = [[None] * n for _ in range(n)]
     for i, j in product(range(n), repeat=2):
         # (s_i e_i)(s_j e_j) = sum_m (s_i s_j c_m / s_m) (s_m e_m)
-        table[perm[i]][perm[j]] = {perm[m]: c * scale[i] * scale[j] / scale[m]
-                                   for m, c in A.table[i][j].items()}
+        table[perm[i]][perm[j]] = {perm[m]: c * scale[i] * scale[j] * pow(scale[m], -1, field.p)
+                                   % field.p for m, c in A.table[i][j].items()}
     if rng.random() < 0.6:
         i, j = rng.randrange(1, n), rng.randrange(1, n)
         table[i][j] = table[j][i] = {m: field.from_int(rng.randrange(1, field.p))
@@ -230,7 +235,8 @@ def test_associativity_check_agrees_with_brute_force():
         for _ in range(50):
             table = _random_table(rng, field)
             bare = FiniteLocalAlgebra.__new__(FiniteLocalAlgebra)  # the check alone
-            bare.field, bare.dim, bare.table = field, len(table), table
+            bare.field, bare.dim, bare.modulus = field, len(table), field.p
+            bare.table = bare._canonical_table(table)
             try:
                 bare._check_associative()
                 exact = True
@@ -239,6 +245,42 @@ def test_associativity_check_agrees_with_brute_force():
             assert exact == _brute_force_associative(field, table)
             verdicts.append(exact)
     assert True in verdicts and False in verdicts
+
+
+def _triple_difference(table, p, x, y, z):
+    """(e_x e_y) e_z - e_x (e_y e_z), summed term by term, as a dict of nonzero ints mod p."""
+    diff = {}
+    for m, c in table[x][y].items():
+        for k, d in table[m][z].items():
+            diff[k] = diff.get(k, 0) + c * d
+    for m, c in table[y][z].items():
+        for k, d in table[x][m].items():
+            diff[k] = diff.get(k, 0) - c * d
+    return {k: v % p for k, v in diff.items() if v % p}
+
+
+def test_changed_structure_constant_is_not_associative():
+    # the benchmark's largest shape: F_2[u_1..u_4]/(u_i^2) with T^4 = f^2, dim 64;
+    # basis e_i T^j at index 16 j + i, u_1 = e_8, u_2 = e_4, u_3 = e_2, T = e_16
+    R = truncated_polynomial_algebra(F2, [2, 2, 2, 2])
+    A = adjoin_root(R, [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1], 2)
+    assert A.dim == 64 and A.table[8][4] == {12: 1} and A.table[48][16] == {0: 1}  # T^4 = 1
+    # F_3[u]/(u^3) with T^3 = f^3, dim 9: u = e_1, T = e_3; a scaled single term
+    B = adjoin_root(truncated_polynomial_algebra(F3, [3]), [1, 1, 0], 1)
+    changes = [
+        (A, 8, 4, {}, 16),                  # u_1 u_2 = 0: (u_1 u_2) T = 0, u_1 (u_2 T) = u_1 u_2 T
+        (A, 8, 4, {2: 1}, 16),              # u_1 u_2 = u_3: a single term sent elsewhere
+        (A, 8, 8, {4: 1}, 16),              # u_1^2 = u_2: (u_1 u_1) T = u_2 T, u_1 (u_1 T) = 0
+        (A, 48, 16, {0: 1, 32: 1}, 16),     # T^3 T = 1 + T^2: (T^3 T) T = T + T^3, T^3 T^2 = T
+        (B, 1, 1, {2: 2}, 3),               # u u = 2 u^2: 2 u^2 T against u (u T) = u^2 T
+    ]
+    for algebra, i, j, entry, witness in changes:
+        assert entry != algebra.table[i][j]
+        table = [list(row) for row in algebra.table]  # entries are shared: replace, never edit
+        table[i][j] = table[j][i] = entry
+        assert _triple_difference(table, algebra.field.p, i, j, witness)
+        with pytest.raises(ArtinError, match="not associative"):
+            FiniteLocalAlgebra(algebra.field, algebra.dim, table, algebra.maxideal_gens)
 
 
 def _random_base(rng, field):
@@ -266,6 +308,29 @@ def test_plus_one_on_randomized_instances():
             assert edim(A).edim == base_edim + 1
             count += 1
     assert count >= 20
+
+
+def test_prime_field_and_function_field_paths_agree():
+    # the same presentation over F_p (ints mod p) and over F_p(t) (field elements,
+    # where no int arithmetic runs): the constants lie in F_p, so every rank agrees
+    rng = seeded(3141)
+    count = 0
+    for p in (2, 3, 5):
+        Fp, K = PrimeField(p), FunctionField(p, ["t"])
+        for _ in range(6):
+            shape = rng.choice([[2], [3], [4], [2, 2], [3, 2], [2, 2, 2]])
+            r = rng.choice([1, 2]) if p == 2 else 1
+            R = truncated_polynomial_algebra(Fp, shape)
+            if p ** r * R.dim > 512:
+                continue
+            f = _random_element(rng, R)
+            reports = [edim(adjoin_root(truncated_polynomial_algebra(field, shape),
+                                        [field.from_int(c) for c in f], r))
+                       for field in (Fp, K)]
+            assert reports[0].residue_dim == 1
+            assert reports[0] == reports[1], (p, shape, f, r)
+            count += 1
+    assert count >= 15
 
 
 def test_edim_invariant_under_basis_permutation():
@@ -307,7 +372,7 @@ def _monogenic(field, g):
         # x * x^k shifts up one place, and x^n = -(g_0 + ... + g_(n-1) x^(n-1))
         top = powers[-1][-1]
         powers.append([field.zero()] + powers[-1][:-1])
-        powers[-1] = [c - top * field.from_int(gi) for c, gi in zip(powers[-1], g)]
+        powers[-1] = [(c - top * gi) % field.p for c, gi in zip(powers[-1], g)]
     table = [[{m: c for m, c in enumerate(powers[i + j]) if c} for j in range(n)]
              for i in range(n)]
     return FiniteLocalAlgebra(field, n, table, [])

@@ -280,6 +280,35 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             assert err.startswith("error: <stdin>: ") and err.count("\n") == 1
 
 
+def test_oversized_tensor_self_fails_validation(tmp_path, capsys):
+    # four p-th powers over F_7(s,t,u,v) give dim 7^4 = 2401; the task would fail
+    # with DimensionOverflowError (exit 1) if validation let it through
+    algebra = {"construction": "tensor-self", "field": {"p": 7, "vars": ["s", "t", "u", "v"]},
+               "pth_powers": ["s", "t", "u", "v"]}
+    job = tmp_path / "oversized.json"
+    job.write_text(json.dumps({"field": {"p": 7, "vars": ["s"]},
+                               "tasks": [{"kind": "artin-edim", "algebra": algebra}]}))
+    assert main(["run", str(job)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: task 0: algebra.field.p^len(algebra.pth_powers) exceeds the "
+                   "dimension cap 512\n")
+
+
+def test_adjoin_root_reads_unreduced_coefficients_mod_p():
+    def job(f):
+        return {"field": {"p": 3, "vars": ["s"]},
+                "tasks": [{"kind": "artin-edim", "algebra": {
+                    "construction": "adjoin-root", "p": 3, "base_exponents": [2, 3],
+                    "f": f, "r": 2}}]}
+
+    reduced = [1, 2, 0, 1, 1, 2]
+    unreduced = [3 + 1, -1, 3, 1 - 6, 3 * 7 + 1, 2]
+    assert [c % 3 for c in unreduced] == reduced
+    report = run_job(job(reduced), jobs=1)
+    assert report["ok"]
+    assert canonical(run_job(job(unreduced), jobs=1)) == canonical(report)
+
+
 def _child_env():
     """The environment of a child that finds the same insep package as this process."""
     src = os.path.dirname(os.path.dirname(insep.__file__))
