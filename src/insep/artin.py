@@ -8,7 +8,8 @@ in characteristic p is deliberately avoided.
 """
 
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import chain, repeat
+from math import prod
 
 from .fieldarith import (
     FunctionField,
@@ -395,30 +396,17 @@ def adjoin_root(algebra, f, r):
     p = field.characteristic
     n_r = algebra.dim
     dim = check_dimension(chain([n_r], repeat(p, r)))
+    if len(f) != n_r:
+        raise ArtinError("f has %d coordinates, the algebra has dimension %d" % (len(f), n_r))
     q = p ** r
 
+    # T^q = f^p, so a product past T^(q-1) is (e_i e_k) f^p T^(j+l-q)
     fp = algebra.pow_vec(f, p)
-
-    def idx(i, j):
-        return j * n_r + i
-
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(n_r):
-        for k in range(n_r):
-            # e_i T^j * e_k T^l = (e_i e_k) T^(j+l), and T^q = f^p; the entries
-            # for one j + l are one shared dict
-            pair = algebra.table[i][k]
-            reduced = {m: c for m, c in enumerate(
-                algebra.mul_vec(algebra.from_table_entry(pair), fp)) if c}
-            by_degree = ([{idx(m, e): c for m, c in pair.items()} for e in range(q)]
-                         + [{idx(m, e): c for m, c in reduced.items()} for e in range(q - 1)])
-            for j in range(q):
-                table[idx(i, j)][k::n_r] = by_degree[j:j + q]  # l = 0..q-1 at idx(k, l)
+    table = _adjunction_table(algebra.table, q, lambda entry: {
+        m: c for m, c in enumerate(algebra.mul_vec(algebra.from_table_entry(entry), fp)) if c})
 
     residue = algebra._residue
-    fbar = residue.project(f)
-    s = 1
-    y = fbar
+    s, y = 1, residue.project(f)
     while s < r:
         root = residue.pth_root(y)
         if root is None:
@@ -427,36 +415,47 @@ def adjoin_root(algebra, f, r):
         s += 1
     lift_y = residue.section(y)
 
-    # idx(i, 0) = i: R sits in the first n_r coordinates
+    # R sits in the first n_r coordinates, and T^j at index j * n_r
     pad = [field.zero()] * (dim - n_r)
     h = [-c for c in lift_y] + pad
-    h[idx(0, p ** (r - s))] = field.one()
+    h[p ** (r - s) * n_r] = field.one()
     gens = [g + pad for g in algebra.maxideal_gens] + [h]
 
     return FiniteLocalAlgebra(field, dim, table, gens)
 
 
-# -- the monomial table builder --------------------------------------------------
+# -- the table builder ------------------------------------------------------------
+
+
+def _adjunction_table(table, n, times_g=None):
+    """The table of R[T]/(T^n - g) from R's, e_i T^j at index j dim R + i.
+
+    times_g maps an entry of R's table to its product with g, zeros dropped;
+    None means g = 0.  e_i T^j * e_k T^l = (e_i e_k) T^(j+l), and T^n = g; the
+    entries for one (i, k, j + l) are one shared dict, never changed.
+    """
+    n_r = len(table)
+    out = [[None] * (n_r * n) for _ in range(n_r * n)]
+    for i in range(n_r):
+        for k in range(n_r):
+            pair = table[i][k]
+            over = {} if times_g is None else times_g(pair)
+            by_degree = ([{e * n_r + m: c for m, c in pair.items()} for e in range(n)]
+                         + [{e * n_r + m: c for m, c in over.items()} for e in range(n - 1)])
+            for j in range(n):
+                out[j * n_r + i][k::n_r] = by_degree[j:j + n]  # l = 0..n-1 at index l n_r + k
+    return out
 
 
 def truncated_polynomial_algebra(field, exponents):
-    """k[u_1,...,u_r]/(u_1^(a_1),...,u_r^(a_r)) with its monomial basis; r = 0 gives k."""
+    """k[u_1,...,u_r]/(u_1^(a_1),...,u_r^(a_r)), monomials in lex order; r = 0 gives k."""
     exponents = list(exponents)
-    check_dimension(exponents)
-    monos = sorted(product(*[range(a) for a in exponents]))
-    index = {e: i for i, e in enumerate(monos)}
-    one = field.one()
-    dim = len(monos)
-    units, empty = [{i: one} for i in range(dim)], {}  # entries are shared, never changed
-    table = []
-    for a in monos:
-        row = []
-        for b in monos:
-            total = tuple(x + y for x, y in zip(a, b))
-            row.append(units[index[total]] if all(x < bound for x, bound in
-                                                  zip(total, exponents)) else empty)
-        table.append(row)
-    # u_i, for each a_i >= 2, is the one monomial of degree 1 with a 1 in place i
-    gens = [[one if sum(e) == 1 and e[i] else field.zero() for e in monos]
-            for i, bound in enumerate(exponents) if bound >= 2]
+    dim = check_dimension(exponents)
+    one, zero = field.one(), field.zero()
+    table = [[{0: one}]]
+    for a in reversed(exponents):  # u_1, adjoined last, leads the monomial order
+        table = _adjunction_table(table, a)
+    # u_i, for each a_i >= 2, is the basis element at index a_(i+1) * ... * a_r
+    at = [prod(exponents[i + 1:]) for i, a in enumerate(exponents) if a >= 2]
+    gens = [[one if j == k else zero for j in range(dim)] for k in at]
     return FiniteLocalAlgebra(field, dim, table, gens)

@@ -268,7 +268,6 @@ class ConductorProfile:
     subalgebra_basis: tuple  # K-basis (flattened vectors) of O_A0
     dim_subalgebra: int
     case: str
-    residue_degree: int
     witnesses: dict
     sp: SingularPointData
 
@@ -364,7 +363,7 @@ def conductor_profile(nf):
     return ConductorProfile(ring=ring, chart_index=chart, images=images,
                             subalgebra_basis=tuple(tuple(v) for v in basis),
                             dim_subalgebra=dim_sub, case=case,
-                            residue_degree=sp.residue_degree, witnesses=witnesses, sp=sp)
+                            witnesses=witnesses, sp=sp)
 
 
 # -- base change, glueing cohomology, multiple-curve arithmetic ----------------------

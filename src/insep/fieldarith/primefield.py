@@ -43,10 +43,6 @@ class PrimeField:
     def from_int(self, n):
         return n % self.p
 
-    def pth_root(self, elem):
-        # x^p = x in F_p, so every element is its own root.
-        return elem
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
 

@@ -9,7 +9,8 @@ ordinary K-linear systems on the g_e.
 The p-degree needs no coordinates.  Since t_1,...,t_n is a p-basis of K,
 mu_1,...,mu_k are p-independent iff their differentials, the Jacobian rows
 (d mu_i / d t_j)_j, are K-linearly independent (Matsumura, Commutative Ring
-Theory, Thm 26.5).  So d is a rank with at most n columns.
+Theory, Thm 26.5).  So d is the rank of the transposed Jacobian, n rows by
+k columns, and a greedy p-basis is its pivot columns.
 """
 
 from dataclasses import dataclass
@@ -37,7 +38,6 @@ def frobenius_decompose(f):
     f = a/b is written as (a*b^(p-1))/b^p and the numerator split by exponents mod p.
     """
     p = f.p
-    n = len(f.vars)
     b = f.den
     numerator = f.num * (b ** (p - 1))
     roots = {}
@@ -53,7 +53,6 @@ def frobenius_decompose(f):
         g = RatFunc(root_poly, b)
         if g:
             coords[e] = g
-    assert len(coords) <= p ** n
     return coords
 
 
@@ -117,7 +116,7 @@ def membership_in_pspan(mu, basis):
 
     Returns {exponent tuple: d_a} with zero coefficients omitted, or None when
     mu does not lie in K^p(basis).  The system has p^len(basis) unknowns; when
-    only the yes/no answer is needed, in_pspan is a rank with at most n columns.
+    only the yes/no answer is needed, in_pspan is a rank with at most n rows.
     """
     if len(basis) > PSPAN_BASIS_CAP:
         raise ValueError("p-span membership supports at most %d generators" % PSPAN_BASIS_CAP)
@@ -145,24 +144,21 @@ def membership_in_pspan(mu, basis):
 def pdegree_generated(gens):
     """Greedy p-basis of K^p(gens): keep each generator not spanned by the kept ones.
 
-    A generator is spanned iff its Jacobian row does not raise the K-rank of
-    the rows kept so far.
+    A generator is spanned iff its Jacobian row lies in the K-span of the rows
+    before it, i.e. iff its column of the transposed Jacobian is not a pivot
+    column; so one elimination finds every kept generator.
     """
     return _pdegree_generated(tuple(gens))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _pdegree_generated(examined):
-    selected, rows = [], []
-    for mu in examined:
-        nvars = len(mu.vars)
-        if len(rows) == nvars:
-            break  # the kept rows already span all n differentials
-        row = [mu.derivative(k) for k in range(nvars)]
-        if Matrix(mu.field(), rows + [row]).rank() > len(rows):
-            selected.append(mu)
-            rows.append(row)
-    return PBasisResult(examined=examined, selected=tuple(selected), d=len(selected))
+    selected = ()
+    if examined:
+        mu = examined[0]
+        columns = [[g.derivative(k) for g in examined] for k in range(len(mu.vars))]
+        selected = tuple(examined[c] for c in Matrix(mu.field(), columns)._echelon()[1])
+    return PBasisResult(examined=examined, selected=selected, d=len(selected))
 
 
 def in_pspan(mu, basis):

@@ -14,7 +14,7 @@ from insep.artin import (
     tensor_self,
     truncated_polynomial_algebra,
 )
-from insep.fieldarith import FunctionField, PrimeField, parse_expr
+from insep.fieldarith import FunctionField, PrimeField, extension_tower, parse_expr
 
 from conftest import seeded
 
@@ -156,7 +156,7 @@ def test_dimension_cap_is_checked_before_any_table(monkeypatch):
     def build(*args):
         raise AssertionError("a table was built past the dimension cap")
 
-    monkeypatch.setattr(artin, "product", build)
+    monkeypatch.setattr(artin, "_adjunction_table", build)
     monkeypatch.setattr(artin, "extension_tower", build)
     for exponents in ([1000, 1000], [10 ** 4000] * 2):  # dim 10^6, and one of 8001 digits
         with pytest.raises(DimensionOverflowError):
@@ -423,3 +423,66 @@ def test_prime_field_residue_test_agrees_with_sympy_irreducibility():
                 assert accepted == expected, (p, g)
                 verdicts.append(accepted)
     assert True in verdicts and False in verdicts
+
+
+def test_adjoin_root_rejects_f_of_the_wrong_length():
+    R = truncated_polynomial_algebra(F2, [4])
+    for f in ([1, 1], [1, 0, 0, 0, 0, 0]):
+        with pytest.raises(ArtinError, match="f has %d coordinates, the algebra has "
+                                             "dimension 4" % len(f)):
+            adjoin_root(R, f, 1)
+
+
+def _monomial_table(field, exponents):
+    """k[u]/(u_i^(a_i)) by an index of sorted exponent vectors: e_a e_b = e_(a+b)
+    when every a_i + b_i < a_i's bound, else 0; and the generators u_i, a_i >= 2."""
+    monos = sorted(product(*[range(a) for a in exponents]))
+    index = {e: i for i, e in enumerate(monos)}
+    one, zero = field.one(), field.zero()
+    table = []
+    for a in monos:
+        row = []
+        for b in monos:
+            total = tuple(x + y for x, y in zip(a, b))
+            inside = all(x < bound for x, bound in zip(total, exponents))
+            row.append({index[total]: one} if inside else {})
+        table.append(row)
+    gens = [[one if sum(e) == 1 and e[i] else zero for e in monos]
+            for i, bound in enumerate(exponents) if bound >= 2]
+    return table, gens
+
+
+def _adjoin_root_table(algebra, f, r):
+    """The table of R[T]/(T^(p^r) - f^p) product by product: e_i T^j at index
+    j dim R + i, and (e_i e_k) T^(j+l) reduced by T^(p^r) = f^p."""
+    n_r, q = algebra.dim, algebra.field.characteristic ** r
+    fp = algebra.pow_vec(f, algebra.field.characteristic)
+    table = [[None] * (n_r * q) for _ in range(n_r * q)]
+    for i, j, k, l in product(range(n_r), range(q), range(n_r), range(q)):
+        pair = algebra.from_table_entry(algebra.table[i][k])
+        e = j + l
+        if e >= q:
+            pair, e = algebra.mul_vec(pair, fp), e - q
+        table[j * n_r + i][l * n_r + k] = {e * n_r + m: c for m, c in enumerate(pair) if c}
+    return table
+
+
+def test_tables_match_an_independent_builder():
+    K = FunctionField(2, ["s", "t"])
+    tower = extension_tower(K, [K.gens()[0]])  # F_2(s,t)(s^(1/2))
+    cases = [(F2, [1]), (F2, [2, 1, 3]), (F2, [1, 4, 1]), (F2, [3, 2, 2]),
+             (F3, [1, 1]), (F3, [3, 1, 2]), (F3, [2, 4]), (F3, [1, 2, 1, 2]),
+             (F5, [5]), (F5, [2, 1, 3]), (F5, [1, 5, 2]),
+             (tower, [2, 1, 3]), (tower, [1, 4]), (tower, [2, 2, 1])]
+    for field, exponents in cases:
+        A = truncated_polynomial_algebra(field, exponents)
+        table, gens = _monomial_table(field, exponents)
+        assert A.table == table, (field, exponents)
+        assert A.maxideal_gens == gens, (field, exponents)
+        assert edim(A) == edim(FiniteLocalAlgebra(field, len(table), table, gens))
+    rng = seeded(1515)
+    for p, base_exponents, r in [(2, [2, 1], 2), (2, [4], 1), (3, [1, 3], 1), (3, [2], 1),
+                                 (5, [2], 1), (5, [1], 1)]:
+        R = truncated_polynomial_algebra(PrimeField(p), base_exponents)
+        f = [rng.randrange(p) for _ in range(R.dim)]
+        assert adjoin_root(R, f, r).table == _adjoin_root_table(R, f, r), (p, base_exponents)

@@ -153,6 +153,23 @@ def test_jacobian_selection_matches_membership_greedy():
             assert pdegree_generated(gens).selected == _greedy_by_membership(gens)
 
 
+
+def test_jacobian_selection_past_the_number_of_variables():
+    # more generators than variables: the kept ones reach d = n, and every later
+    # generator must be examined and skipped; the membership systems of the
+    # oracle have p^n unknowns once d = n, so p^n stays at most 25
+    rng = seeded(1515)
+    saturated = 0
+    for p, variables in [(2, "st"), (3, "st"), (5, "st"), (2, "stu")]:
+        field = FunctionField(p, list(variables))
+        for _ in range(4):
+            gens = [random_nonzero_ratfunc(rng, field, max_terms=2, max_exp=1)
+                    for _ in range(len(variables) + rng.randrange(1, 3))]
+            selected = _greedy_by_membership(gens)
+            assert pdegree_generated(gens).selected == selected
+            saturated += len(selected) == len(variables)
+    assert saturated >= 12
+
 def test_pdegree_f7_cliff_case():
     K = FunctionField(7, ["s", "t"])
     gens = [parse_expr(e, K) for e in ("(6*s*t+5*t)/s", "(4*t+2)/(s*t)", "s/(s+3*t)")]
