@@ -7,7 +7,7 @@ designated generators of the maximal ideal; computing the radical from scratch
 in characteristic p is deliberately avoided.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, repeat
 from math import prod
 
@@ -44,13 +44,8 @@ class ResidueFieldError(ArtinError):
     """The residue field is outside the class this module can certify or factor in."""
 
 
-@dataclass(frozen=True)
-class EdimReport:
-    dim_total: int
-    residue_dim: int
-    edim: int
-    dim_m: int
-    dim_m_sq: int
+class EdimReport(namedtuple("EdimReport", "dim_total residue_dim edim dim_m dim_m_sq")):
+    __slots__ = ()
 
 
 class FiniteLocalAlgebra:
@@ -450,6 +445,9 @@ def _adjunction_table(table, n, times_g=None):
 def truncated_polynomial_algebra(field, exponents):
     """k[u_1,...,u_r]/(u_1^(a_1),...,u_r^(a_r)), monomials in lex order; r = 0 gives k."""
     exponents = list(exponents)
+    for i, a in enumerate(exponents, 1):
+        if a < 1:
+            raise ArtinError("exponent a_%d = %d of u_%d must be at least 1" % (i, a, i))
     dim = check_dimension(exponents)
     one, zero = field.one(), field.zero()
     table = [[{0: one}]]

@@ -11,7 +11,6 @@ malformed file raises JobValidationError, and the command line exits with 2.
 
 import json
 import sys
-from importlib import resources
 
 from . import curves, fermat
 from .fieldarith import FunctionField, ParseError, parse_expr
@@ -44,6 +43,8 @@ def check_expressions(where, exprs, field):
 
 
 def load_default_catalog():
+    from importlib import resources
+
     text = resources.files("insep").joinpath("data/catalog.json").read_text()
     return json.loads(text)
 

@@ -10,12 +10,10 @@ Exit codes: 0 success, 1 task failure, 2 validation error.  Reports are
 byte-stable for identical inputs apart from the timing fields.
 """
 
-import argparse
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain, repeat
 from math import prod
 
@@ -159,6 +157,22 @@ TASK_KINDS = tuple(TASK_HANDLERS)
 
 # -- job validation and task execution ----------------------------------------
 
+# the one key a task of each kind reads besides "kind", "lambda" for the kinds not
+# listed; it is required but for verify-all
+TASK_KEY = {"pdegree": "exprs", "artin-edim": "algebra", "verify-all": "catalog"}
+ALGEBRA_KEYS = {
+    "tensor-self": {"construction", "field", "pth_powers"},
+    "adjoin-root": {"construction", "p", "base_exponents", "f", "r"},
+}
+
+
+def _check_keys(where, obj, known):
+    """A key of obj outside known is a misspelling, not a key to ignore."""
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise JobValidationError("%s: unknown key %s; expected %s" % (
+            where, ", ".join(map(repr, unknown)), ", ".join(map(repr, sorted(known)))))
+
 
 def _is_int(x):
     # JSON true/false arrive as bool, a subclass of int
@@ -175,12 +189,17 @@ def _check_dimension(i, factors, product_name):
 
 def _check_algebra(i, desc):
     construction = desc.get("construction")
+    # a comparison, not a lookup: the value may be any JSON value, a list among them
+    if construction not in ("tensor-self", "adjoin-root"):
+        raise JobValidationError("task %d: algebra.construction must be "
+                                 "'tensor-self' or 'adjoin-root'" % i)
+    _check_keys("task %d: algebra" % i, desc, ALGEBRA_KEYS[construction])
     if construction == "tensor-self":
         field = check_field("task %d: algebra.field" % i, desc.get("field"))
         check_expressions("task %d: algebra.pth_powers" % i, desc.get("pth_powers"), field)
         _check_dimension(i, repeat(field.p, len(desc["pth_powers"])),
                          "algebra.field.p^len(algebra.pth_powers)")
-    elif construction == "adjoin-root":
+    else:
         for key in ("p", "r"):
             if not _is_int(desc.get(key)):
                 raise JobValidationError("task %d: algebra.%s must be an integer" % (i, key))
@@ -201,14 +220,12 @@ def _check_algebra(i, desc):
         if len(desc["f"]) != prod(exponents):
             raise JobValidationError("task %d: algebra.f needs %d coefficients, one per "
                                      "basis monomial" % (i, prod(exponents)))
-    else:
-        raise JobValidationError("task %d: algebra.construction must be "
-                                 "'tensor-self' or 'adjoin-root'" % i)
 
 
 def validate_job(job):
     if not isinstance(job, dict):
         raise JobValidationError("job must be a JSON object")
+    _check_keys("job", job, {"field", "tasks"})
     if "field" not in job or "tasks" not in job:
         raise JobValidationError("job needs 'field' and 'tasks'")
     field = check_field("field", job["field"])
@@ -220,23 +237,22 @@ def validate_job(job):
         kind = task.get("kind")
         if kind not in TASK_KINDS:
             raise JobValidationError("task %d: unknown kind %r" % (i, kind))
-        needed = {"pdegree": "exprs", "artin-edim": "algebra", "verify-all": None}.get(
-            kind, "lambda")
-        if needed and needed not in task:
-            raise JobValidationError("task %d: %s task needs key %r" % (i, kind, needed))
-        for key in ("exprs", "lambda"):
-            check_expressions("task %d: %s" % (i, key), task.get(key, []), field)
-        if needed == "lambda":
+        key = TASK_KEY.get(kind, "lambda")
+        _check_keys("task %d" % i, task, {"kind", key})
+        if key not in task and kind != "verify-all":
+            raise JobValidationError("task %d: %s task needs key %r" % (i, kind, key))
+        if key in ("exprs", "lambda"):
+            check_expressions("task %d: %s" % (i, key), task[key], field)
+        if key == "lambda":
             if kind.startswith("curve-") and len(task["lambda"]) != 3:
                 raise JobValidationError("task %d: lambda of a %s task needs exactly three "
                                          "coefficients" % (i, kind))
             if len(task["lambda"]) < 2:
                 raise JobValidationError("task %d: lambda needs at least two coefficients" % i)
-        algebra = task.get("algebra", {})
-        if not isinstance(algebra, dict):
-            raise JobValidationError("task %d: algebra must be a JSON object" % i)
         if kind == "artin-edim":
-            _check_algebra(i, algebra)
+            if not isinstance(task["algebra"], dict):
+                raise JobValidationError("task %d: algebra must be a JSON object" % i)
+            _check_algebra(i, task["algebra"])
         if not isinstance(task.get("catalog", ""), str):
             raise JobValidationError("task %d: catalog must be a string" % i)
     return field
@@ -274,6 +290,10 @@ def _run_records(worker, items, jobs, fail_fast):
     """
     workers = _worker_count(jobs, len(items))
     if workers > 1:
+        # the pool stack (multiprocessing, pickle, socket, ...) takes 15 to 25 ms to
+        # import on a 2-vCPU machine, so only a run that uses it pays
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = pool.map(worker, items)
     else:
@@ -338,6 +358,8 @@ def emit(report):
 
 
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="insep",
         description="Exact inseparability invariants of p-Fermat hypersurfaces "

@@ -6,11 +6,10 @@ where the curve and the line differ by the conductor Artin rings
 O_A = L[u]/(u^(p-1)) and its K-subalgebra O_A0 of half dimension.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fieldarith import (
     Matrix,
-    RatFunc,
     SimpleExtensionField,
     TruncSeriesRing,
     row_space_basis,
@@ -43,13 +42,14 @@ class NotASubalgebraError(ValueError):
 # -- normal form ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CurveNormalForm:
-    field: object        # FunctionField K
-    lam: RatFunc         # lambda, not a p-th power
-    root_coeffs: tuple   # c_0..c_(p-1) with Q(lambda) = sum c_i^p lambda^i
-    scale_unit: RatFunc  # the coefficient that was scaled to 1
-    slot_to_index: tuple  # canonical slot (lam, Q, 1) -> index in the input triple
+class CurveNormalForm(namedtuple(
+        "CurveNormalForm", "field lam root_coeffs scale_unit slot_to_index")):
+    """field: the FunctionField K; lam: lambda, not a p-th power; root_coeffs:
+    c_0..c_(p-1) with Q(lambda) = sum c_i^p lambda^i; scale_unit: the coefficient
+    that was scaled to 1; slot_to_index: canonical slot (lam, Q, 1) -> index in
+    the input triple."""
+
+    __slots__ = ()
 
     @property
     def p(self):
@@ -124,11 +124,11 @@ def normal_form(field, lam0, lam1, lam2):
 # -- normalization ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalizationMap:
-    nf: CurveNormalForm
-    line_field: SimpleExtensionField   # L = K(lambda^(1/p))
-    q_root: object                      # element of L with q_root^p = Q(lambda)
+class NormalizationMap(namedtuple("NormalizationMap", "nf line_field q_root")):
+    """nf: a CurveNormalForm; line_field: L = K(lambda^(1/p)); q_root: the
+    element of L with q_root^p = Q(lambda)."""
+
+    __slots__ = ()
 
     def images(self):
         """Pullbacks of U_0, U_1, U_2 as linear forms a*T_0 + b*T_1 over L."""
@@ -176,12 +176,13 @@ def preimage_length_of_u0_section(nu):
 # -- the singular point -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularPointData:
-    point_on_line: tuple   # (-rho : 1) in P^1_L
-    image_point: tuple     # coordinates of a_0 in P^2, as elements of L
-    residue_degree: int    # 1 or p
-    nu: NormalizationMap   # the normalization the point was found on
+class SingularPointData(namedtuple(
+        "SingularPointData", "point_on_line image_point residue_degree nu")):
+    """point_on_line: (-rho : 1) in P^1_L; image_point: the coordinates of a_0 in
+    P^2, as elements of L; residue_degree: 1 or p; nu: the NormalizationMap the
+    point was found on."""
+
+    __slots__ = ()
 
 
 def singular_point(nf):
@@ -260,16 +261,13 @@ class ConductorRing:
         return self.unflatten(vec).order_of_vanishing()
 
 
-@dataclass(frozen=True)
-class ConductorProfile:
-    ring: ConductorRing
-    chart_index: int
-    images: tuple            # series images of the two affine coordinates
-    subalgebra_basis: tuple  # K-basis (flattened vectors) of O_A0
-    dim_subalgebra: int
-    case: str
-    witnesses: dict
-    sp: SingularPointData
+class ConductorProfile(namedtuple("ConductorProfile", "ring chart_index images subalgebra_basis "
+                                                       "dim_subalgebra case witnesses sp")):
+    """ring: the ConductorRing; images: the series images of the two affine
+    coordinates; subalgebra_basis: a K-basis (flattened vectors) of O_A0; sp: the
+    SingularPointData."""
+
+    __slots__ = ()
 
 
 def _subspace_intersection_dim(field, basis_a, basis_b):
@@ -380,11 +378,8 @@ def remains_integral(nf, b):
     return not in_pspan(b, [nf.lam])
 
 
-@dataclass(frozen=True)
-class GlueingCohomology:
-    h0: int
-    h1: int
-    admissible: bool
+class GlueingCohomology(namedtuple("GlueingCohomology", "h0 h1 admissible")):
+    __slots__ = ()
 
 
 def glueing_cohomology(ring, subalg_basis):
@@ -406,11 +401,9 @@ def glueing_cohomology(ring, subalg_basis):
     return GlueingCohomology(h0=h0, h1=h1, admissible=admissible)
 
 
-@dataclass(frozen=True)
-class MultipleCurveProfile:
-    multiplicity: int
-    deg_nilpotent_grading: int
-    chi: int
+class MultipleCurveProfile(namedtuple(
+        "MultipleCurveProfile", "multiplicity deg_nilpotent_grading chi")):
+    __slots__ = ()
 
 
 def multiple_curve_profile(p):

@@ -6,7 +6,7 @@ otherwise has singular locus of codimension exactly d.  That locus is cut out
 by f and its partials df/dt_k (singular_ideal), which the Groebner oracle reads.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .frobenius import p_linear_relation, pdegree_generated, pth_root
 from .upoly import UPoly
@@ -20,19 +20,20 @@ class NotIntegralError(ValueError):
     """The hypersurface is nowhere reduced (d = 0), so there is no generic field."""
 
 
-@dataclass(frozen=True)
-class PFermatHypersurface:
-    field: object          # FunctionField
-    n: int                 # ambient projective dimension
-    coeffs: tuple          # lambda_0, ..., lambda_n as RatFunc
+class PFermatHypersurface(namedtuple("PFermatHypersurface", "field n coeffs")):
+    """field: the FunctionField K; n: the ambient projective dimension;
+    coeffs: lambda_0, ..., lambda_n as RatFunc."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ()
+
+    def __new__(cls, field, n, coeffs):
+        if n < 1:
             raise ValueError("ambient dimension must be >= 1")
-        if len(self.coeffs) != self.n + 1:
+        if len(coeffs) != n + 1:
             raise ValueError("need n+1 coefficients")
-        if not any(self.coeffs):
+        if not any(coeffs):
             raise ValueError("coefficients must not all vanish")
+        return super().__new__(cls, field, n, coeffs)
 
     @property
     def p(self):
@@ -53,13 +54,12 @@ class PFermatHypersurface:
         return UPoly.from_power_form(self.field, list(self.coeffs), self.p)
 
 
-@dataclass(frozen=True)
-class Classification:
-    d: int
-    verdict: str
-    codim: object                 # int for singular verdicts, else None
-    rational_point: object        # tuple of RatFunc or None
-    pth_power_certificate: object  # (unit, root coefficients) when d = 0
+class Classification(namedtuple(
+        "Classification", "d verdict codim rational_point pth_power_certificate")):
+    """codim: an int for singular verdicts, else None; rational_point: a tuple of
+    RatFunc or None; pth_power_certificate: (unit, root coefficients) when d = 0."""
+
+    __slots__ = ()
 
 
 def invariant_d(X):

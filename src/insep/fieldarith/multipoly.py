@@ -19,8 +19,8 @@ from .primefield import power
 
 MAX_VARIABLES = 4
 # entries kept by each memoized exact computation (gcd, Frobenius coordinates,
-# p-degree) and by the tables of ring constants and fields; least recently used
-# entries go first
+# p-degree, parsed expressions) and by the tables of ring constants and fields;
+# least recently used entries go first
 CACHE_SIZE = 20_000
 
 

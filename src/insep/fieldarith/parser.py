@@ -15,6 +15,9 @@ degree of the base exceeds MAX_POWER_DEGREE, before it is expanded, and a
 division by zero is a parse error at the '/'.
 """
 
+from functools import lru_cache
+
+from .multipoly import CACHE_SIZE
 from .ratfunc import FunctionField
 
 # the largest exponent * total degree of a power of a sum: the shipped catalog
@@ -101,6 +104,13 @@ def parse_expr(text, field):
     """
     if isinstance(field, dict):
         field = FunctionField.from_descriptor(field)
+    return _parse(text, field)
+
+
+# a job validates its expressions and then runs them, so each is parsed once per
+# process; the results are immutable and a ParseError is never cached
+@lru_cache(maxsize=CACHE_SIZE)
+def _parse(text, field):
     toks = _Tokens(text)
     value = _parse_sum(toks, field)
     ch, pos = toks.peek()

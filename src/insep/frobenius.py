@@ -13,7 +13,7 @@ Theory, Thm 26.5).  So d is the rank of the transposed Jacobian, n rows by
 k columns, and a greedy p-basis is its pivot columns.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -22,13 +22,10 @@ from .fieldarith import CACHE_SIZE, Matrix, MultiPoly, RatFunc
 PSPAN_BASIS_CAP = 4
 
 
-@dataclass(frozen=True)
-class PBasisResult:
+class PBasisResult(namedtuple("PBasisResult", "examined selected d")):
     """A greedy p-basis for K^p(generators) inside K; d is its size."""
 
-    examined: tuple
-    selected: tuple
-    d: int
+    __slots__ = ()
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -7,7 +7,7 @@ This is the independent verification oracle for singular-locus codimensions:
 it must either answer correctly or fail loudly on a resource cap, never guess.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .upoly import UPoly, grevlex_key, mono_div, mono_divides, mono_lcm, mono_mul
@@ -20,18 +20,17 @@ class ResourceLimitError(RuntimeError):
     """A configured pair or monomial cap was exceeded."""
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    generators: tuple
+class GroebnerBasis(namedtuple("GroebnerBasis", "generators")):
+    __slots__ = ()
 
     def leading_monomials(self):
         return [g.leading_monomial() for g in self.generators]
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    affine_dim: int
-    projective_dim: object  # int, or None for an empty projective locus
+class DimensionReport(namedtuple("DimensionReport", "affine_dim projective_dim")):
+    """projective_dim is an int, or None for an empty projective locus."""
+
+    __slots__ = ()
 
     def codim_in_hypersurface(self, n):
         """Codimension inside a hypersurface of dimension n-1 in P^n."""
@@ -178,12 +177,10 @@ def ideal_dimension(gb):
     return DimensionReport(affine_dim=affine, projective_dim=projective)
 
 
-@dataclass(frozen=True)
-class CodimCheck:
-    predicted_d: int
-    affine_dim: int
-    oracle_codim: object  # int or None when the locus is empty
-    match: bool
+class CodimCheck(namedtuple("CodimCheck", "predicted_d affine_dim oracle_codim match")):
+    """oracle_codim is an int, or None when the locus is empty."""
+
+    __slots__ = ()
 
 
 def verify_codim(hypersurface):

@@ -166,6 +166,17 @@ def test_dimension_cap_is_checked_before_any_table(monkeypatch):
         tensor_self(K, K.gens())  # dim 7^4 = 2401
 
 
+def test_an_exponent_below_one_is_an_artin_error(monkeypatch):
+    def build(*args):
+        raise AssertionError("a table was built for an exponent below 1")
+
+    monkeypatch.setattr(artin, "_adjunction_table", build)
+    for exponents, message in (([2, 0], "exponent a_2 = 0 of u_2"), ([0], "a_1 = 0"),
+                               ([3, 2, -1], "a_3 = -1")):
+        with pytest.raises(ArtinError, match=message):
+            truncated_polynomial_algebra(F2, exponents)
+
+
 def test_table_without_identity_rejected():
     one = F2.one()
     table = [[{0: one}, {}], [{}, {1: one}]]

@@ -316,6 +316,71 @@ def _child_env():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
+def test_import_loads_no_pool_argparse_or_dataclasses():
+    # a serial run uses none of these; each costs milliseconds of every start
+    deferred = ("concurrent.futures", "multiprocessing", "argparse", "dataclasses")
+    code = ("import sys, insep, insep.cli, insep.catalog; "
+            "print(' '.join(m for m in %r if m in sys.modules))" % (deferred,))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_help_and_a_pool_run_load_what_they_defer(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "insep", "--help"], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: insep")
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": {"p": 2, "vars": ["s", "t"]},
+                               "tasks": [{"kind": "pdegree", "exprs": ["s", "t"]},
+                                         {"kind": "classify", "lambda": ["s", "t", "1"]}]}))
+    reports = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "insep", "run", str(job), "--jobs", jobs],
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        reports.append(canonical(json.loads(proc.stdout)))
+    assert reports[0] == reports[1]
+
+
+def test_unknown_keys_are_rejected(tmp_path, capsys):
+    # a misspelt key is named, never ignored: a verify-all task with "catlog" ran the
+    # shipped catalog and reported ok
+    st = {"p": 2, "vars": ["s", "t"]}
+    tensor = {"construction": "tensor-self", "field": st, "pth_powers": ["s", "t"]}
+    adjoin = {"construction": "adjoin-root", "p": 2, "base_exponents": [2], "f": [0, 1], "r": 1}
+    cases = [
+        ({"field": st, "tasks": [], "task": []},
+         "job: unknown key 'task'; expected 'field', 'tasks'"),
+        ({"field": st, "tasks": [{"kind": "verify-all", "catlog": "/nonexistent.json"}]},
+         "task 0: unknown key 'catlog'; expected 'catalog', 'kind'"),
+        ({"field": st, "tasks": [{"kind": "pdegree", "exprs": ["s"]},
+                                 {"kind": "classify", "lamda": ["s", "t", "1"]}]},
+         "task 1: unknown key 'lamda'; expected 'kind', 'lambda'"),
+        ({"field": st, "tasks": [{"kind": "pdegree", "exprs": ["s"], "lambda": ["s", "t"]}]},
+         "task 0: unknown key 'lambda'; expected 'exprs', 'kind'"),
+        ({"field": st, "tasks": [{"kind": "curve-singular", "lambda": ["s", "t", "1"],
+                                  "algebra": adjoin, "catalog": "x"}]},
+         "task 0: unknown key 'algebra', 'catalog'; expected 'kind', 'lambda'"),
+        ({"field": st, "tasks": [{"kind": "artin-edim", "algebra": dict(tensor, r=1)}]},
+         "task 0: algebra: unknown key 'r'; expected 'construction', 'field', 'pth_powers'"),
+        ({"field": st, "tasks": [{"kind": "artin-edim",
+                                  "algebra": dict(adjoin, base_exponent=[2])}]},
+         "task 0: algebra: unknown key 'base_exponent'; expected 'base_exponents', "
+         "'construction', 'f', 'p', 'r'"),
+    ]
+    path = tmp_path / "job.json"
+    for job, message in cases:
+        with pytest.raises(JobValidationError, match="unknown key"):
+            run_job(job)
+        path.write_text(json.dumps(job))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: %s\n" % message
+
+
 def test_cli_stdin_and_subprocess():
     job = json.dumps({"field": {"p": 2, "vars": ["s", "t"]},
                       "tasks": [{"kind": "rational-point", "lambda": ["t", "t", "1"]}]})

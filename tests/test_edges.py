@@ -117,3 +117,16 @@ def test_constructor_validation():
         FunctionField(2, ["a", "b", "c", "d", "e"])
     with pytest.raises(ValueError):
         FunctionField(2, ["t", "t"])
+
+
+def test_result_records_are_read_only():
+    X = hyp(3, ["s", "t"], ["t", "s^3*t", "1"])
+    nf = normal_form(X.field, *X.coeffs)
+    sp = singular_point(nf)
+    for record, field in ((X, "n"), (classify(X), "d"), (verify_codim(X), "match"),
+                          (nf, "lam"), (sp, "residue_degree"), (sp.nu, "q_root")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    assert X.n == 2 and sp.residue_degree == 1

@@ -1,7 +1,8 @@
 import pytest
 
-from insep.fieldarith import FunctionField, ParseError, UnknownVariableError, parse_expr
-from insep.fieldarith.parser import MAX_DIGITS, MAX_POWER_DEGREE
+from insep.cli import run_job
+from insep.fieldarith import FunctionField, ParseError, UnknownVariableError, parse_expr, parser
+from insep.fieldarith.parser import MAX_DIGITS, MAX_POWER_DEGREE, DivisionByZeroError
 
 
 def test_basic_fraction(K2st):
@@ -89,3 +90,46 @@ def test_precedence(K3st):
     assert parse_expr("1+2*t", K3st) == K3st.one() + K3st.from_int(2) * K3st.gen("t")
     assert parse_expr("t^2*s", K3st) == parse_expr("(t^2)*s", K3st)
     assert parse_expr("2/t/s", K3st) == K3st.from_int(2) / (K3st.gen("t") * K3st.gen("s"))
+
+
+def test_a_repeated_parse_returns_the_same_object(K2st):
+    text = "(s+t)^3/(s*t+1)"
+    first = parse_expr(text, K2st)
+    assert parse_expr(text, K2st) is first
+    assert parse_expr(text, FunctionField(2, ["s", "t"])) is first
+    assert parse_expr(text, {"p": 2, "vars": ["s", "t"]}) is first
+    # the field is part of the key: the same text over other variables is another value
+    other = parse_expr(text, {"p": 2, "vars": ["t", "s"]})
+    assert other.vars == ("t", "s")
+    assert parse_expr(text, {"p": 2, "vars": ["t", "s"]}) is other
+
+
+def test_errors_are_raised_on_every_call(K2st):
+    descriptor = {"p": 2, "vars": ["s", "t"]}
+    cases = [("s+*t", ParseError, "unexpected"), ("1/0", DivisionByZeroError, "division by zero"),
+             ("s+w", UnknownVariableError, "unknown variable"),
+             ("(s+t+1)^3000", ParseError, "power too large")]
+    for text, error, message in cases:
+        for field in (K2st, descriptor, K2st, descriptor):
+            with pytest.raises(error, match=message):
+                parse_expr(text, field)
+
+
+def test_a_job_parses_each_expression_once(monkeypatch):
+    tokenized = []
+
+    class CountingTokens(parser._Tokens):
+        def __init__(self, text):
+            tokenized.append(text)
+            super().__init__(text)
+
+    monkeypatch.setattr(parser, "_Tokens", CountingTokens)
+    parser._parse.cache_clear()
+    lam = ["t", "s^3*t", "1"]
+    job = {"field": {"p": 3, "vars": ["s", "t"]},
+           "tasks": [{"kind": "classify", "lambda": lam}, {"kind": "verify-codim", "lambda": lam},
+                     {"kind": "curve-conductor", "lambda": lam},
+                     {"kind": "pdegree", "exprs": ["s", "t", "s*t"]}]}
+    # validation, run_job's own validation and the task handlers all parse these
+    assert run_job(job)["ok"]
+    assert sorted(tokenized) == sorted(set(lam) | {"s", "t", "s*t"})
