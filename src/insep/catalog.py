@@ -23,6 +23,18 @@ class JobValidationError(ValueError):
     """A job file or catalog file that is malformed."""
 
 
+ENTRY_KEYS = {"name", "field", "lambda", "expect"}
+EXPECT_KEYS = {"d", "verdict", "codim", "rational_point", "residue_degree", "conductor_case"}
+
+
+def check_keys(where, obj, known):
+    """A key of obj outside known is a misspelling, not a key to ignore."""
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise JobValidationError("%s: unknown key %s; expected %s" % (
+            where, ", ".join(map(repr, unknown)), ", ".join(map(repr, sorted(known)))))
+
+
 def check_field(where, desc):
     """The field of a descriptor; where names the descriptor in the message."""
     try:
@@ -68,6 +80,12 @@ def load_catalog(path=None):
         raise JobValidationError("a catalog must be a JSON array of objects")
     for i, entry in enumerate(entries):
         where = "catalog entry %d (%s)" % (i, entry.get("name", "<unnamed>"))
+        check_keys(where, entry, ENTRY_KEYS)
+        expect = entry.get("expect", {})
+        if not isinstance(expect, dict):
+            raise JobValidationError("%s: expect must be a JSON object" % where)
+        # an expectation under a misspelt key would be skipped, and the entry pass
+        check_keys(where + ": expect", expect, EXPECT_KEYS)
         field = check_field(where + ": field", entry.get("field"))
         lams = entry.get("lambda")
         if not isinstance(lams, list) or len(lams) < 2:

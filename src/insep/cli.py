@@ -18,7 +18,8 @@ from itertools import chain, repeat
 from math import prod
 
 from . import artin, catalog, curves, fermat
-from .catalog import JobValidationError, check_expressions, check_field, hypersurface
+from .catalog import (JobValidationError, check_expressions, check_field, check_keys,
+                      hypersurface)
 from .fieldarith import SUPPORTED_PRIMES, FunctionField, PrimeField, parse_expr
 from .frobenius import pdegree_generated
 from .groebner import verify_codim
@@ -134,7 +135,7 @@ def _verify_codim(field, task):
 
 def _verify_all(field, task):
     entries = catalog.load_catalog(task.get("catalog"))
-    results = _run_records(_entry_worker, entries, 1, False)
+    results = _run_records(_entry_worker, _failed_entry, entries, 1, False)
     return {"entries": results, "ok": all(r["ok"] for r in results),
             "operations": ["verify_all"]}
 
@@ -166,14 +167,6 @@ ALGEBRA_KEYS = {
 }
 
 
-def _check_keys(where, obj, known):
-    """A key of obj outside known is a misspelling, not a key to ignore."""
-    unknown = [key for key in obj if key not in known]
-    if unknown:
-        raise JobValidationError("%s: unknown key %s; expected %s" % (
-            where, ", ".join(map(repr, unknown)), ", ".join(map(repr, sorted(known)))))
-
-
 def _is_int(x):
     # JSON true/false arrive as bool, a subclass of int
     return isinstance(x, int) and not isinstance(x, bool)
@@ -193,7 +186,7 @@ def _check_algebra(i, desc):
     if construction not in ("tensor-self", "adjoin-root"):
         raise JobValidationError("task %d: algebra.construction must be "
                                  "'tensor-self' or 'adjoin-root'" % i)
-    _check_keys("task %d: algebra" % i, desc, ALGEBRA_KEYS[construction])
+    check_keys("task %d: algebra" % i, desc, ALGEBRA_KEYS[construction])
     if construction == "tensor-self":
         field = check_field("task %d: algebra.field" % i, desc.get("field"))
         check_expressions("task %d: algebra.pth_powers" % i, desc.get("pth_powers"), field)
@@ -225,7 +218,7 @@ def _check_algebra(i, desc):
 def validate_job(job):
     if not isinstance(job, dict):
         raise JobValidationError("job must be a JSON object")
-    _check_keys("job", job, {"field", "tasks"})
+    check_keys("job", job, {"field", "tasks"})
     if "field" not in job or "tasks" not in job:
         raise JobValidationError("job needs 'field' and 'tasks'")
     field = check_field("field", job["field"])
@@ -238,7 +231,7 @@ def validate_job(job):
         if kind not in TASK_KINDS:
             raise JobValidationError("task %d: unknown kind %r" % (i, kind))
         key = TASK_KEY.get(kind, "lambda")
-        _check_keys("task %d" % i, task, {"kind", key})
+        check_keys("task %d" % i, task, {"kind", key})
         if key not in task and kind != "verify-all":
             raise JobValidationError("task %d: %s task needs key %r" % (i, kind, key))
         if key in ("exprs", "lambda"):
@@ -263,6 +256,14 @@ def execute_task(field_desc, task):
     return TASK_HANDLERS[task["kind"]](FunctionField.from_descriptor(field_desc), task)
 
 
+def _error(exc):
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
+def _failed_task(payload, exc):
+    return {"kind": payload[1]["kind"], "ok": False, "error": _error(exc)}
+
+
 def _task_worker(payload):
     field_desc, task = payload
     start = time.perf_counter()
@@ -271,31 +272,32 @@ def _task_worker(payload):
         # a verify-all result carries the verdict of its entries
         record = {"kind": task["kind"], "ok": result.get("ok", True), "result": result}
     except Exception as exc:  # reported per task, never aborts the job
-        record = {"kind": task["kind"], "ok": False,
-                  "error": {"type": type(exc).__name__, "message": str(exc)}}
+        record = _failed_task(payload, exc)
     record["seconds"] = round(time.perf_counter() - start, 6)
     return record
 
 
 def _worker_count(jobs, n_items):
-    """Processes worth starting: at most one per item and one per CPU, at least one."""
-    return max(1, min(jobs, n_items, os.cpu_count() or 1))
+    """Processes worth starting: at most one per item and one per CPU this process may
+    run on, at least one; always one where there is no os.fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, n_items, cpus))
 
 
-def _run_records(worker, items, jobs, fail_fast):
+def _run_records(worker, failed, items, jobs, fail_fast):
     """worker(item) for every item, in order; with fail_fast, stop after the first not ok.
 
-    More than one worker runs the items in a process pool, which finishes them
-    all before the list is cut; one worker runs them here and stops early.
+    failed(item, exc) is the record of an item whose worker process died.  One
+    worker runs the items here and stops early; more fork helpers (_fork_records).
     """
     workers = _worker_count(jobs, len(items))
     if workers > 1:
-        # the pool stack (multiprocessing, pickle, socket, ...) takes 15 to 25 ms to
-        # import on a 2-vCPU machine, so only a run that uses it pays
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = pool.map(worker, items)
+        records = _fork_records(worker, failed, items, workers, fail_fast)
     else:
         records = map(worker, items)
     out = []
@@ -306,12 +308,113 @@ def _run_records(worker, items, jobs, fail_fast):
     return out
 
 
+class WorkerExited(Exception):
+    """The helper process that took an item ended before it reported the item's record."""
+
+
+# A token is the first index of a run of consecutive items, in 4 bytes.  All tokens
+# go into the queue in one write of at most 4096 bytes, which an empty pipe takes
+# without a reader (a Linux pipe holds at least one 4096-byte page), so more than
+# MAX_TOKENS items share tokens.
+TOKEN_BYTES = 4
+MAX_TOKENS = 4096 // TOKEN_BYTES
+SIGKILL = 9  # the same number on every POSIX system; os has no name for it
+
+
+def _fork_records(worker, failed, items, workers, fail_fast):
+    """The records of the items, computed by this process and workers - 1 forked helpers.
+
+    Every process takes the next token from one queue pipe, filled before the fork,
+    whenever it is free.  A helper writes its records as JSON lines to a pipe of its
+    own once the queue is empty, and leaves with os._exit.  An item that a helper
+    took and never reported is a failed record of type WorkerExited.  If this
+    process's own share raises, the helpers are killed; they are always reaped.
+    """
+    step = -(-len(items) // MAX_TOKENS)
+    queue, tokens = os.pipe()
+    _write_all(tokens, b"".join(i.to_bytes(TOKEN_BYTES, "big")
+                                for i in range(0, len(items), step)))
+    os.close(tokens)
+    helpers = []  # (pid, read end of the helper's record pipe)
+    try:
+        for _ in range(workers - 1):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _helper(worker, items, queue, step, fail_fast, into)
+            except BaseException:
+                os.close(out)
+                raise
+            finally:
+                os.close(into)
+            helpers.append((pid, out))
+        records = dict(_take(worker, items, queue, step, fail_fast))
+        for _, out in helpers:
+            records.update(_read_records(out))
+    except BaseException:
+        for pid, _ in helpers:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        os.close(queue)
+        for pid, out in helpers:
+            os.close(out)
+            os.waitpid(pid, 0)
+    lost = WorkerExited("the worker process that took this item ended before reporting it")
+    return [records[i] if i in records else failed(items[i], lost) for i in range(len(items))]
+
+
+def _take(worker, items, queue, step, fail_fast):
+    """(index, record) of every item this process takes from the queue until it is empty.
+
+    With fail_fast a record that is not ok empties the queue: the report ends there.
+    """
+    while token := os.read(queue, TOKEN_BYTES):
+        start = int.from_bytes(token, "big")
+        for i in range(start, min(start + step, len(items))):
+            record = worker(items[i])
+            yield i, record
+            if fail_fast and not record["ok"]:
+                while os.read(queue, 4096):
+                    pass
+                return
+
+
+def _helper(worker, items, queue, step, fail_fast, into):
+    """A forked helper: its records go to into as JSON lines; it never returns."""
+    status = 1
+    try:
+        _write_all(into, "".join(json.dumps(pair) + "\n" for pair in
+                                 _take(worker, items, queue, step, fail_fast)).encode())
+        status = 0
+    finally:
+        # no exit handlers, no flush of buffers inherited from the caller, no traceback
+        os._exit(status)
+
+
+def _write_all(fd, data):
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_records(fd):
+    """The [index, record] pairs of the whole lines a helper wrote to fd."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    # a helper that died while writing leaves its last line cut short
+    *lines, _ = b"".join(chunks).split(b"\n")
+    return map(json.loads, lines)
+
+
 def run_job(job, jobs=1, fail_fast=False):
     """Execute a validated job dict; returns the report dict."""
     field = validate_job(job)
     payloads = [(job["field"], task) for task in job["tasks"]]
     start = time.perf_counter()
-    records = _run_records(_task_worker, payloads, jobs, fail_fast)
+    records = _run_records(_task_worker, _failed_task, payloads, jobs, fail_fast)
     return {
         "field": {"p": field.p, "vars": list(field.vars)},
         "tasks": records,
@@ -323,7 +426,7 @@ def run_job(job, jobs=1, fail_fast=False):
 def run_catalog(entries, jobs=1, fail_fast=False):
     """Check every catalog entry (optionally in parallel); order-normalized report."""
     start = time.perf_counter()
-    results = _run_records(_entry_worker, entries, jobs, fail_fast)
+    results = _run_records(_entry_worker, _failed_entry, entries, jobs, fail_fast)
     return {
         "entries": results,
         "ok": all(r["ok"] for r in results),
@@ -332,12 +435,16 @@ def run_catalog(entries, jobs=1, fail_fast=False):
     }
 
 
+def _failed_entry(entry, exc):
+    return {"name": entry.get("name", "<unnamed>"), "ok": False, "checks": {},
+            "error": _error(exc)}
+
+
 def _entry_worker(entry):
     try:
         return catalog.check_catalog_entry(entry)
     except Exception as exc:
-        return {"name": entry.get("name", "<unnamed>"), "ok": False,
-                "checks": {}, "error": {"type": type(exc).__name__, "message": str(exc)}}
+        return _failed_entry(entry, exc)
 
 
 def strip_timing(obj):

@@ -271,8 +271,12 @@ class FunctionField:
 
     @classmethod
     def from_descriptor(cls, desc):
-        """The field of a JSON descriptor {"p": int, "vars": [names]}; types are checked, not coerced."""
+        """The field of a JSON descriptor {"p": int, "vars": [names]}; types are checked, not
+        coerced, and any other key is refused."""
         p, variables = desc["p"], desc["vars"]
+        unknown = [key for key in desc if key not in ("p", "vars")]
+        if unknown:
+            raise ValueError("unknown key %s; expected 'p', 'vars'" % ", ".join(map(repr, unknown)))
         # JSON true/false arrive as bool, a subclass of int
         if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError("p must be an integer")

@@ -1,8 +1,20 @@
+import os
 import random
 
 import pytest
 
 from insep.fieldarith import FunctionField, MultiPoly, RatFunc
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped, running or not."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("a child process was left unreaped%s" % (" (pid %d)" % pid if pid else ""))
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
 import time
@@ -10,6 +12,7 @@ import pytest
 
 import insep
 from insep.catalog import load_default_catalog
+from insep import cli
 from insep.cli import JobValidationError, _worker_count, main, run_catalog, run_job, strip_timing
 from insep.fieldarith import FunctionField, parse_expr
 
@@ -92,6 +95,121 @@ def test_worker_count_is_clamped():
     assert _worker_count(10**9, 10**9) == cpus
     assert _worker_count(4, 0) == 1
     assert _worker_count(0, 5) == 1
+
+
+def test_worker_count_follows_affinity_and_needs_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _worker_count(10**9, 10**9) == 3
+    # without an affinity mask, the CPUs of the machine
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _worker_count(10**9, 10**9) == 8
+    assert _worker_count(5, 10**9) == 5
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert _worker_count(10**9, 10**9) == 1
+
+
+def _allow_cpus(monkeypatch, n):
+    """Let _worker_count start n workers whatever the CPUs of this machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_records_are_the_same_at_one_two_and_three_workers(tmp_path, monkeypatch):
+    _allow_cpus(monkeypatch, 3)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(load_default_catalog()[:2]))
+    job = {"field": {"p": 3, "vars": ["s", "t"]},
+           "tasks": [{"kind": "pdegree", "exprs": ["s", "t", "s*t"]},
+                     {"kind": "curve-normalize", "lambda": ["s^3", "t^3", "1"]},  # d = 0
+                     {"kind": "verify-all", "catalog": str(path)},
+                     {"kind": "classify", "lambda": ["t", "s^3*t", "1"]},
+                     {"kind": "rational-point", "lambda": ["t", "t", "1"]},
+                     {"kind": "verify-codim", "lambda": ["t", "t^2", "1"]}]}
+    reports = [strip_timing(run_job(job, jobs=jobs)) for jobs in (1, 2, 3)]
+    assert reports[0]["tasks"][1]["error"]["type"] == "WrongInvariantError"
+    assert reports[0]["tasks"][2]["result"]["ok"]
+    assert [t["kind"] for t in reports[0]["tasks"]] == [t["kind"] for t in job["tasks"]]
+    # the records that come back from a helper as JSON equal those made here
+    assert reports[0] == reports[1] == reports[2]
+    assert len({json.dumps(r, sort_keys=True) for r in reports}) == 1
+
+
+def test_fail_fast_cuts_the_report_at_two_workers(monkeypatch):
+    _allow_cpus(monkeypatch, 2)
+    tasks = [{"kind": "pdegree", "exprs": ["s"]}] * 5
+    tasks[3] = {"kind": "curve-normalize", "lambda": ["s^2", "t^2", "1"]}  # d = 0
+    job = {"field": {"p": 2, "vars": ["s", "t"]}, "tasks": tasks}
+    full = strip_timing(run_job(job, jobs=1))
+    report = run_job(job, jobs=2, fail_fast=True)
+    assert not report["ok"]
+    assert strip_timing(report)["tasks"] == full["tasks"][:4]
+
+
+def test_a_job_of_more_than_1024_tasks_keeps_its_order(monkeypatch):
+    # one write of tokens holds 1024; past that a token stands for a run of tasks
+    _allow_cpus(monkeypatch, 2)
+    exprs = [["s"], ["s", "t"], ["s^2"], ["t", "s*t"]]
+    job = {"field": {"p": 2, "vars": ["s", "t"]},
+           "tasks": [{"kind": "pdegree", "exprs": exprs[i % 4]} for i in range(1500)]}
+    report = run_job(job, jobs=2)
+    assert report["ok"]
+    assert [t["result"]["d"] for t in report["tasks"]] == [(1, 2, 0, 2)[i % 4]
+                                                           for i in range(1500)]
+    assert strip_timing(report) == strip_timing(run_job(job, jobs=1))
+
+
+def test_a_killed_helper_gives_failed_records(tmp_path, capsys, monkeypatch):
+    _allow_cpus(monkeypatch, 2)
+    caller = os.getpid()
+    took, tell = os.pipe()
+    pdegree = cli.TASK_HANDLERS["pdegree"]
+
+    def handler(field, task):
+        if os.getpid() != caller:
+            os.write(tell, b"x")
+            os.kill(os.getpid(), signal.SIGKILL)
+        # the caller's tasks wait until the helper has taken one
+        select.select([took], [], [], 30)
+        return pdegree(field, task)
+
+    monkeypatch.setitem(cli.TASK_HANDLERS, "pdegree", handler)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"field": {"p": 2, "vars": ["s", "t"]},
+                                "tasks": [{"kind": "pdegree", "exprs": ["s"]}] * 3}))
+    try:
+        assert main(["run", str(path), "--jobs", "2"]) == 1
+    finally:
+        os.close(took)
+        os.close(tell)
+    out, err = capsys.readouterr()
+    assert err == ""
+    tasks = json.loads(out)["tasks"]
+    lost = [t for t in tasks if not t["ok"]]
+    assert len(tasks) == 3 and len(lost) == 1
+    assert lost[0] == {"kind": "pdegree", "ok": False, "error": {
+        "type": "WorkerExited",
+        "message": "the worker process that took this item ended before reporting it"}}
+
+
+def test_a_raise_in_the_callers_share_kills_and_reaps_the_helpers(monkeypatch):
+    _allow_cpus(monkeypatch, 3)
+    caller = os.getpid()
+
+    class Stop(BaseException):
+        pass
+
+    def worker(item):
+        if os.getpid() == caller:
+            raise Stop
+        time.sleep(5)  # a helper that was not killed would hold the run for seconds
+        return {"ok": True}
+
+    start = time.perf_counter()
+    with pytest.raises(Stop):
+        cli._run_records(worker, None, list(range(6)), 3, False)
+    assert time.perf_counter() - start < 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_report_expressions_reparse():
@@ -343,6 +461,16 @@ def test_help_and_a_pool_run_load_what_they_defer(tmp_path):
         assert proc.returncode == 0, proc.stderr
         reports.append(canonical(json.loads(proc.stdout)))
     assert reports[0] == reports[1]
+    # two workers fork; neither executor stack is imported, before the run or in it
+    pools = ("concurrent.futures", "multiprocessing")
+    code = ("import sys; from insep.cli import main; code = main(['run', %r, '--jobs', '2']); "
+            "print(' '.join(m for m in %r if m in sys.modules), file=sys.stderr); "
+            "sys.exit(code)" % (str(job), pools))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert canonical(json.loads(proc.stdout)) == reports[0]
+    assert proc.stderr.split() == []
 
 
 def test_unknown_keys_are_rejected(tmp_path, capsys):
@@ -379,6 +507,47 @@ def test_unknown_keys_are_rejected(tmp_path, capsys):
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "error: %s\n" % message
+
+
+def test_unknown_catalog_and_field_keys_are_rejected(tmp_path, capsys):
+    # a misspelt expect key skipped its check: this entry reported ok
+    shipped = {e["name"]: e for e in load_default_catalog()}["f3st-residueK-curve"]
+    expect = {k: v for k, v in shipped["expect"].items()
+              if k not in ("conductor_case", "rational_point")}
+    misspelt = dict(shipped, expect=dict(expect, conductr_case="P2", rational_pont=False))
+    st = {"p": 2, "vars": ["s", "t"]}
+    entry = {"name": "e", "field": st, "lambda": ["s", "t", "1"]}
+    cases = [
+        ([misspelt], "catalog entry 0 (f3st-residueK-curve): expect: unknown key "
+                     "'conductr_case', 'rational_pont'; expected 'codim', 'conductor_case', "
+                     "'d', 'rational_point', 'residue_degree', 'verdict'"),
+        ([entry, {"name": "f", "field": st, "lamda": ["s", "t", "1"]}],
+         "catalog entry 1 (f): unknown key 'lamda'; expected 'expect', 'field', 'lambda', "
+         "'name'"),
+        ([dict(entry, expect=[1])], "catalog entry 0 (e): expect must be a JSON object"),
+        ([dict(entry, field={"p": 2, "vars": ["s", "t"], "p ": 3})],
+         "catalog entry 0 (e): field: bad field descriptor: unknown key 'p '; "
+         "expected 'p', 'vars'"),
+    ]
+    path = tmp_path / "catalog.json"
+    for entries, message in cases:
+        path.write_text(json.dumps(entries))
+        assert main(["verify-all", "--catalog", str(path)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+    # with the keys spelt right, both expectations are checked and fail
+    path.write_text(json.dumps([dict(shipped, expect=dict(expect, conductor_case="P2",
+                                                          rational_point=False))]))
+    assert main(["verify-all", "--catalog", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["entries"][0]["checks"]["rational_point"] is False
+
+    with pytest.raises(ValueError, match="unknown key 'p '; expected 'p', 'vars'"):
+        FunctionField.from_descriptor({"p": 2, "vars": ["s"], "p ": 3})
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"field": {"p": 2, "vars": ["s"], "p ": 3},
+                                "tasks": [{"kind": "pdegree", "exprs": ["s"]}]}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == ("error: field: bad field descriptor: unknown key 'p '; "
+                                       "expected 'p', 'vars'\n")
 
 
 def test_cli_stdin_and_subprocess():
