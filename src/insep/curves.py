@@ -142,7 +142,13 @@ class NormalizationMap(namedtuple("NormalizationMap", "nf line_field q_root")):
 
 
 def normalization(nf):
-    """The map P^1_L -> X; the pulled-back equation is checked to vanish exactly."""
+    """The map P^1_L -> X, with two exact checks of its defining identities.
+
+    q_root^p is compared with Q(lambda), and the pulled-back equation
+    lam*T0^p + Q*T1^p + (-x*T0 - q_root*T1)^p with 0.  Both p-th powers are
+    Frobenius substitutions, not products: q_root^p = sum c_i^p lambda^i in K,
+    and (a*T0 + b*T1)^p = a^p*T0^p + b^p*T1^p.
+    """
     field = nf.field
     p = nf.p
     L = SimpleExtensionField(field, nf.lam, gen_name="x")

@@ -122,9 +122,9 @@ def geometric_generic_edim(X):
     """Generic embedding dimension after base change to K^(1/p); always 1 when d >= 1.
 
     Substituting t_i -> t_i^p realizes the base change, and the substituted
-    equation becomes the p-th power of a linear form, computed and verified by
-    exact expansion.  The function field then has p-degree n over K(F^p) and
-    transcendence degree n-1, and the embedding dimension is the difference, 1.
+    equation becomes the p-th power of a linear form, which is checked exactly.
+    The function field then has p-degree n over K(F^p) and transcendence
+    degree n-1, and the embedding dimension is the difference, 1.
     """
     if invariant_d(X) == 0:
         raise NotIntegralError("nowhere reduced hypersurface has no generic field")
@@ -135,8 +135,10 @@ def geometric_generic_edim(X):
 def pth_power_witness_over_root_field(X):
     """Root coefficients rho_i with (sum rho_i U_i)^p = f after t_i -> t_i^p.
 
-    The substitution identifies K^(1/p) with the same rational function field;
-    the identity is verified by exact expansion before returning.
+    The substitution identifies K^(1/p) with the same rational function field.
+    Before returning, (sum rho_i U_i)^p is compared exactly with the substituted
+    equation; in characteristic p that power is the Frobenius identity
+    sum rho_i^p U_i^p, so it is computed by substitution, with no expansion.
     """
     field = X.field
     p = X.p
@@ -148,5 +150,5 @@ def pth_power_witness_over_root_field(X):
     expanded = g ** p
     target = UPoly.from_power_form(field, substituted, p)
     if expanded != target:
-        raise AssertionError("p-th power witness failed exact expansion")
+        raise AssertionError("p-th power witness does not give the substituted equation")
     return tuple(roots)

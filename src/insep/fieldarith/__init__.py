@@ -13,7 +13,7 @@ from .extension import (
 from .matrix import Matrix, row_space_basis
 from .multipoly import CACHE_SIZE, MAX_VARIABLES, MultiPoly, poly_gcd
 from .parser import ParseError, UnknownVariableError, parse_expr
-from .primefield import SUPPORTED_PRIMES, PrimeField, power
+from .primefield import SUPPORTED_PRIMES, PrimeField, frobenius_power, power
 from .ratfunc import FunctionField, RatFunc
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "TruncSeriesRing",
     "UnknownVariableError",
     "extension_tower",
+    "frobenius_power",
     "parse_expr",
     "poly_gcd",
     "power",

@@ -12,9 +12,14 @@ Elements are length-n coefficient vectors over the base in the basis
 In characteristic p both rings send a^p into the base: the field because
 y^p = beta, the series ring because u^p = 0.  So every inverse is
 a^(-1) = a^(p-1) * (a^p)^(-1), one inverse in the base and no linear algebra.
+And a^p needs no product in the ring: a -> a^p is a ring map, so for
+a = sum c_i y^i it is the base element sum c_i^p beta^i (just c_0^p in the
+series ring), and each c_i^p is again a Frobenius power one level down, down
+to the bottom field, where f^p = f(t^p).  Powers a^n go by the base-p digits
+of n, so only digits below p are multiplied out.
 """
 
-from .primefield import power
+from .primefield import frobenius_power
 
 
 class NotAPthPowerCheckError(ValueError):
@@ -78,8 +83,25 @@ class ExtElem:
             raise ZeroDivisionError("%r is not a unit" % (self,))
         return conj * ring.lift(norm.coeffs[0].inverse())
 
+    def frobenius(self):
+        """a^p = sum_i c_i^p beta^i, by Horner in the base, lifted into this ring.
+
+        With beta = 0 (the series ring) every term but c_0^p vanishes.
+        """
+        ring = self.field
+        p = ring.p
+        beta = ring._beta_in_base
+        acc = ring.base.zero()
+        for c in reversed(self.coeffs if beta else self.coeffs[:1]):
+            if acc:
+                acc = acc * beta
+            if c:
+                acc = acc + c ** p if acc else c ** p
+        return ring.lift(acc)
+
     def __pow__(self, n):
-        return power(self, n, self.field.one())
+        ring = self.field
+        return frobenius_power(self, n, ring.p, ring.one())
 
     def __eq__(self, other):
         return (

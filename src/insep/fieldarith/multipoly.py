@@ -15,7 +15,7 @@ constant 1 of each ring.
 from functools import lru_cache
 from operator import add, sub
 
-from .primefield import power
+from .primefield import frobenius_power
 
 MAX_VARIABLES = 4
 # entries kept by each memoized exact computation (gcd, Frobenius coordinates,
@@ -156,27 +156,12 @@ class MultiPoly:
             return MultiPoly.zero(p, self.vars)
         return MultiPoly._new(p, self.vars, {e: (k * c) % p for e, k in self.terms.items()})
 
+    def frobenius(self):
+        """f^p = f(t^p): the coefficients lie in F_p, which Frobenius fixes."""
+        return self.stretch_exponents(self.p)
+
     def __pow__(self, n):
-        """f^n from the base-p digits of n: over F_p, f^(d p^k) = (f^d)(t^(p^k)),
-        so each digit d costs one power f^d (shared between equal digits), one
-        substitution and one product."""
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        p = self.p
-        digit_powers = {}
-        result = None
-        stretch = 1
-        while n:
-            n, d = divmod(n, p)
-            if d:
-                if d not in digit_powers:
-                    digit_powers[d] = power(self, d, None)
-                term = digit_powers[d]
-                if stretch > 1:
-                    term = term.stretch_exponents(stretch)
-                result = term if result is None else result * term
-            stretch *= p
-        return MultiPoly.const(p, self.vars, 1) if result is None else result
+        return frobenius_power(self, n, self.p, _one(self.p, self.vars))
 
     # -- lex order helpers ----------------------------------------------
 

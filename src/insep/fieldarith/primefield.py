@@ -1,5 +1,6 @@
-"""Prime fields F_p for small p, whose elements are the ints 0..p-1, and the
-square-and-multiply power that every ring of the kernel uses."""
+"""Prime fields F_p for small p, whose elements are the ints 0..p-1, the
+square-and-multiply power that every ring of the kernel uses, and the power by
+base-p digits for rings whose Frobenius x -> x^p is a substitution."""
 
 import operator
 
@@ -22,6 +23,28 @@ def power(x, n, one, mul=operator.mul):
         if not n:
             return result
         x = mul(x, x)
+
+
+def frobenius_power(x, n, p, one):
+    """x^n for n >= 0 in a ring of characteristic p, from the base-p digits of n.
+
+    x -> x^p is a ring map there, and ``x.frobenius()`` gives it by
+    substitution.  With n = sum d_k p^k the power is prod_k (x^(p^k))^(d_k):
+    each x^(p^k) is one Frobenius step from the one before, and only the
+    digits d_k < p go through square-and-multiply.  ``one`` is the value for
+    n = 0.
+    """
+    if n < 0:
+        raise ValueError("negative power %d" % n)
+    result = None
+    while True:
+        n, d = divmod(n, p)
+        if d:
+            term = power(x, d, None)
+            result = term if result is None else result * term
+        if not n:
+            return one if result is None else result
+        x = x.frobenius()
 
 
 class PrimeField:

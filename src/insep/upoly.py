@@ -6,7 +6,7 @@ larger when its total degree is higher or, at equal degree, when it has the
 smaller exponent in the last variable where the two differ.
 """
 
-from .fieldarith import power
+from .fieldarith import frobenius_power
 
 
 def grevlex_key(e):
@@ -119,8 +119,15 @@ class UPoly:
             return UPoly.zero(self.field, self.nvars)
         return UPoly(self.field, self.nvars, {e: c * coeff for e, c in self.terms.items()})
 
+    def frobenius(self):
+        """(sum c_e U^e)^p = sum c_e^p U^(p e): the p-th power in characteristic p."""
+        p = self.field.characteristic
+        return UPoly(self.field, self.nvars,
+                     {tuple(p * x for x in e): c ** p for e, c in self.terms.items()})
+
     def __pow__(self, n):
-        return power(self, n, UPoly(self.field, self.nvars, {(0,) * self.nvars: self.field.one()}))
+        one = UPoly(self.field, self.nvars, {(0,) * self.nvars: self.field.one()})
+        return frobenius_power(self, n, self.field.characteristic, one)
 
     def leading_monomial(self):
         if not self.terms:
@@ -143,8 +150,8 @@ class UPoly:
         for e, c in sorted(self.terms.items()):
             term = embed(c)
             for v, k in zip(values, e):
-                for _ in range(k):
-                    term = term * v
+                if k:
+                    term = term * v ** k
             total = term if total is None else total + term
         if total is None:
             return one - one

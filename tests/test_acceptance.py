@@ -172,7 +172,7 @@ def test_criterion_7_main_theorem_instances():
         d = fermat.invariant_d(X)
         if d == X.n:
             assert fermat.geometric_generic_edim(X) == 1, entry["name"]
-            fermat.pth_power_witness_over_root_field(X)  # verified by expansion
+            fermat.pth_power_witness_over_root_field(X)  # raises unless the witness is exact
             assert 1 < imperfection_degree(X.field), entry["name"]
             regular_seen += 1
     assert regular_seen >= 3

@@ -90,7 +90,11 @@ def test_reports_deterministic_across_runs_and_jobs():
 
 
 def test_worker_count_is_clamped():
-    cpus = os.cpu_count() or 1
+    # the CPUs this process may run on, which an affinity mask can make fewer
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     assert _worker_count(10**9, 3) == min(3, cpus)
     assert _worker_count(10**9, 10**9) == cpus
     assert _worker_count(4, 0) == 1
