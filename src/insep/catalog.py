@@ -14,7 +14,7 @@ import sys
 
 from . import curves, fermat
 from .fieldarith import FunctionField, ParseError, parse_expr
-from .frobenius import imperfection_degree, p_linear_independent
+from .frobenius import imperfection_degree
 from .groebner import verify_codim
 from .upoly import UPoly
 
@@ -63,13 +63,14 @@ def load_default_catalog():
 
 def read_json(path):
     """The JSON value in the file at path, or on standard input for '-'; text that
-    is not UTF-8 JSON raises JobValidationError naming the file or <stdin>."""
+    is not UTF-8 JSON, or nests too deeply for the decoder, raises JobValidationError
+    naming the file or <stdin>."""
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise JobValidationError("%s: %s" % ("<stdin>" if path == "-" else path, exc)) from exc
 
 
@@ -113,11 +114,8 @@ def check_catalog_entry(entry):
     if expect.get("verdict") == fermat.VERDICT_SINGULAR:
         checks["codim"] = cls.codim == expect.get("codim")
 
-    point = cls.rational_point
-    independent = p_linear_independent(list(X.coeffs))
-    checks["point_iff_dependent"] = (point is None) == independent
     if "rational_point" in expect:
-        checks["rational_point"] = (point is not None) == expect["rational_point"]
+        checks["rational_point"] = (cls.rational_point is not None) == expect["rational_point"]
 
     oracle = verify_codim(X)
     checks["oracle_codim"] = oracle.match
@@ -139,19 +137,13 @@ def check_catalog_entry(entry):
         operations += ["normal_form", "normalization", "singular_point",
                        "conductor_profile", "glueing_cohomology"]
         cp = curves.conductor_profile(curves.normal_form(X.field, *X.coeffs))
-        sp = cp.sp
-        checks["preimage_length"] = curves.preimage_length_of_u0_section(sp.nu) == X.p
         if "residue_degree" in expect:
-            checks["residue_degree"] = sp.residue_degree == expect["residue_degree"]
-        checks["conductor_dim"] = cp.dim_subalgebra == X.p * (X.p - 1) // 2
+            checks["residue_degree"] = cp.sp.residue_degree == expect["residue_degree"]
         if "conductor_case" in expect:
             checks["conductor_case"] = cp.case == expect["conductor_case"]
-        coherent = (cp.case == curves.CASE_RESIDUE_L) == (sp.residue_degree == X.p)
-        checks["case_coherent_with_residue"] = coherent
         gc = curves.glueing_cohomology(cp.ring, cp.subalgebra_basis)
         checks["h0"] = gc.h0 == 1
         checks["h1"] = gc.h1 == (X.p - 1) * (X.p - 2) // 2
-        checks["admissible"] = gc.admissible
 
     return {
         "name": entry.get("name", "<unnamed>"),

@@ -63,16 +63,6 @@ class CurveNormalForm(namedtuple(
             power = power * self.lam
         return total
 
-    def q_derivative(self):
-        """Q'(lambda) = sum i * c_i^p * lambda^(i-1)."""
-        total = self.field.zero()
-        power = self.field.one()
-        for i, c in enumerate(self.root_coeffs):
-            if i >= 1:
-                total = total + self.field.from_int(i) * (c ** self.p) * power
-                power = power * self.lam
-        return total
-
     def curve(self):
         return PFermatHypersurface(
             field=self.field, n=2,
@@ -142,41 +132,26 @@ class NormalizationMap(namedtuple("NormalizationMap", "nf line_field q_root")):
 
 
 def normalization(nf):
-    """The map P^1_L -> X, with two exact checks of its defining identities.
+    """The map P^1_L -> X, with an exact check that it lands on X.
 
-    q_root^p is compared with Q(lambda), and the pulled-back equation
-    lam*T0^p + Q*T1^p + (-x*T0 - q_root*T1)^p with 0.  Both p-th powers are
-    Frobenius substitutions, not products: q_root^p = sum c_i^p lambda^i in K,
-    and (a*T0 + b*T1)^p = a^p*T0^p + b^p*T1^p.
+    The pulled-back equation lam*T0^p + Q*T1^p + (-x*T0 - q_root*T1)^p is
+    compared with 0.  Its p-th power is a Frobenius substitution, not a product:
+    (a*T0 + b*T1)^p = a^p*T0^p + b^p*T1^p.  The map has degree one: L exists
+    only if lambda is not a p-th power, and then [L:K] = p, the K-length of the
+    preimage V_+(T_0) of the U_0 = 0 section.
     """
-    field = nf.field
     p = nf.p
-    L = SimpleExtensionField(field, nf.lam, gen_name="x")
+    L = SimpleExtensionField(nf.field, nf.lam, gen_name="x")
     x = L.gen()
     q_root = L.zero()
     for i, c in enumerate(nf.root_coeffs):
         q_root = q_root + L.lift(c) * (x ** i)
-    if q_root ** p != L.lift(nf.q_of_lambda()):
-        raise AssertionError("q_root^p != Q(lambda)")
 
     # nu*(f) = lam*T0^p + Q*T1^p + (-x*T0 - q_root*T1)^p must vanish identically
     u2 = UPoly(L, 2, {(1, 0): -x, (0, 1): -q_root})
     if u2 ** p + UPoly.from_power_form(L, [L.lift(nf.lam), L.lift(nf.q_of_lambda())], p):
         raise AssertionError("pullback of the defining equation did not vanish")
-
-    # degree one: the preimage of the U_0 = 0 section is V_+(T_0), of K-length p
-    if L.dim_over_bottom() != p:
-        raise AssertionError("[L:K] != p")
     return NormalizationMap(nf=nf, line_field=L, q_root=q_root)
-
-
-def preimage_length_of_u0_section(nu):
-    """K-length of the fiber over the U_0 = 0 section: dim_K L at the point (0:1)."""
-    # the pullback of U_0 is exactly T_0, and V_+(T_0) = {(0:1)} has residue field L
-    img = nu.images()[0]
-    if img != (nu.line_field.one(), nu.line_field.zero()):
-        raise AssertionError("pullback of U_0 is not T_0")
-    return nu.line_field.dim_over_bottom()
 
 
 # -- the singular point -------------------------------------------------------------
@@ -196,14 +171,11 @@ def singular_point(nf):
     nu = normalization(nf)
     L = nu.line_field
     x = L.gen()
-    p = nf.p
     # rho = (d/dx) sum c_i x^i satisfies rho^p = Q'(lambda)
     rho = L.zero()
     for i, c in enumerate(nf.root_coeffs):
         if i >= 1:
             rho = rho + L.from_int(i) * L.lift(c) * (x ** (i - 1))
-    if rho ** p != L.lift(nf.q_derivative()):
-        raise AssertionError("rho^p != Q'(lambda)")
     a = (-rho, L.one())
     images = nu.images()
     image_point = tuple(c0 * a[0] + c1 * a[1] for c0, c1 in images)
@@ -216,7 +188,7 @@ def singular_point(nf):
 
     # U_1 pulls back to T_1 = 1 at a, so the affine coordinates are the others
     affine = (image_point[0], image_point[2])
-    degree = 1 if all(c.in_base() for c in affine) else p
+    degree = 1 if all(c.in_base() for c in affine) else nf.p
     return SingularPointData(point_on_line=a, image_point=image_point, residue_degree=degree,
                              nu=nu)
 
@@ -250,6 +222,12 @@ class ConductorRing:
 
     def mul(self, v, w):
         return self.flatten(self.unflatten(v) * self.unflatten(w))
+
+    def span_with_products(self, basis):
+        """An rref basis of the span of basis and its pairwise products; a unital
+        span is a subalgebra iff this has the same dimension."""
+        products = [self.mul(a, b) for i, a in enumerate(basis) for b in basis[i:]]
+        return row_space_basis(self.K, [list(v) for v in basis] + products)
 
     def one_vec(self):
         return self.flatten(self.series.one())
@@ -314,13 +292,8 @@ def conductor_profile(nf):
     # K-subalgebra closure of {1, images}: adjoin pairwise products until stable
     vectors = [ring.one_vec()] + [ring.flatten(im) for im in images]
     basis = row_space_basis(ring.K, vectors)
-    while True:
-        products = [ring.mul(a, b) for i, a in enumerate(basis) for b in basis[i:]]
-        new_basis = row_space_basis(ring.K, [list(v) for v in basis] + products)
-        if len(new_basis) == len(basis):
-            basis = new_basis
-            break
-        basis = new_basis
+    while len(closed := ring.span_with_products(basis)) > len(basis):
+        basis = closed
 
     dim_sub = len(basis)
     if dim_sub != p * (p - 1) // 2:
@@ -397,8 +370,7 @@ def glueing_cohomology(ring, subalg_basis):
     basis = row_space_basis(ring.K, [list(v) for v in subalg_basis])
     if len(row_space_basis(ring.K, basis + [ring.one_vec()])) != len(basis):
         raise NotASubalgebraError("1 is not in the span")
-    products = [ring.mul(a, b) for i, a in enumerate(basis) for b in basis[i:]]
-    if len(row_space_basis(ring.K, basis + products)) != len(basis):
+    if len(ring.span_with_products(basis)) != len(basis):
         raise NotASubalgebraError("span is not closed under multiplication")
     h0 = _subspace_intersection_dim(ring.K, basis, ring.u_level_span(0))
     h1 = ring.dim_K - len(basis) - ring.p + h0

@@ -40,10 +40,7 @@ class PFermatHypersurface(namedtuple("PFermatHypersurface", "field n coeffs")):
         return self.field.p
 
     def reference_index(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError("unreachable: some coefficient is nonzero")
+        return next(i for i, c in enumerate(self.coeffs) if c)
 
     def ratios(self):
         r = self.reference_index()

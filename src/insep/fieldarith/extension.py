@@ -73,15 +73,13 @@ class ExtElem:
         return self * other.inverse()
 
     def inverse(self):
-        """a^(p-1) * (a^p)^(-1): a^p lies in the base, and a is a unit iff it is nonzero."""
+        """a^(p-1) * (a^p)^(-1), with a^p in the base by Frobenius substitution; a is
+        a unit iff a^p is nonzero."""
         ring = self.field
-        conj = self ** (ring.p - 1)
-        norm = conj * self
-        if not norm.in_base():
-            raise AssertionError("a^p = %r does not lie in the base" % (norm,))
-        if not norm.coeffs[0]:
+        norm = self.frobenius().coeffs[0]
+        if not norm:
             raise ZeroDivisionError("%r is not a unit" % (self,))
-        return conj * ring.lift(norm.coeffs[0].inverse())
+        return self ** (ring.p - 1) * ring.lift(norm.inverse())
 
     def frobenius(self):
         """a^p = sum_i c_i^p beta^i, by Horner in the base, lifted into this ring.
@@ -173,9 +171,6 @@ class SimpleExtensionField(_QuotientRing):
     @property
     def moduli(self):
         return self.base.moduli + [self.beta]
-
-    def dim_over_bottom(self):
-        return self.p * self.base.dim_over_bottom()
 
     def from_bottom(self, elem):
         return self.lift(self.base.from_bottom(elem))

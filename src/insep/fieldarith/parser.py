@@ -11,8 +11,9 @@ is insignificant.  format(parse(x)) reparses to an equal value.
 
 The parser bounds its own work: a power of a base with more than one term in
 its numerator or denominator is refused when the exponent times the total
-degree of the base exceeds MAX_POWER_DEGREE, before it is expanded, and a
-division by zero is a parse error at the '/'.
+degree of the base exceeds MAX_POWER_DEGREE, before it is expanded, a '('
+nested more than MAX_NESTING deep is refused before the descent recurses into
+it, and a division by zero is a parse error at the '/'.
 """
 
 from functools import lru_cache
@@ -27,6 +28,9 @@ from .ratfunc import FunctionField
 MAX_POWER_DEGREE = 32
 # the longest decimal literal, far below the 4300 digits Python converts to int
 MAX_DIGITS = 1000
+# the deepest parenthesis nesting: each level costs the descent four stack frames,
+# so the bound keeps a parse far below Python's default recursion limit of 1000
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -54,6 +58,7 @@ class _Tokens:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0  # parentheses open at pos
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -176,13 +181,18 @@ def _parse_base(toks, field):
         if name not in field.vars:
             raise UnknownVariableError(name, pos)
         return field.gen(name)
-    if toks.take_symbol("("):
+    ch, pos = toks.peek()
+    if ch == "(":
+        if toks.depth == MAX_NESTING:
+            raise ParseError("parentheses nested deeper than %d" % MAX_NESTING, pos)
+        toks.pos += 1
+        toks.depth += 1
         value = _parse_sum(toks, field)
         ch, pos = toks.peek()
         if ch != ")":
             raise ParseError("expected ')'", pos)
         toks.pos += 1
+        toks.depth -= 1
         return value
-    ch, pos = toks.peek()
     raise ParseError("expected a number, variable or '('" if ch is None
                      else "unexpected %r" % ch, pos)

@@ -257,9 +257,6 @@ class FunctionField:
     def from_bottom(self, elem):
         return elem
 
-    def dim_over_bottom(self):
-        return 1
-
     def __eq__(self, other):
         return isinstance(other, FunctionField) and self.p == other.p and self.vars == other.vars
 

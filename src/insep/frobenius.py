@@ -76,22 +76,6 @@ def _coordinate_matrix(elems, field):
     return rows, keys
 
 
-def p_linear_independent(elems):
-    """No nontrivial K^p-linear relation among the elements (empty list: True).
-
-    A relation sum_i d_i^p f_i = 0 holds iff sum_i d_i g_{i,e} = 0 for every
-    exponent e, so independence is a rank computation over K.
-    """
-    elems = list(elems)
-    if not elems:
-        return True
-    field = elems[0].field()
-    rows, _ = _coordinate_matrix(elems, field)
-    if not rows[0]:
-        return False  # all elements are zero
-    return Matrix(field, rows).rank() == len(elems)
-
-
 def p_linear_relation(elems):
     """A vector (d_i) with sum d_i^p f_i = 0, or None if the family is independent."""
     elems = list(elems)

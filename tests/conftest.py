@@ -72,3 +72,42 @@ def reassemble(field, coords):
         mono = RatFunc(MultiPoly(field.p, field.vars, {e: 1}), reduce=False)
         total = total + (g ** field.p) * mono
     return total
+
+
+def sympy_p_independent(elems):
+    """Test-only oracle, apart from insep's arithmetic: no nontrivial relation
+    sum_i c_i^p * elems_i = 0 with c_i in K = F_p(vars).
+
+    Every element is multiplied by the p-th power D^p of the product D of all
+    denominators, which keeps the relations; its numerator then splits by exponents
+    mod p into sum_e g_e^p t^e, and the family is independent iff the rows of the
+    g_e have full rank over GF(p)(vars), in sympy.
+    """
+    from sympy import GF
+    from sympy.polys.fields import field as frac_field
+    from sympy.polys.matrices import DomainMatrix
+
+    if not elems:
+        return True
+    p, names = elems[0].p, elems[0].vars
+    K = frac_field(",".join(names), GF(p))[0]
+    ring = K.ring
+    nums = [ring(dict(f.num.terms)) for f in elems]
+    dens = [ring(dict(f.den.terms)) for f in elems]
+    rows, columns = [], {}
+    for i, (num, den) in enumerate(zip(nums, dens)):
+        poly = num * den ** (p - 1)
+        for j, other in enumerate(dens):
+            if j != i:
+                poly = poly * other ** p
+        row = {}
+        for expo, c in poly.items():
+            row.setdefault(tuple(a % p for a in expo), {})[tuple(a // p for a in expo)] = c
+        rows.append(row)
+        for key in row:
+            columns.setdefault(key, len(columns))
+    if not columns:
+        return False  # every element is zero
+    matrix = [[K(ring(row[key])) if key in row else K.zero for key in columns]
+              for row in rows]
+    return DomainMatrix(matrix, (len(rows), len(columns)), K.to_domain()).rank() == len(elems)

@@ -14,11 +14,11 @@ from insep.fermat import (
     singular_ideal,
 )
 from insep.fieldarith import FunctionField, parse_expr
-from insep.frobenius import imperfection_degree, p_linear_independent
+from insep.frobenius import imperfection_degree
 from insep.groebner import buchberger, ideal_dimension
 from insep.upoly import UPoly
 
-from conftest import random_nonzero_ratfunc, seeded
+from conftest import random_nonzero_ratfunc, seeded, sympy_p_independent
 
 
 def hyp(p, variables, exprs):
@@ -68,7 +68,7 @@ def test_rational_point_iff_dependent_random():
             lams = tuple(random_nonzero_ratfunc(rng, K, max_terms=2, max_exp=1)
                          for _ in range(3))
             X = PFermatHypersurface(field=K, n=2, coeffs=lams)
-            assert (rational_point(X) is None) == p_linear_independent(list(lams))
+            assert (rational_point(X) is None) == sympy_p_independent(list(lams))
 
 
 def test_invariant_d_invariances():

@@ -1,6 +1,6 @@
-"""Fuzzing the input boundary: any expression string in a job, and any local-algebra
-shape of an artin-edim task, ends in exit 0, 1 or 2, never in an exception escaping
-the command line."""
+"""Fuzzing the input boundary: any expression string in a job, any local-algebra
+shape of an artin-edim task, and any catalog file ends in exit 0, 1 or 2, never in
+an exception escaping the command line."""
 
 import json
 import re
@@ -33,6 +33,8 @@ EXPRESSIONS = st.one_of(WELL_FORMED, st.lists(TOKENS, max_size=12).map("".join))
 @example(p=2, kind="classify", text="1/0")
 @example(p=2, kind="classify", text="s/(s-s)")
 @example(p=2, kind="pdegree", text="(s+t+1)^99")
+# deeper than the stack that hypothesis allows a test, which is more than the default
+@example(p=2, kind="classify", text="(" * 1000 + "s" + ")" * 1000)
 def test_any_expression_exits_0_1_or_2(tmp_path, capsys, p, kind, text):
     task = ({"kind": "pdegree", "exprs": [text]} if kind == "pdegree"
             else {"kind": "classify", "lambda": [text, "s", "1"]})
@@ -101,3 +103,71 @@ def test_any_algebra_shape_exits_0_1_or_2(tmp_path, capsys, algebra):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# a fixed pool of cheap coefficients, the first five without s: the fuzzing is of the
+# file's structure, not of the arithmetic
+CHEAP = ["t", "1", "0", "t^2", "t+t^2", "s", "s+t", "s*t", "s^2*t", "s/t"]
+UNPARSABLE = ["x", "s+", ")"]
+EXPECT_VALUES = {
+    "d": st.integers(0, 3), "verdict": st.sampled_from(["Regular", "SingularCodim",
+                                                        "NonreducedEverywhere"]),
+    "codim": st.integers(0, 3), "rational_point": st.booleans(),
+    "residue_degree": st.sampled_from([1, 2, 3, 5]),
+    "conductor_case": st.sampled_from(["P2", "ResidueK", "ResidueL"]),
+}
+
+
+@st.composite
+def _rarely_mutated(draw, value):
+    """value, and one time in eight instead a mistyped value, value nested in a list,
+    or value with an unknown key."""
+    if draw(st.sampled_from(range(8))):
+        return value
+    extra = dict(value, extra=1) if isinstance(value, dict) else value
+    return draw(st.one_of(MISTYPED, st.just([value]), st.just(extra)))
+
+
+@st.composite
+def catalog_texts(draw):
+    """The text of a catalog file of up to three entries; its top level, each entry, and
+    each entry's field, expect and keys are now and then mistyped, misspelt, missing
+    or nested."""
+    entries = []
+    for i in range(draw(st.integers(0, 3))):
+        field = {"p": draw(st.sampled_from([2, 3, 5])),
+                 "vars": draw(st.sampled_from([["s", "t"], ["s", "t", "u"], ["t"]]))}
+        pool = CHEAP if "s" in field["vars"] else CHEAP[:5]
+        lams = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3))
+        if not draw(st.sampled_from(range(8))):
+            lams[-1] = draw(st.sampled_from(UNPARSABLE))
+        expect = {key: draw(values) for key, values in EXPECT_VALUES.items()
+                  if draw(st.booleans())}
+        entry = {"name": "e%d" % i, "field": draw(_rarely_mutated(field)),
+                 "lambda": draw(_rarely_mutated(lams)),
+                 "expect": draw(_rarely_mutated(expect))}
+        if not draw(st.sampled_from(range(8))):
+            key = draw(st.sampled_from(sorted(entry) + ["extra"]))
+            value = draw(st.one_of(MISTYPED, st.just(DELETE)))
+            if value is DELETE:
+                entry.pop(key, None)
+            else:
+                entry[key] = value
+        entries.append(entry)
+    return json.dumps(draw(_rarely_mutated(entries)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=catalog_texts())
+@example(text="[" * 100_000)
+def test_any_catalog_file_exits_0_1_or_2(tmp_path, capsys, text):
+    path = tmp_path / "catalog.json"
+    path.write_text(text)
+    # a job file goes through the same reader as a catalog file
+    for argv in (["verify-all", "--catalog", str(path)], ["run", str(path)]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1

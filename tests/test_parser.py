@@ -2,7 +2,8 @@ import pytest
 
 from insep.cli import run_job
 from insep.fieldarith import FunctionField, ParseError, UnknownVariableError, parse_expr, parser
-from insep.fieldarith.parser import MAX_DIGITS, MAX_POWER_DEGREE, DivisionByZeroError
+from insep.fieldarith.parser import (MAX_DIGITS, MAX_NESTING, MAX_POWER_DEGREE,
+                                     DivisionByZeroError)
 
 
 def test_basic_fraction(K2st):
@@ -44,6 +45,16 @@ def test_overlong_number_is_a_parse_error(K2st):
         with pytest.raises(ParseError):
             parse_expr(text, K2st)
     assert parse_expr("1" * MAX_DIGITS, K2st) == K2st.one()
+
+
+def test_nesting_past_the_bound_is_a_parse_error_at_its_parenthesis(K2st):
+    deep = "(" * MAX_NESTING + "s" + ")" * MAX_NESTING
+    assert parse_expr(deep, K2st) == K2st.gen("s")
+    # the bound counts open parentheses, not all of them: a sequence of groups is fine
+    assert parse_expr("+".join([deep] * 3), K2st) == K2st.gen("s") * K2st.from_int(3)
+    with pytest.raises(ParseError) as err:
+        parse_expr("t+(" + deep + ")", K2st)
+    assert err.value.position == 2 + MAX_NESTING
 
 
 def test_expansion_by_repeated_multiplication(K3st):

@@ -4,7 +4,8 @@ square-and-multiply, and the exact checks that compare p-th powers."""
 import pytest
 
 from insep import fermat
-from insep.curves import CurveNormalForm, normal_form, normalization, singular_point
+from insep.curves import (CurveNormalForm, NormalizationMap, normal_form, normalization,
+                          singular_point)
 from insep.fermat import PFermatHypersurface, pth_power_witness_over_root_field
 from insep.fieldarith import (
     FunctionField,
@@ -132,35 +133,26 @@ def test_normalization_rejects_a_wrong_q_root(monkeypatch):
     nf = curve_nf()
     true_q = CurveNormalForm.q_of_lambda
     normalization(nf)
-    # a Q(lambda) off by one: the q_root built from the root coefficients misses it
+    # a Q(lambda) off by one: the q_root built from the root coefficients misses it,
+    # so the pulled-back equation does not vanish
     monkeypatch.setattr(CurveNormalForm, "q_of_lambda",
                         lambda self: true_q(self) + self.field.one())
-    with pytest.raises(AssertionError, match="q_root"):
-        normalization(nf)
-
-
-def test_normalization_rejects_a_pullback_that_does_not_vanish(monkeypatch):
-    nf = curve_nf()
-    true_q = CurveNormalForm.q_of_lambda
-    calls = []
-
-    def q_of_lambda(self):
-        # right for the q_root check, wrong for the pullback
-        calls.append(1)
-        return true_q(self) + (self.field.zero() if len(calls) == 1 else self.field.one())
-
-    monkeypatch.setattr(CurveNormalForm, "q_of_lambda", q_of_lambda)
     with pytest.raises(AssertionError, match="pullback"):
         normalization(nf)
 
 
-def test_singular_point_rejects_a_wrong_rho(monkeypatch):
+def test_singular_point_rejects_a_shifted_image_point(monkeypatch):
     nf = curve_nf()
-    true_dq = CurveNormalForm.q_derivative
+    true_images = NormalizationMap.images
     singular_point(nf)
-    monkeypatch.setattr(CurveNormalForm, "q_derivative",
-                        lambda self: true_dq(self) + self.field.one())
-    with pytest.raises(AssertionError, match="rho"):
+
+    def images(self):
+        # T_1 added to the pullback of U_2 moves the image point off X
+        u0, u1, (a, b) = true_images(self)
+        return u0, u1, (a, b + self.line_field.one())
+
+    monkeypatch.setattr(NormalizationMap, "images", images)
+    with pytest.raises(AssertionError, match="misses a singular-ideal generator"):
         singular_point(nf)
 
 
