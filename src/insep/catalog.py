@@ -65,13 +65,25 @@ def read_json(path):
     """The JSON value in the file at path, or on standard input for '-'; text that
     is not UTF-8 JSON, or nests too deeply for the decoder, raises JobValidationError
     naming the file or <stdin>."""
+    where = "<stdin>" if path == "-" else path
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise JobValidationError("%s: %s" % ("<stdin>" if path == "-" else path, exc)) from exc
+            text = sys.stdin.read()
+        else:
+            with open(path) as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise JobValidationError("%s: %s" % (where, exc)) from exc
+    return decode_json(text, where)
+
+
+def decode_json(text, where):
+    """The JSON value of text; text that is not JSON, or nests too deeply for the
+    decoder, raises JobValidationError naming where it came from."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise JobValidationError("%s: %s" % (where, exc)) from exc
 
 
 def load_catalog(path=None):
@@ -130,7 +142,9 @@ def check_catalog_entry(entry):
         gge = fermat.geometric_generic_edim(X)
         checks["geometric_generic_edim"] = gge == 1
         operations.append("geometric_generic_edim")
-        if cls.d == X.n:
+        # for n = 1, X is the point Spec K((-lambda_0/lambda_1)^(1/p)), a field in
+        # which K is not algebraically closed, so the paper's bound says nothing
+        if cls.d == X.n >= 2:
             checks["edim_below_imperfection"] = gge < imperfection_degree(X.field)
 
     if cls.d == 1 and X.n == 2 and X.p <= 5:

@@ -505,13 +505,13 @@ def main(argv=None):
             entries = catalog.load_catalog(args.catalog)
             report = run_catalog(entries, jobs=args.jobs, fail_fast=args.fail_fast)
         elif args.command == "pdegree":
-            report = run_job({"field": json.loads(args.field),
+            report = run_job({"field": catalog.decode_json(args.field, "--field"),
                               "tasks": [{"kind": "pdegree", "exprs": args.exprs}]})
         else:
             lams = [e for group in args.lambdas for e in group]
-            report = run_job({"field": json.loads(args.field),
+            report = run_job({"field": catalog.decode_json(args.field, "--field"),
                               "tasks": [{"kind": "classify", "lambda": lams}]})
-    except (JobValidationError, json.JSONDecodeError, OSError) as exc:
+    except (JobValidationError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     try:

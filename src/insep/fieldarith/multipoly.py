@@ -13,7 +13,7 @@ constant 1 of each ring.
 """
 
 from functools import lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 
 from .primefield import frobenius_power
 
@@ -322,13 +322,14 @@ def _pseudo_rem(a, b, var_idx):
     return rem, da, db
 
 
-def _content(f, var_idx):
-    """Gcd of the coefficients of f viewed in the main variable."""
+def _content(var_idx, *polys):
+    """Gcd of the coefficients of the polys viewed in the main variable."""
     g = None
-    for _, coef in sorted(_as_univariate(f, var_idx).items()):
-        g = coef if g is None else poly_gcd(g, coef)
-        if g.is_constant() and not g.is_zero():
-            break
+    for f in polys:
+        for _, coef in sorted(_as_univariate(f, var_idx).items()):
+            g = coef if g is None else poly_gcd(g, coef)
+            if g.is_constant():
+                return g.monic()
     return g.monic()
 
 
@@ -350,10 +351,9 @@ def _shift_down(f, expo):
 
 
 def poly_gcd(a, b):
-    """Greatest common divisor, normalized to lex-leading coefficient 1.
+    """Greatest common divisor, normalized to lex-leading coefficient 1; gcd(0,0) = 0.
 
-    Recursive content/primitive-part reduction with a subresultant-style
-    polynomial remainder sequence in the chosen main variable; gcd(0,0) = 0.
+    The monomial part splits off here; _gcd finds the rest.
     """
     if a.p != b.p or a.vars != b.vars:
         raise ValueError("polynomials from different rings")
@@ -366,32 +366,56 @@ def poly_gcd(a, b):
     if a == b:
         return a.monic()
     # no variable divides a monomial-content-free polynomial, so the monomial
-    # part of the gcd splits off exactly
+    # part of the gcd splits off exactly, and is all of it for a monomial a or b
     mono_a = _monomial_content(a)
     mono_b = _monomial_content(b)
-    common = tuple(min(x, y) for x, y in zip(mono_a, mono_b))
+    common = tuple(map(min, mono_a, mono_b))
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        return MultiPoly._new(a.p, a.vars, {common: 1})
     if any(mono_a) or any(mono_b):
-        stripped = _gcd_prs(_shift_down(a, mono_a), _shift_down(b, mono_b))
+        stripped = _gcd(_shift_down(a, mono_a), _shift_down(b, mono_b))
         return MultiPoly._new(a.p, a.vars, {tuple(map(add, e, common)): c
                                             for e, c in stripped.terms.items()})
-    return _gcd_prs(a, b)
+    return _gcd(a, b)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _gcd_prs(a, b):
+def _gcd(a, b):
+    """gcd of two polynomials free of monomial content, by the first exact stage that
+    applies:
+
+    - both in one variable: Euclid over F_p;
+    - for each variable v in use, main variable first: if one operand is free of
+      v, or the images of a and b at a point of F_q are coprime in t_v
+      (_image_gcd_degree is 0), the gcd is free of v, so it is the gcd of all the
+      v-coefficients of a and b;
+    - after the main variable: the operand B of lower degree in it (of fewer
+      terms at equal degree) divides the other, tried only where the images' gcd
+      has the degree of B;
+    - otherwise contents in the main variable and a subresultant PRS.
+    """
     if a.is_constant() or b.is_constant():
         return MultiPoly.const(a.p, a.vars, 1)
     if a == b:
         return a.monic()
     used = _vars_used(a, b)
+    if len(used) == 1:
+        v = used[0]
+        gcd = _euclid(_image(a, v, ()), _image(b, v, ()), _fq_tables(a.p))
+        return MultiPoly._new(a.p, a.vars, {(0,) * v + (d,) + (0,) * (len(a.vars) - v - 1): c
+                                            for d, c in enumerate(gcd) if c})
     main = used[-1]
-    if a.degree_in(main) == 0 or b.degree_in(main) == 0:
-        # one operand is free of the main variable: gcd divides its content
-        free, other = (a, b) if a.degree_in(main) == 0 else (b, a)
-        return poly_gcd(free, _content(other, main))
+    B, A = sorted((a, b), key=lambda f: (f.degree_in(main), len(f.terms)))
+    for v in reversed(used):
+        d = 0 if a.degree_in(v) == 0 or b.degree_in(v) == 0 else _image_gcd_degree(a, b, v)
+        if d == 0:
+            return _content(v, a, b)
+        # if B divides A, the gcd of the images is the whole image of B
+        if v == main and d in (None, B.degree_in(main)) and A.try_divide(B) is not None:
+            return B.monic()
 
-    cont_a = _content(a, main)
-    cont_b = _content(b, main)
+    cont_a = _content(main, a)
+    cont_b = _content(main, b)
     cont = poly_gcd(cont_a, cont_b)
     A = a.try_divide(cont_a)
     B = b.try_divide(cont_b)
@@ -405,7 +429,7 @@ def _gcd_prs(a, b):
         rem, da, db = _pseudo_rem(A, B, main)
         delta = da - db
         if rem.is_zero():
-            gcd_pp = B.try_divide(_content(B, main))
+            gcd_pp = B.try_divide(_content(main, B))
             return (cont * gcd_pp).monic()
         if rem.degree_in(main) == 0:
             return cont.monic()
@@ -422,3 +446,128 @@ def _gcd_prs(a, b):
             h = (g ** delta).try_divide(h ** (delta - 1))
             if h is None:
                 raise AssertionError("subresultant h-update was not exact")
+
+
+# -- evaluation at points of F_q ----------------------------------------------------
+#
+# F_q is F_p[x]/(m) for one primitive m of degree k, q = p^k; its elements are the
+# ints 0..q-1 whose base-p digits are the coefficients of 1, x, ..., x^(k-1), so F_p
+# is the ints 0..p-1.  With x = alpha, exp[i] = alpha^i, log inverts it on F_q^*, and
+# the Zech log gives 1 + alpha^n = alpha^zech[n] (-1 where the sum is 0), so
+# alpha^i + alpha^j = alpha^(i + zech[j - i]).
+
+# m = x^k + m_(k-1) x^(k-1) + ... + m_0 as (m_0, ..., m_(k-1)): the Conway polynomials
+# of F_16, F_27, F_25 and F_49
+_PRIMITIVE = {2: (1, 1, 0, 0), 3: (1, 2, 0), 5: (2, 4), 7: (3, 6)}
+
+
+@lru_cache(maxsize=None)
+def _fq_tables(p):
+    """(exp, log, zech) of F_q; exp runs over two periods, so a sum of two logs needs
+    no reduction."""
+    low = _PRIMITIVE[p]
+    q = p ** len(low)
+    exp = [0] * (2 * (q - 1))
+    log = [0] * q
+    digits = [1] + [0] * (len(low) - 1)
+    for i in range(q - 1):
+        x = sum(d * p ** j for j, d in enumerate(digits))
+        exp[i] = exp[i + q - 1] = x
+        log[x] = i
+        # times alpha: shift the digits up and replace x^k by -(m_0 + ... + m_(k-1) x^(k-1))
+        top = digits[-1]
+        digits = [(d - top * m) % p for d, m in zip([0] + digits[:-1], low)]
+    zech = [-1] * (q - 1)
+    for n in range(q - 1):
+        x = exp[n]
+        one_more = x - x % p + (x + 1) % p  # 1 + x: the constant digit goes up by one
+        if one_more:
+            zech[n] = log[one_more]
+    return exp, log, zech
+
+
+def _image(f, v, point):
+    """The coefficients, lowest first, of f in F_q[t_v] after t_j = alpha^point[j] for
+    j != v; point = () puts nothing in, for f in t_v alone."""
+    exp, log, zech = _fq_tables(f.p)
+    order = len(zech)
+    coeffs = [0] * (f.degree_in(v) + 1)
+    for e, c in f.terms.items():
+        i = (log[c] + sum(map(mul, e, point))) % order
+        d = e[v]
+        x = coeffs[d]
+        if not x:
+            coeffs[d] = exp[i]
+        else:
+            z = zech[(i - log[x]) % order]
+            coeffs[d] = exp[log[x] + z] if z >= 0 else 0
+    return coeffs
+
+
+def _euclid(f, g, tables):
+    """Monic gcd of two nonzero dense polynomials over F_q (coefficients lowest
+    first, top one nonzero)."""
+    exp, log, zech = tables
+    order = len(zech)
+    minus = order // 2 if order % 2 == 0 else 0  # log of -1
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        f = list(f)
+        dg = len(g) - 1
+        logs = [log[c] if c else -1 for c in g[:-1]]
+        shift = order - log[g[-1]] + minus  # log of -1/lc(g)
+        for top in range(len(f) - 1, dg - 1, -1):
+            c = f.pop()
+            if not c:
+                continue
+            s = log[c] + shift
+            for k, lg in enumerate(logs, top - dg):
+                if lg < 0:
+                    continue
+                i = (s + lg) % order
+                x = f[k]
+                if not x:
+                    f[k] = exp[i]
+                else:
+                    z = zech[(i - log[x]) % order]
+                    f[k] = exp[log[x] + z] if z >= 0 else 0
+        while f and not f[-1]:
+            f.pop()
+        if not f:
+            break
+        f, g = g, f
+    if len(g) == 1:
+        return [1]
+    inv = order - log[g[-1]]
+    return [exp[log[c] + inv] if c else 0 for c in g]
+
+
+@lru_cache(maxsize=None)
+def _points(p, n, v):
+    """The evaluation points for t_v in n variables, as logs: runs of n - 1 distinct
+    elements of F_q outside F_p, in the order of their logs, with 0 at v."""
+    order = p ** len(_PRIMITIVE[p]) - 1
+    outside = [i for i in range(1, order) if i % (order // (p - 1))]
+    points = []
+    for start in range(0, len(outside) - n + 2, n - 1):
+        run = iter(outside[start:start + n - 1])
+        points.append([0 if j == v else next(run) for j in range(n)])
+    return points
+
+
+def _image_gcd_degree(a, b, v):
+    """The degree of the gcd of the images of a and b in F_q[t_v] at the first fixed
+    point, outside F_p in every coordinate but v, that keeps both leading
+    v-coefficients nonzero; None if every point kills one.
+
+    Degree 0 certifies that gcd(a, b) is free of t_v: a gcd G of positive v-degree
+    has lc_v(G) dividing lc_v(a), so its image keeps that degree and divides both
+    images.
+    """
+    for point in _points(a.p, len(a.vars), v):
+        fa = _image(a, v, point)
+        fb = _image(b, v, point)
+        if fa[-1] and fb[-1]:
+            return len(_euclid(fa, fb, _fq_tables(a.p))) - 1
+    return None

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import insep
-from insep.catalog import load_default_catalog
+from insep.catalog import check_catalog_entry, load_default_catalog
 from insep import cli
 from insep.cli import JobValidationError, _worker_count, main, run_catalog, run_job, strip_timing
 from insep.fieldarith import FunctionField, parse_expr
@@ -400,6 +400,14 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             assert main(command + ["-"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: <stdin>: ") and err.count("\n") == 1
+    # a --field argument goes through the same decoder as a file: not JSON, or
+    # nested past the decoder's depth
+    for field in ("{not json", "[" * 100_000):
+        for command in (["pdegree", "--field", field, "t"],
+                        ["classify", "--field", field, "--lambda", "t", "1"]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --field: ") and err.count("\n") == 1
 
 
 def test_oversized_tensor_self_fails_validation(tmp_path, capsys):
@@ -668,3 +676,13 @@ def test_verify_all_cli_exit_codes(tmp_path, capsys):
     assert main(["verify-all", "--catalog", str(path)]) == 1
     err = capsys.readouterr().err
     assert broken[3]["name"] in err
+
+
+def test_catalog_entry_of_a_point_has_no_imperfection_bound():
+    """X = V(t U_0^2 + U_1^2) in P^1 is the point Spec K(t^(1/2)), a field in which
+    K is not algebraically closed, so the paper's bound edim < [K:K^p] does not
+    apply: the check is left out, and the entry passes."""
+    record = check_catalog_entry({"field": {"p": 2, "vars": ["t"]}, "lambda": ["t", "1"],
+                                  "expect": {"d": 1, "verdict": "Regular"}})
+    assert record["ok"], record
+    assert "edim_below_imperfection" not in record["checks"]

@@ -1,6 +1,6 @@
 """Fuzzing the input boundary: any expression string in a job, any local-algebra
-shape of an artin-edim task, and any catalog file ends in exit 0, 1 or 2, never in
-an exception escaping the command line."""
+shape of an artin-edim task, any catalog file and any job file ends in exit 0, 1
+or 2, never in an exception escaping the command line."""
 
 import json
 import re
@@ -8,7 +8,7 @@ from math import prod
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from insep.cli import main
+from insep.cli import TASK_KEY, TASK_KINDS, main
 
 NUMBERS = st.integers(0, 99).map(str)
 # two-digit numbers, the field's variables, the operators, parentheses and spaces
@@ -171,3 +171,69 @@ def test_any_catalog_file_exits_0_1_or_2(tmp_path, capsys, text):
         assert code in (0, 1, 2)
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@st.composite
+def _mutated(draw, obj, keep=()):
+    """obj, and one time in eight instead a mistyped value, obj nested in a list, obj
+    with an unknown key, or obj with one key misspelt, mistyped or deleted (a key in
+    keep is never deleted).  The first choice is the common one, since hypothesis
+    draws it more often than the others."""
+    if draw(st.sampled_from(range(8))) < 7:
+        return obj
+    key = draw(st.sampled_from(sorted(obj)))
+    rest = {k: v for k, v in obj.items() if k != key}
+    return draw(st.one_of(MISTYPED, st.just([obj]), st.just(dict(obj, extra=1)),
+                          st.just(dict(rest, **{key[:-1]: obj[key]})),
+                          MISTYPED.map(lambda value: dict(rest, **{key: value})),
+                          st.just(obj if key in keep else rest)))
+
+
+ALGEBRAS = [{"construction": "tensor-self", "field": {"p": 2, "vars": ["s", "t"]},
+             "pth_powers": ["s", "t"]},
+            {"construction": "adjoin-root", "p": 2, "base_exponents": [2], "f": [0, 1],
+             "r": 1}]
+
+
+@st.composite
+def job_texts(draw, empty_catalog):
+    """The text of a job file of up to three tasks of any kind; the job, its field,
+    its task list, each task and each algebra are now and then mistyped, nested, or
+    given an unknown, misspelt or missing key, and an expression is now and then
+    unparsable."""
+    field = {"p": draw(st.sampled_from([2, 3, 5])),
+             "vars": draw(st.sampled_from([["s", "t"], ["t"]]))}
+    pool = CHEAP if "s" in field["vars"] else CHEAP[:5]
+    tasks = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(TASK_KINDS))
+        size = 3 if kind.startswith("curve-") else draw(st.integers(2, 4))
+        exprs = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+        if draw(st.sampled_from(range(8))) == 7:
+            exprs[-1] = draw(st.sampled_from(UNPARSABLE))
+        if kind == "artin-edim":
+            task = {"kind": kind, "algebra": draw(_mutated(draw(st.sampled_from(ALGEBRAS))))}
+        elif kind == "verify-all":
+            # without a catalog key the task would run the whole shipped catalog
+            task = {"kind": kind, "catalog": empty_catalog}
+        else:
+            task = {"kind": kind, TASK_KEY.get(kind, "lambda"): exprs}
+        tasks.append(draw(_mutated(task, keep={"catalog"})))
+    job = {"field": draw(_mutated(field)), "tasks": draw(_rarely_mutated(tasks))}
+    return json.dumps(draw(_mutated(job)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_job_file_exits_0_1_or_2(tmp_path, capsys, data):
+    empty = tmp_path / "empty_catalog.json"
+    empty.write_text("[]")
+    path = tmp_path / "job.json"
+    path.write_text(data.draw(job_texts(str(empty))))
+    code = main(["run", str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -112,37 +112,147 @@ def test_formatting_reparses(K3st):
         assert parse_expr(f.format(), K3st) == f
 
 
+VARIABLES = ("s", "t", "u", "w")
+
+
+def _sympy_gcd(a, b):
+    """The monic gcd of a and b computed by sympy over GF(p), as a MultiPoly."""
+    import sympy
+
+    symbols = sympy.symbols(a.vars)
+    # copies: from_dict converts the values of the dict it is given in place
+    g = sympy.gcd(sympy.Poly.from_dict(dict(a.terms), *symbols, modulus=a.p),
+                  sympy.Poly.from_dict(dict(b.terms), *symbols, modulus=a.p))
+    return MultiPoly(a.p, a.vars, {m: int(c) for m, c in g.terms()}).monic()
+
+
 def test_gcd_and_canonical_form_against_sympy():
     """poly_gcd agrees with sympy's gcd over GF(p) up to a unit, and RatFunc keeps
     a coprime numerator and denominator with a monic denominator."""
-    import sympy
-
-    from insep.fieldarith import FunctionField, MultiPoly
-
-    s, t = sympy.symbols("s t")
-
-    def to_sympy(f):
-        # a copy: from_dict converts the values of the dict it is given in place
-        return sympy.Poly.from_dict(dict(f.terms), s, t, modulus=f.p)
-
-    def from_sympy(g, p):
-        return MultiPoly(p, ("s", "t"), {m: int(c) for m, c in g.terms()})
+    from insep.fieldarith import FunctionField
 
     rng = seeded(4242)
     for p in (2, 3, 5, 7):
         K = FunctionField(p, ["s", "t"])
         for _ in range(12):
-            common = random_nonzero_poly(rng, K)
-            while common.is_constant():
-                common = random_nonzero_poly(rng, K)
+            common = _nonconstant_poly(rng, K)
             a = common * random_nonzero_poly(rng, K)
             b = common * random_nonzero_poly(rng, K)
-            expected = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)), p).monic()
-            assert poly_gcd(a, b) == expected
+            assert poly_gcd(a, b) == _sympy_gcd(a, b)
             f = RatFunc(a, b)
             assert f.num * b == f.den * a
-            assert sympy.gcd(to_sympy(f.num), to_sympy(f.den)).is_ground
+            assert _sympy_gcd(f.num, f.den).is_one()
             assert f.den.leading_coeff() == 1
+
+
+def _nonconstant_poly(rng, K):
+    while True:
+        poly = random_nonzero_poly(rng, K)
+        if not poly.is_constant():
+            return poly
+
+
+def test_gcd_stages_against_sympy(monkeypatch):
+    """Coprime pairs, pairs where one operand divides the other, and pairs with a
+    planted common factor, in one to four variables: poly_gcd equals sympy's monic
+    gcd, and the coprime and dividing pairs never reach the subresultant PRS."""
+    from insep.fieldarith import FunctionField, multipoly
+
+    # the PRS steps taken by the outermost _gcd; the gcds of coefficients that its
+    # stages ask for may have proper common factors and reach the PRS themselves
+    nesting, outer_prs = [], []
+    gcd, pseudo_rem = multipoly._gcd, multipoly._pseudo_rem
+
+    def nested_gcd(a, b):
+        nesting.append(None)
+        try:
+            return gcd(a, b)
+        finally:
+            nesting.pop()
+
+    def outer_pseudo_rem(*args):
+        if len(nesting) == 1:
+            outer_prs.append(args)
+        return pseudo_rem(*args)
+
+    monkeypatch.setattr(multipoly, "_gcd", nested_gcd)
+    monkeypatch.setattr(multipoly, "_pseudo_rem", outer_pseudo_rem)
+    rng = seeded(2020)
+    for p in (2, 3, 5, 7):
+        for n in range(1, 5):
+            K = FunctionField(p, VARIABLES[:n])
+            for kind in ("coprime", "divides", "common factor") * 2:
+                a = _nonconstant_poly(rng, K)
+                b = _nonconstant_poly(rng, K)
+                if kind == "divides":
+                    a, b = a, a * b
+                elif kind == "common factor":
+                    common = _nonconstant_poly(rng, K)
+                    a, b = a * common, b * common
+                elif not _sympy_gcd(a, b).is_one():
+                    continue
+                outer_prs.clear()
+                assert poly_gcd(a, b) == _sympy_gcd(a, b), (kind, a, b)
+                assert poly_gcd(b, a) == _sympy_gcd(a, b), (kind, a, b)
+                if kind != "common factor":
+                    assert not outer_prs, (kind, a, b)
+
+
+def _minimal_polynomial_of_alpha(K):
+    """The primitive polynomial of the evaluation field F_q, in the first variable
+    of K: it vanishes at alpha, the first coordinate of the first point."""
+    from insep.fieldarith import multipoly
+
+    low = multipoly._PRIMITIVE[K.p]
+    s = K.gen(K.vars[0]).num
+    powers = [s ** i for i in range(len(low) + 1)]
+    total = powers[-1]
+    for c, power in zip(low, powers):
+        total = total + power.scale(c)
+    return total
+
+
+def test_gcd_skips_an_evaluation_point_that_kills_a_leading_coefficient():
+    """A common factor G whose image at the first point is the constant 1: taken
+    there, the images would be coprime and certify a wrong gcd."""
+    from insep.fieldarith import FunctionField, multipoly
+
+    for p in (2, 3, 5, 7):
+        K = FunctionField(p, ["s", "t"])
+        s, t = (K.gen(x).num for x in K.vars)
+        one = MultiPoly.const(p, K.vars, 1)
+        common = _minimal_polynomial_of_alpha(K) * t + one
+        a = common * (t + s)
+        b = common * (t + one)
+        # at the first point, s = alpha, the leading t-coefficients vanish
+        assert multipoly._image(common, 1, [1, 0]) == [1, 0]
+        assert multipoly._image_gcd_degree(a, b, 1) == 1
+        assert poly_gcd(a, b) == _sympy_gcd(a, b) == common.monic()
+
+
+def test_gcd_of_a_coprime_pair_with_a_common_factor_at_the_first_point():
+    from insep.fieldarith import FunctionField, multipoly
+
+    for p in (2, 3, 5, 7):
+        K = FunctionField(p, ["s", "t"])
+        s, t = (K.gen(x).num for x in K.vars)
+        a = t + s
+        b = t + s + _minimal_polynomial_of_alpha(K)
+        # both images at s = alpha are t + alpha, so there is no certificate in t
+        assert multipoly._image_gcd_degree(a, b, 1) == 1
+        assert poly_gcd(a, b) == _sympy_gcd(a, b)
+        assert poly_gcd(a, b).is_one()
+
+
+def test_evaluation_field_tables_come_from_a_primitive_polynomial():
+    from insep.fieldarith import multipoly
+
+    for p in (2, 3, 5, 7):
+        exp, log, zech = multipoly._fq_tables(p)
+        q = len(log)
+        assert sorted(exp[:q - 1]) == list(range(1, q))  # alpha generates F_q^*
+        assert all(log[exp[i]] == i for i in range(q - 1))
+        assert zech.count(-1) == 1  # 1 + alpha^n = 0 only for alpha^n = -1
 
 
 def test_henrici_arithmetic_matches_the_schoolbook_fraction_reduced_once():

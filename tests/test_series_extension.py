@@ -7,9 +7,10 @@ from insep.fieldarith import (
     SimpleExtensionField,
     TruncSeriesRing,
     extension_tower,
+    parse_expr,
 )
 
-from conftest import random_ratfunc, seeded
+from conftest import random_nonzero_ratfunc, random_ratfunc, seeded
 
 
 def test_extension_constructor_rejects_pth_powers(K2st):
@@ -53,6 +54,18 @@ def test_tower_of_two_roots(K2st):
     assert (prod.inverse() * prod) == T.one()
     with pytest.raises(NotAPthPowerCheckError):
         extension_tower(K2st, [t, s * s * t])  # s^2 t lies in K^2(t)
+
+
+def test_tower_inverse_over_two_variables():
+    """The tower of catalog entry f5t-two-term-Q, F_5(t,z)(w) with w^5 =
+    -(t z^5 + 1)/(t + t^2): the norm of an element with five dense coefficients
+    takes gcds of bivariate polynomials of total degree up to 78."""
+    K = FunctionField(5, ["t", "z"])
+    L = SimpleExtensionField(K, parse_expr("-(t*z^5+1)/(t+t^2)", K))
+    rng = seeded(1)
+    a = L.from_coeffs([random_nonzero_ratfunc(rng, K, max_terms=3, max_exp=2)
+                       for _ in range(5)])
+    assert a * a.inverse() == L.one()
 
 
 def test_trunc_series_arithmetic(K3t):
