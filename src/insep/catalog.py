@@ -13,9 +13,9 @@ import json
 import sys
 
 from . import curves, fermat
+from .fermat import verify_codim
 from .fieldarith import FunctionField, ParseError, parse_expr
 from .frobenius import imperfection_degree
-from .groebner import verify_codim
 from .upoly import UPoly
 
 
@@ -39,7 +39,7 @@ def check_field(where, desc):
     """The field of a descriptor; where names the descriptor in the message."""
     try:
         return FunctionField.from_descriptor(desc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise JobValidationError("%s: bad field descriptor: %s" % (where, exc)) from exc
 
 

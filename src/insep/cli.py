@@ -20,9 +20,9 @@ from math import prod
 from . import artin, catalog, curves, fermat
 from .catalog import (JobValidationError, check_expressions, check_field, check_keys,
                       hypersurface)
+from .fermat import verify_codim
 from .fieldarith import SUPPORTED_PRIMES, FunctionField, PrimeField, parse_expr
 from .frobenius import pdegree_generated
-from .groebner import verify_codim
 
 TIMING_KEYS = ("seconds", "total_seconds")
 

@@ -3,12 +3,14 @@
 The p-degree d of K^p(lambda_i/lambda_r) inside K controls everything: the
 scheme is regular iff d = n, is a p-th power (nowhere reduced) iff d = 0, and
 otherwise has singular locus of codimension exactly d.  That locus is cut out
-by f and its partials df/dt_k (singular_ideal), which the Groebner oracle reads.
+by f and its partials df/dt_k (singular_ideal), which the Groebner oracle reads;
+the same partials modulo f give the edim of the geometric generic fiber.
 """
 
 from collections import namedtuple
 
 from .frobenius import p_linear_relation, pdegree_generated, pth_root
+from .groebner import buchberger, ideal_dimension, normal_form
 from .upoly import UPoly
 
 VERDICT_REGULAR = "Regular"
@@ -116,36 +118,37 @@ def singular_ideal(X):
 
 
 def geometric_generic_edim(X):
-    """Generic embedding dimension after base change to K^(1/p); always 1 when d >= 1.
+    """Embedding dimension of the geometric generic fiber: the generic rank of the
+    t-Jacobian (df/dt_1, ..., df/dt_n) on X.
 
-    Substituting t_i -> t_i^p realizes the base change, and the substituted
-    equation becomes the p-th power of a linear form, which is checked exactly.
-    The function field then has p-degree n over K(F^p) and transcendence
-    degree n-1, and the embedding dimension is the difference, 1.
+    The edim is the dimension of Cartier's imperfection module, the kernel of
+    F (x) Omega_K -> Omega_F for F the function field of X (Matsumura, Commutative
+    Ring Theory, Sec. 26).  As df has no dU part, that kernel is spanned by the row
+    (df/dt_k)_k at the generic point, so the edim is 1 iff some df/dt_k lies
+    outside (f).  One form is a Groebner basis of its own ideal, so reducing
+    modulo f decides membership.
     """
     if invariant_d(X) == 0:
         raise NotIntegralError("nowhere reduced hypersurface has no generic field")
-    pth_power_witness_over_root_field(X)
-    return 1
+    f, *partials = singular_ideal(X)
+    return int(any(normal_form(g, [f]) for g in partials))
 
 
-def pth_power_witness_over_root_field(X):
-    """Root coefficients rho_i with (sum rho_i U_i)^p = f after t_i -> t_i^p.
+class CodimCheck(namedtuple("CodimCheck", "predicted_d affine_dim oracle_codim match")):
+    """oracle_codim is an int, or None when the locus is empty."""
 
-    The substitution identifies K^(1/p) with the same rational function field.
-    Before returning, (sum rho_i U_i)^p is compared exactly with the substituted
-    equation; in characteristic p that power is the Frobenius identity
-    sum rho_i^p U_i^p, so it is computed by substitution, with no expansion.
+    __slots__ = ()
+
+
+def verify_codim(X):
+    """Confirm the predicted singular codimension against the Groebner oracle.
+
+    The singular locus of X is cut out by singular_ideal.  The predicted
+    codimension is the invariant d (d = n means a regular scheme, i.e. an empty
+    singular locus); the oracle's is taken inside X, of dimension n-1 in P^n.
     """
-    field = X.field
-    p = X.p
-    substituted = [c.stretch_exponents(p) for c in X.coeffs]
-    roots = [pth_root(c) for c in substituted]
-    if any(root is None for root in roots):
-        raise AssertionError("a coefficient is not a p-th power after t_i -> t_i^p")
-    g = UPoly.from_power_form(field, roots, 1)
-    expanded = g ** p
-    target = UPoly.from_power_form(field, substituted, p)
-    if expanded != target:
-        raise AssertionError("p-th power witness does not give the substituted equation")
-    return tuple(roots)
+    d = invariant_d(X)
+    report = ideal_dimension(buchberger(singular_ideal(X)))
+    codim = None if report.projective_dim is None else (X.n - 1) - report.projective_dim
+    return CodimCheck(predicted_d=d, affine_dim=report.affine_dim, oracle_codim=codim,
+                      match=codim is None if d == X.n else codim == d)

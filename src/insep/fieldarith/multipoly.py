@@ -22,6 +22,8 @@ MAX_VARIABLES = 4
 # p-degree, parsed expressions) and by the tables of ring constants and fields;
 # least recently used entries go first
 CACHE_SIZE = 20_000
+# the exponent vector of the constant term, one per variable count
+_ZERO_EXPONENTS = tuple((0,) * n for n in range(MAX_VARIABLES + 1))
 
 
 class MultiPoly:
@@ -81,11 +83,11 @@ class MultiPoly:
 
     def is_one(self):
         terms = self.terms
-        return len(terms) == 1 and terms.get((0,) * len(self.vars)) == 1
+        return len(terms) == 1 and terms.get(_ZERO_EXPONENTS[len(self.vars)]) == 1
 
     def is_constant(self):
         terms = self.terms
-        return not terms or (len(terms) == 1 and (0,) * len(self.vars) in terms)
+        return not terms or (len(terms) == 1 and _ZERO_EXPONENTS[len(self.vars)] in terms)
 
     def __bool__(self):
         return bool(self.terms)

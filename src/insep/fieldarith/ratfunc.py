@@ -149,9 +149,6 @@ class RatFunc:
         a, b = self.num, self.den
         return RatFunc(a.derivative(var_idx) * b - a * b.derivative(var_idx), b * b)
 
-    def stretch_exponents(self, k):
-        return RatFunc(self.num.stretch_exponents(k), self.den.stretch_exponents(k))
-
     # -- formatting -------------------------------------------------------------
 
     def format(self):
@@ -236,10 +233,6 @@ class FunctionField:
     def gens(self):
         return [self.gen(v) for v in self.vars]
 
-    # the degree of imperfection of F_p(t_1,...,t_n) is n
-    def imperfection_degree(self):
-        return len(self.vars)
-
     def pth_root(self, elem):
         """Return the p-th root if elem is a p-th power in K, else None."""
         from ..frobenius import pth_root
@@ -270,10 +263,15 @@ class FunctionField:
     def from_descriptor(cls, desc):
         """The field of a JSON descriptor {"p": int, "vars": [names]}; types are checked, not
         coerced, and any other key is refused."""
-        p, variables = desc["p"], desc["vars"]
+        if not isinstance(desc, dict):
+            raise ValueError("must be a JSON object with keys 'p' and 'vars'")
         unknown = [key for key in desc if key not in ("p", "vars")]
         if unknown:
             raise ValueError("unknown key %s; expected 'p', 'vars'" % ", ".join(map(repr, unknown)))
+        missing = [key for key in ("p", "vars") if key not in desc]
+        if missing:
+            raise ValueError("missing key %s" % ", ".join(map(repr, missing)))
+        p, variables = desc["p"], desc["vars"]
         # JSON true/false arrive as bool, a subclass of int
         if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError("p must be an integer")

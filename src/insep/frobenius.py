@@ -150,4 +150,4 @@ def in_pspan(mu, basis):
 
 def imperfection_degree(field):
     """The p-degree of K over K^p; for F_p(t_1,...,t_n) this is n."""
-    return field.imperfection_degree()
+    return len(field.vars)

@@ -32,12 +32,6 @@ class DimensionReport(namedtuple("DimensionReport", "affine_dim projective_dim")
 
     __slots__ = ()
 
-    def codim_in_hypersurface(self, n):
-        """Codimension inside a hypersurface of dimension n-1 in P^n."""
-        if self.projective_dim is None:
-            return None
-        return (n - 1) - self.projective_dim
-
 
 def normal_form(f, basis, counter=None):
     """Full remainder of f under division by basis, in grevlex.
@@ -175,30 +169,3 @@ def ideal_dimension(gb):
     affine = best
     projective = affine - 1 if affine >= 1 else None
     return DimensionReport(affine_dim=affine, projective_dim=projective)
-
-
-class CodimCheck(namedtuple("CodimCheck", "predicted_d affine_dim oracle_codim match")):
-    """oracle_codim is an int, or None when the locus is empty."""
-
-    __slots__ = ()
-
-
-def verify_codim(hypersurface):
-    """Confirm the predicted singular codimension against the Groebner oracle.
-
-    The singular locus of V_+(f) is cut out by singular_ideal: f together with
-    the coefficient partials df/dt_k.  The predicted codimension is the
-    invariant d (d = n means a regular scheme, i.e. an empty singular locus).
-    """
-    from .fermat import invariant_d, singular_ideal
-
-    d = invariant_d(hypersurface)
-    gb = buchberger(singular_ideal(hypersurface))
-    report = ideal_dimension(gb)
-    codim = report.codim_in_hypersurface(hypersurface.n)
-    if d == hypersurface.n:
-        match = report.projective_dim is None
-    else:
-        match = codim == d
-    return CodimCheck(predicted_d=d, affine_dim=report.affine_dim,
-                      oracle_codim=codim, match=match)

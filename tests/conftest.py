@@ -4,6 +4,8 @@ import random
 import pytest
 
 from insep.fieldarith import FunctionField, MultiPoly, RatFunc
+from insep.frobenius import pth_root
+from insep.upoly import UPoly
 
 
 @pytest.fixture(autouse=True)
@@ -72,6 +74,23 @@ def reassemble(field, coords):
         mono = RatFunc(MultiPoly(field.p, field.vars, {e: 1}), reduce=False)
         total = total + (g ** field.p) * mono
     return total
+
+
+def pth_power_witness_over_root_field(X):
+    """Root coefficients rho_i with (sum rho_i U_i)^p = f after t_i -> t_i^p.
+
+    The substitution identifies K^(1/p) with the same rational function field, and
+    the p-th power of the linear form is compared exactly with the substituted
+    equation.
+    """
+    p = X.p
+    substituted = [RatFunc(c.num.stretch_exponents(p), c.den.stretch_exponents(p))
+                   for c in X.coeffs]
+    roots = tuple(pth_root(c) for c in substituted)
+    assert all(root is not None for root in roots), "not a p-th power after t_i -> t_i^p"
+    linear = UPoly.from_power_form(X.field, list(roots), 1)
+    assert linear ** p == UPoly.from_power_form(X.field, substituted, p)
+    return roots
 
 
 def sympy_p_independent(elems):

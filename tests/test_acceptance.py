@@ -8,9 +8,12 @@ import json
 import time
 from itertools import permutations
 
+import pytest
+
 from insep import artin, curves, fermat
 from insep.catalog import hypersurface, load_default_catalog
 from insep.cli import run_catalog, run_job, strip_timing
+from insep.fermat import verify_codim
 from insep.fieldarith import FunctionField, PrimeField, parse_expr
 from insep.frobenius import (
     frobenius_decompose,
@@ -18,10 +21,10 @@ from insep.frobenius import (
     pdegree_generated,
     pth_root,
 )
-from insep.groebner import buchberger, is_groebner_basis, verify_codim
+from insep.groebner import buchberger, is_groebner_basis
 
-from conftest import (random_nonzero_ratfunc, random_ratfunc, reassemble, seeded,
-                      sympy_p_independent)
+from conftest import (pth_power_witness_over_root_field, random_nonzero_ratfunc, random_ratfunc,
+                      reassemble, seeded, sympy_p_independent)
 
 CATALOG = load_default_catalog()
 CURVE_FIELDS = ({"p": 2, "vars": ["s", "t"]}, {"p": 3, "vars": ["s", "t"]},
@@ -165,16 +168,23 @@ def test_criterion_6_local_algebra_lemmas():
 
 def test_criterion_7_main_theorem_instances():
     start = time.monotonic()
-    regular_seen = 0
+    regular_seen = nonreduced_seen = 0
     for entry in CATALOG:
         X = entry_hypersurface(entry)
         d = fermat.invariant_d(X)
+        if d == 0:
+            with pytest.raises(fermat.NotIntegralError):
+                fermat.geometric_generic_edim(X)
+            nonreduced_seen += 1
+            continue
+        edim = fermat.geometric_generic_edim(X)
+        assert edim == 1, entry["name"]
+        pth_power_witness_over_root_field(X)  # asserts that the witness is exact
         if d == X.n:
-            assert fermat.geometric_generic_edim(X) == 1, entry["name"]
-            fermat.pth_power_witness_over_root_field(X)  # raises unless the witness is exact
-            assert 1 < imperfection_degree(X.field), entry["name"]
+            assert edim == 1 < imperfection_degree(X.field), entry["name"]
             regular_seen += 1
     assert regular_seen >= 3
+    assert nonreduced_seen == 3
     # over F_p(t) the degree of imperfection is 1, so no catalog curve is regular
     one_var = [e for e in CATALOG if len(e["field"]["vars"]) == 1]
     assert one_var
@@ -182,6 +192,20 @@ def test_criterion_7_main_theorem_instances():
         X = entry_hypersurface(entry)
         assert fermat.classify(X).verdict != fermat.VERDICT_REGULAR, entry["name"]
     _announce(7, "geometric generic edim bound", True, time.monotonic() - start)
+
+
+def test_edim_reaches_imperfection_degree_on_curves_that_are_not_regular():
+    # over F_p(t) no d = 1 curve is regular, and there the edim equals n_K = 1:
+    # the bound edim < n_K needs its regularity hypothesis
+    curves_over_t = [entry for entry in CATALOG
+                     if len(entry["field"]["vars"]) == 1 and entry["expect"]["d"] == 1]
+    assert sorted(entry["name"] for entry in curves_over_t) == [
+        "f3t-constant-Q", "f3t-residueL-curve", "f3t-two-term-Q",
+        "f5t-residueL-curve", "f5t-two-term-Q"]
+    for entry in curves_over_t:
+        X = entry_hypersurface(entry)
+        assert fermat.classify(X).verdict != fermat.VERDICT_REGULAR, entry["name"]
+        assert fermat.geometric_generic_edim(X) == 1 == imperfection_degree(X.field), entry["name"]
 
 
 def test_criterion_8_multiple_curve_degree():

@@ -562,6 +562,32 @@ def test_unknown_catalog_and_field_keys_are_rejected(tmp_path, capsys):
                                        "expected 'p', 'vars'\n")
 
 
+def test_malformed_field_descriptors_say_what_is_wrong(tmp_path, capsys):
+    # each used to print Python's text: "'float' object is not subscriptable", "'vars'",
+    # "list indices must be integers or slices, not str"
+    not_an_object = "must be a JSON object with keys 'p' and 'vars'"
+    descriptors = [(2.0, not_an_object), ({"p": 2}, "missing key 'vars'"),
+                   ([1], not_an_object), ({"vars": ["s"]}, "missing key 'p'")]
+    pdegree = [{"kind": "pdegree", "exprs": ["1"]}]
+    path = tmp_path / "input.json"
+    for desc, message in descriptors:
+        algebra = {"construction": "tensor-self", "field": desc, "pth_powers": ["1"]}
+        runs = [
+            (["run", str(path)], {"field": desc, "tasks": pdegree}, "field"),
+            (["run", str(path)], {"field": {"p": 2, "vars": ["s"]},
+                                  "tasks": [{"kind": "artin-edim", "algebra": algebra}]},
+             "task 0: algebra.field"),
+            (["verify-all", "--catalog", str(path)],
+             [{"name": "e", "field": desc, "lambda": ["1", "1"]}], "catalog entry 0 (e): field"),
+            (["pdegree", "--field", json.dumps(desc), "1"], None, "field"),
+        ]
+        for command, content, where in runs:
+            path.write_text(json.dumps(content))
+            assert main(command) == 2
+            assert capsys.readouterr().err == "error: %s: bad field descriptor: %s\n" % (
+                where, message)
+
+
 def test_cli_stdin_and_subprocess():
     job = json.dumps({"field": {"p": 2, "vars": ["s", "t"]},
                       "tasks": [{"kind": "rational-point", "lambda": ["t", "t", "1"]}]})

@@ -4,6 +4,8 @@ A definition counts as used when its name appears as a name or an attribute
 somewhere in src/insep outside the definition's own body.  The check goes by
 name, so a method is kept alive by any use of that attribute name.  An imported
 name counts as used when its module reads it or lists it in ``__all__``.
+
+The algebra modules also import nothing from the hypersurface code built on them.
 """
 
 import ast
@@ -100,3 +102,27 @@ def test_every_import_is_used():
                     if name not in read:
                         unused.append("%s:%d %s" % (path.relative_to(ROOT), node.lineno, name))
     assert not unused, "imported but never used in src/insep: %s" % ", ".join(unused)
+
+
+# the algebra below the hypersurface code: fermat reads groebner, never the reverse
+LOWER_LAYERS = ("groebner.py", "upoly.py")
+UPPER_LAYERS = {"fermat", "curves", "catalog", "cli"}
+
+
+def _imported_names(tree):
+    """Every module-path component and name that tree imports, at module or function
+    level; ``from . import fermat`` names the module as an alias."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            yield from node.module.split(".")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield from alias.name.split(".")
+
+
+def test_lower_layers_import_no_upper_layer():
+    upward = ["%s imports %s" % (name, module)
+              for name in LOWER_LAYERS
+              for module in _imported_names(ast.parse((ROOT / name).read_text()))
+              if module in UPPER_LAYERS]
+    assert not upward, "; ".join(upward)

@@ -11,9 +11,9 @@ from insep.fermat import (
     classify,
     invariant_d,
     rational_point,
+    verify_codim,
 )
 from insep.fieldarith import FunctionField, parse_expr
-from insep.groebner import verify_codim
 from insep.upoly import UPoly
 
 

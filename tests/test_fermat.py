@@ -9,16 +9,16 @@ from insep.fermat import (
     classify,
     geometric_generic_edim,
     invariant_d,
-    pth_power_witness_over_root_field,
     rational_point,
     singular_ideal,
 )
 from insep.fieldarith import FunctionField, parse_expr
 from insep.frobenius import imperfection_degree
-from insep.groebner import buchberger, ideal_dimension
+from insep.groebner import buchberger, ideal_dimension, normal_form
 from insep.upoly import UPoly
 
-from conftest import random_nonzero_ratfunc, seeded, sympy_p_independent
+from conftest import (pth_power_witness_over_root_field, random_nonzero_ratfunc, seeded,
+                      sympy_p_independent)
 
 
 def hyp(p, variables, exprs):
@@ -135,6 +135,30 @@ def test_geometric_generic_edim():
     assert geometric_generic_edim(hyp(3, ["t"], ["t", "t^2", "1"])) == 1
     with pytest.raises(NotIntegralError):
         geometric_generic_edim(hyp(2, ["s", "t"], ["s^2", "t^2", "1"]))
+
+
+def test_t_jacobian_vanishes_modulo_f_iff_d_is_zero():
+    # d = 0 makes every ratio a p-th power, so f = lambda_r h^p and each df/dt_k is
+    # (d lambda_r/dt_k / lambda_r) f; for d >= 1 some df/dt_k survives modulo f
+    rng = seeded(71)
+    seen = set()
+    for p, variables in ((2, ["s", "t"]), (3, ["t"]), (2, ["s", "t", "u"])):
+        K = FunctionField(p, variables)
+        for n in (1, 2, 3):
+            for _ in range(4):
+                lams = [random_nonzero_ratfunc(rng, K, max_terms=2, max_exp=2)
+                        for _ in range(n + 1)]
+                if rng.randrange(3) == 0:
+                    # p-th power ratios: d = 0
+                    lams = [lams[0]] + [lams[0] * c ** p for c in lams[1:]]
+                X = PFermatHypersurface(field=K, n=n, coeffs=tuple(lams))
+                if invariant_d(X):
+                    assert geometric_generic_edim(X) == 1
+                else:
+                    f, *partials = singular_ideal(X)
+                    assert not any(normal_form(g, [f]) for g in partials)
+                seen.add(invariant_d(X) > 0)
+    assert seen == {False, True}
 
 
 def test_theorem_instance_inequality():

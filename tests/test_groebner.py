@@ -1,6 +1,6 @@
 import pytest
 
-from insep.fermat import PFermatHypersurface
+from insep.fermat import PFermatHypersurface, verify_codim
 from insep.fieldarith import FunctionField, parse_expr
 from insep.groebner import (
     ResourceLimitError,
@@ -8,7 +8,6 @@ from insep.groebner import (
     ideal_dimension,
     is_groebner_basis,
     normal_form,
-    verify_codim,
 )
 from insep.upoly import UPoly
 

@@ -3,10 +3,8 @@ square-and-multiply, and the exact checks that compare p-th powers."""
 
 import pytest
 
-from insep import fermat
 from insep.curves import (CurveNormalForm, NormalizationMap, normal_form, normalization,
                           singular_point)
-from insep.fermat import PFermatHypersurface, pth_power_witness_over_root_field
 from insep.fieldarith import (
     FunctionField,
     MultiPoly,
@@ -155,12 +153,3 @@ def test_singular_point_rejects_a_shifted_image_point(monkeypatch):
     with pytest.raises(AssertionError, match="misses a singular-ideal generator"):
         singular_point(nf)
 
-
-def test_witness_rejects_a_wrong_root_coefficient(monkeypatch):
-    K = FunctionField(2, ["s", "t"])
-    X = PFermatHypersurface(field=K, n=2, coeffs=(K.gen("s"), K.gen("t"), K.one()))
-    pth_power_witness_over_root_field(X)
-    true_root = fermat.pth_root
-    monkeypatch.setattr(fermat, "pth_root", lambda c: true_root(c) + K.gen("s"))
-    with pytest.raises(AssertionError, match="witness"):
-        pth_power_witness_over_root_field(X)
