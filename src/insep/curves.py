@@ -12,6 +12,7 @@ from .fieldarith import (
     Matrix,
     SimpleExtensionField,
     TruncSeriesRing,
+    reduce_by_rows,
     row_space_basis,
 )
 from .fermat import PFermatHypersurface, invariant_d, singular_ideal
@@ -57,24 +58,19 @@ class CurveNormalForm(namedtuple(
 
     def q_of_lambda(self):
         total = self.field.zero()
-        power = self.field.one()
-        for c in self.root_coeffs:
-            total = total + (c ** self.p) * power
-            power = power * self.lam
+        for c in reversed(self.root_coeffs):
+            total = total * self.lam + c ** self.p
         return total
 
     def curve(self):
-        return PFermatHypersurface(
-            field=self.field, n=2,
-            coeffs=(self.lam, self.q_of_lambda(), self.field.one()))
+        coeffs = (self.lam, self.q_of_lambda(), self.field.one())
+        return PFermatHypersurface(field=self.field, n=2, coeffs=coeffs)
 
     def reproduces(self, original_coeffs):
         """Original triple = unit * (canonical triple permuted); exactness check."""
         canonical = (self.lam, self.q_of_lambda(), self.field.one())
-        for slot, index in enumerate(self.slot_to_index):
-            if original_coeffs[index] != self.scale_unit * canonical[slot]:
-                return False
-        return True
+        return all(original_coeffs[index] == self.scale_unit * canonical[slot]
+                   for slot, index in enumerate(self.slot_to_index))
 
 
 def normal_form(field, lam0, lam1, lam2):
@@ -101,10 +97,8 @@ def normal_form(field, lam0, lam1, lam2):
     combo = membership_in_pspan(ratios[other_index], [lam])
     if combo is None:
         raise AssertionError("d = 1 but the second ratio is outside K^p(lambda)")
-    root_coeffs = [field.zero()] * field.p
-    for (i,), c in combo.items():
-        root_coeffs[i] = c
-    nf = CurveNormalForm(field=field, lam=lam, root_coeffs=tuple(root_coeffs),
+    root_coeffs = tuple(combo.get((i,), field.zero()) for i in range(field.p))
+    nf = CurveNormalForm(field=field, lam=lam, root_coeffs=root_coeffs,
                          scale_unit=unit, slot_to_index=(lam_index, other_index, r))
     if not nf.reproduces(coeffs):
         raise AssertionError("normal form failed to reproduce the input equation")
@@ -143,9 +137,7 @@ def normalization(nf):
     p = nf.p
     L = SimpleExtensionField(nf.field, nf.lam, gen_name="x")
     x = L.gen()
-    q_root = L.zero()
-    for i, c in enumerate(nf.root_coeffs):
-        q_root = q_root + L.lift(c) * (x ** i)
+    q_root = L.from_coeffs(nf.root_coeffs)  # sum c_i x^i
 
     # nu*(f) = lam*T0^p + Q*T1^p + (-x*T0 - q_root*T1)^p must vanish identically
     u2 = UPoly(L, 2, {(1, 0): -x, (0, 1): -q_root})
@@ -170,25 +162,20 @@ def singular_point(nf):
     """The unique singular point: (-Q'(lambda)^(1/p) : 1) upstairs and its image."""
     nu = normalization(nf)
     L = nu.line_field
-    x = L.gen()
     # rho = (d/dx) sum c_i x^i satisfies rho^p = Q'(lambda)
-    rho = L.zero()
-    for i, c in enumerate(nf.root_coeffs):
-        if i >= 1:
-            rho = rho + L.from_int(i) * L.lift(c) * (x ** (i - 1))
+    K = nf.field
+    derivative = [K.from_int(i) * c for i, c in enumerate(nf.root_coeffs)][1:]
+    rho = L.from_coeffs(derivative + [K.zero()])
     a = (-rho, L.one())
-    images = nu.images()
-    image_point = tuple(c0 * a[0] + c1 * a[1] for c0, c1 in images)
+    image_point = tuple(c0 * a[0] + c1 * a[1] for c0, c1 in nu.images())
 
     # the image must satisfy the equation and every singular-ideal generator
-    X = nf.curve()
-    for gen in singular_ideal(X):
+    for gen in singular_ideal(nf.curve()):
         if gen.evaluate(image_point, L.one(), embed_coeff=L.lift):
             raise AssertionError("image point misses a singular-ideal generator")
 
     # U_1 pulls back to T_1 = 1 at a, so the affine coordinates are the others
-    affine = (image_point[0], image_point[2])
-    degree = 1 if all(c.in_base() for c in affine) else nf.p
+    degree = 1 if image_point[0].in_base() and image_point[2].in_base() else nf.p
     return SingularPointData(point_on_line=a, image_point=image_point, residue_degree=degree,
                              nu=nu)
 
@@ -208,38 +195,40 @@ class ConductorRing:
         self.dim_K = self.p * (self.p - 1)
 
     def flatten(self, series):
-        vec = []
-        for j in range(self.order):
-            vec.extend(series.coeffs[j].coeffs)
-        return vec
+        return [c for j in range(self.order) for c in series.coeffs[j].coeffs]
 
     def unflatten(self, vec):
-        p = self.p
-        coeffs = []
-        for j in range(self.order):
-            coeffs.append(self.L.from_coeffs(vec[j * p:(j + 1) * p]))
-        return self.series.from_coeffs(coeffs)
+        return self.series.from_coeffs([self.L.from_coeffs(vec[j * self.p:(j + 1) * self.p])
+                                        for j in range(self.order)])
 
     def mul(self, v, w):
         return self.flatten(self.unflatten(v) * self.unflatten(w))
 
-    def span_with_products(self, basis):
-        """An rref basis of the span of basis and its pairwise products; a unital
-        span is a subalgebra iff this has the same dimension."""
-        products = [self.mul(a, b) for i, a in enumerate(basis) for b in basis[i:]]
-        return row_space_basis(self.K, [list(v) for v in basis] + products)
+    def closure(self, gens):
+        """An rref basis of the K-subalgebra generated by gens, closed semi-naively:
+        each row added to the span of 1 and gens is multiplied once by each
+        generator (its rref rows after 1), and a product that does not reduce to
+        zero against the rows so far is appended, made monic."""
+        rows = row_space_basis(self.K, [self.one_vec(), *gens])
+        gens, done = rows[1:], 1
+        while done < len(rows):
+            new, done = rows[done:], len(rows)
+            for v in new:
+                for g in gens:
+                    rest = reduce_by_rows(self.K, rows, self.mul(v, g))
+                    if any(rest):
+                        lead = next(x for x in rest if x)
+                        rows.append([x / lead for x in rest])
+        return row_space_basis(self.K, rows)
 
     def one_vec(self):
         return self.flatten(self.series.one())
 
     def u_level_span(self, k):
         """Basis of the subspace u^k * L; k = 0 gives the coefficient field L."""
-        out = []
-        for i in range(self.p):
-            vec = [self.K.zero()] * self.dim_K
-            vec[k * self.p + i] = self.K.one()
-            out.append(vec)
-        return out
+        zero, one = self.K.zero(), self.K.one()
+        return [[one if c == k * self.p + i else zero for c in range(self.dim_K)]
+                for i in range(self.p)]
 
     def vanishing_order(self, vec):
         return self.unflatten(vec).order_of_vanishing()
@@ -260,26 +249,28 @@ def _subspace_intersection_dim(field, basis_a, basis_b):
 
 
 def conductor_profile(nf):
-    """O_A, the K-subalgebra closure O_A0 of the curve's affine coordinates, and the case tag.
+    """O_A, the K-subalgebra O_A0 that the curve's affine coordinates generate, and the case tag.
 
-    Works in the affine chart U_i = 1 for the first coordinate of the singular
-    point that is a unit, with local parameter u = T_0/T_1 + rho.
+    The images and witnesses are read in the affine chart U_i = 1 for the first
+    coordinate of the singular point that is a unit, with local parameter
+    u = T_0/T_1 + rho.  O_A0 is closed from U0/U1 = u - rho and U2/U1 in either
+    chart: U1 pulls back to T1 = 1, a unit at the point, and so is U0 in chart 0;
+    the inverse of a unit of a finite K-algebra is a polynomial in it, so
+    K[U1/U0, U2/U0] = K[U0/U1, U2/U1].  These generators need no series inverse.
     """
     p = nf.p
     if p > 5:
         raise UnsupportedPError("conductor computations support p <= 5 only")
     sp = singular_point(nf)
-    nu = sp.nu
-    L = nu.line_field
+    L = sp.nu.line_field
     ring = ConductorRing(L)
     series = ring.series
 
     rho = -sp.point_on_line[0]
     # s = T0/T1 expands as u - rho in the local parameter u
     s_series = series.from_coeffs([-rho, L.one()])
-    x = L.gen()
     # U2/U1 pulls back to -x*s - q_root
-    u2_over_u1 = -(series.lift(x) * s_series) - series.lift(nu.q_root)
+    u2_over_u1 = -(series.lift(L.gen()) * s_series) - series.lift(sp.nu.q_root)
 
     if sp.image_point[0]:
         chart = 0
@@ -289,11 +280,7 @@ def conductor_profile(nf):
         chart = 1
         images = (s_series, u2_over_u1)             # U0/U1, U2/U1
 
-    # K-subalgebra closure of {1, images}: adjoin pairwise products until stable
-    vectors = [ring.one_vec()] + [ring.flatten(im) for im in images]
-    basis = row_space_basis(ring.K, vectors)
-    while len(closed := ring.span_with_products(basis)) > len(basis):
-        basis = closed
+    basis = ring.closure([ring.flatten(s_series), ring.flatten(u2_over_u1)])
 
     dim_sub = len(basis)
     if dim_sub != p * (p - 1) // 2:
@@ -302,8 +289,7 @@ def conductor_profile(nf):
     if _subspace_intersection_dim(ring.K, basis, ring.u_level_span(0)) != 1:
         raise AssertionError("O_A0 /\\ L is bigger than K")
     # conductor exactness guard: u^(p-2)*L does not land inside O_A0
-    top = ring.u_level_span(ring.order - 1)
-    if _subspace_intersection_dim(ring.K, basis, top) >= p:
+    if _subspace_intersection_dim(ring.K, basis, ring.u_level_span(ring.order - 1)) >= p:
         raise AssertionError("conductor would be larger than (u^(p-1))")
 
     witnesses = {}
@@ -311,19 +297,14 @@ def conductor_profile(nf):
         case = CASE_P2
     elif sp.residue_degree == 1:
         case = CASE_RESIDUE_K
-        consts = [im.coeffs[0] for im in images]
-        v = ring.flatten(images[0] - series.lift(consts[0]))
-        w = ring.flatten(images[1] - series.lift(consts[1]))
-        alpha = ring.unflatten(v).coeffs[1]
-        beta = ring.unflatten(w).coeffs[1]
-        m = Matrix(ring.K, [list(alpha.coeffs), list(beta.coeffs)])
-        if m.rank() != 2:
+        v, w = (ring.flatten(im - series.lift(im.coeffs[0])) for im in images)
+        # the u-coefficients of v and w, which the constants do not change
+        if Matrix(ring.K, [list(im.coeffs[1].coeffs) for im in images]).rank() != 2:
             raise AssertionError("ResidueK witnesses are dependent mod m^2")
         witnesses = {"v": v, "w": w}
     else:
         case = CASE_RESIDUE_L
-        idx = next(i for i, im in enumerate(images) if not im.coeffs[0].in_base())
-        h = images[idx]
+        h = next(im for im in images if not im.coeffs[0].in_base())
         mu = h.coeffs[0]
         f_part = h - series.lift(mu)
         if f_part.order_of_vanishing() != 1:
@@ -364,19 +345,22 @@ class GlueingCohomology(namedtuple("GlueingCohomology", "h0 h1 admissible")):
 def glueing_cohomology(ring, subalg_basis):
     """h^0 and h^1 of the curve glued from P^1_L along subalg inside O_A.
 
-    Exactness of 0 -> H^0 -> subalg (+) L -> O_A -> H^1 -> 0 reduces both
-    numbers to subspace dimension counts over K.
+    subalg_basis spans any K-subspace of O_A, in any order; NotASubalgebraError
+    is raised unless 1 and each product of two rref rows past the first (which is
+    then exactly 1) reduce to zero against the rref rows.  Exactness of
+    0 -> H^0 -> subalg (+) L -> O_A -> H^1 -> 0 then reduces both numbers to
+    subspace dimension counts over K.
     """
-    basis = row_space_basis(ring.K, [list(v) for v in subalg_basis])
-    if len(row_space_basis(ring.K, basis + [ring.one_vec()])) != len(basis):
+    basis = row_space_basis(ring.K, subalg_basis)
+    if any(reduce_by_rows(ring.K, basis, ring.one_vec())):
         raise NotASubalgebraError("1 is not in the span")
-    if len(ring.span_with_products(basis)) != len(basis):
+    if any(any(reduce_by_rows(ring.K, basis, ring.mul(a, b)))
+           for i, a in enumerate(basis[1:], 1) for b in basis[i:]):
         raise NotASubalgebraError("span is not closed under multiplication")
     h0 = _subspace_intersection_dim(ring.K, basis, ring.u_level_span(0))
     h1 = ring.dim_K - len(basis) - ring.p + h0
-    p = ring.p
-    admissible = h0 == 1 and len(basis) == p * (p - 1) // 2
-    return GlueingCohomology(h0=h0, h1=h1, admissible=admissible)
+    # admissible: O_A0 meets L in K and has half the dimension p(p-1) of O_A
+    return GlueingCohomology(h0=h0, h1=h1, admissible=h0 == 1 and 2 * len(basis) == ring.dim_K)
 
 
 class MultipleCurveProfile(namedtuple(

@@ -10,7 +10,7 @@ the same partials modulo f give the edim of the geometric generic fiber.
 from collections import namedtuple
 
 from .frobenius import p_linear_relation, pdegree_generated, pth_root
-from .groebner import buchberger, ideal_dimension, normal_form
+from .groebner import buchberger, ideal_dimension
 from .upoly import UPoly
 
 VERDICT_REGULAR = "Regular"
@@ -125,13 +125,14 @@ def geometric_generic_edim(X):
     F (x) Omega_K -> Omega_F for F the function field of X (Matsumura, Commutative
     Ring Theory, Sec. 26).  As df has no dU part, that kernel is spanned by the row
     (df/dt_k)_k at the generic point, so the edim is 1 iff some df/dt_k lies
-    outside (f).  One form is a Groebner basis of its own ideal, so reducing
-    modulo f decides membership.
+    outside (f).  Two forms of degree p lie in one ideal (f) only when proportional,
+    so that holds iff some (d lambda_i/dt_k)_i is no K-multiple of (lambda_i)_i.
     """
     if invariant_d(X) == 0:
         raise NotIntegralError("nowhere reduced hypersurface has no generic field")
-    f, *partials = singular_ideal(X)
-    return int(any(normal_form(g, [f]) for g in partials))
+    lam, r = X.coeffs, X.reference_index()
+    partials = ([c.derivative(k) for c in lam] for k in range(len(X.field.vars)))
+    return int(any(lam[r] * gi != g[r] * li for g in partials for gi, li in zip(g, lam)))
 
 
 class CodimCheck(namedtuple("CodimCheck", "predicted_d affine_dim oracle_codim match")):

@@ -118,3 +118,16 @@ def row_space_basis(field, vectors):
     rows, pivots = Matrix(field, vecs)._echelon()
     return [rows[i] for i in range(len(pivots))]
 
+
+def reduce_by_rows(field, rows, vector):
+    """vector less its combination of rows; zero iff vector lies in their span.
+
+    Each row has a 1 at its first nonzero entry and every later row a 0 there: an
+    rref basis, and after it any nonzero results of this function, made monic.
+    """
+    vec = list(vector)
+    for row in rows:
+        factor = vec[next(c for c, x in enumerate(row) if x)]
+        if factor:
+            vec = [a - factor * b if b else a for a, b in zip(vec, row)]
+    return [a % field.p for a in vec] if isinstance(field, PrimeField) else vec

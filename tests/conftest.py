@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from insep.fieldarith import FunctionField, MultiPoly, RatFunc
+from insep.fieldarith import FunctionField, MultiPoly, RatFunc, row_space_basis
 from insep.frobenius import pth_root
 from insep.upoly import UPoly
 
@@ -91,6 +91,19 @@ def pth_power_witness_over_root_field(X):
     linear = UPoly.from_power_form(X.field, list(roots), 1)
     assert linear ** p == UPoly.from_power_form(X.field, substituted, p)
     return roots
+
+
+def pairwise_closure(ring, images):
+    """Test-only oracle for the conductor subalgebra: the span of 1 and images inside
+    the ConductorRing, with every pairwise product of its rref basis adjoined until
+    the span stops growing; returns that rref basis."""
+    basis = row_space_basis(ring.K, [ring.one_vec()] + [ring.flatten(im) for im in images])
+    while True:
+        products = [ring.mul(a, b) for i, a in enumerate(basis) for b in basis[i:]]
+        closed = row_space_basis(ring.K, basis + products)
+        if len(closed) == len(basis):
+            return basis
+        basis = closed
 
 
 def sympy_p_independent(elems):

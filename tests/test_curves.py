@@ -20,7 +20,7 @@ from insep.curves import (
 )
 from insep.fieldarith import FunctionField, parse_expr
 
-from conftest import seeded, sympy_p_independent
+from conftest import pairwise_closure, random_nonzero_ratfunc, seeded, sympy_p_independent
 
 
 def nf_of(p, variables, exprs):
@@ -283,3 +283,98 @@ def test_catalog_entry_runs_each_curve_stage_once(monkeypatch):
     record = check_catalog_entry(entry)
     assert record["ok"] and "conductor_profile" in record["operations"]
     assert calls == {"normalization": 1, "singular_point": 1}
+
+
+def _catalog_curves(max_p):
+    """(name, normal form) of every shipped d = 1 plane curve with p <= max_p."""
+    for entry in load_default_catalog():
+        if (len(entry["lambda"]) == 3 and entry["expect"]["d"] == 1
+                and entry["field"]["p"] <= max_p):
+            K = FunctionField.from_descriptor(entry["field"])
+            yield entry["name"], normal_form(K, *[parse_expr(e, K) for e in entry["lambda"]])
+
+
+def test_closure_equals_the_pairwise_closure_of_the_chart_images_on_the_catalog():
+    names = []
+    for name, nf in _catalog_curves(5):
+        cp = conductor_profile(nf)
+        oracle = pairwise_closure(cp.ring, cp.images)
+        assert tuple(map(tuple, oracle)) == cp.subalgebra_basis, name
+        names.append(name)
+    assert "f5t-two-term-Q" in names and "f3t-constant-Q" in names
+
+
+def test_closure_equals_the_pairwise_closure_on_seeded_curves_in_both_charts():
+    # (lambda*w, Q(lambda)*w, w) rotated, Q(lambda) = a0 + a1*lambda + a2*lambda^2 with
+    # constant a_i; a1 = a2 = 0 puts the singular point in chart 1
+    rng = seeded(23)
+    K = FunctionField(3, ["s", "t"])
+    charts = []
+    while len(charts) < 12:
+        lam = random_nonzero_ratfunc(rng, K)
+        w = random_nonzero_ratfunc(rng, K)
+        a0, a1, a2 = (K.from_int(rng.randrange(lo, 3)) for lo in (1, 0, 0))
+        triple = [lam * w, (a0 + a1 * lam + a2 * lam * lam) * w, w]
+        k = rng.randrange(3)
+        try:
+            nf = normal_form(K, *(triple[k:] + triple[:k]))
+        except WrongInvariantError:  # lambda is a cube
+            continue
+        cp = conductor_profile(nf)
+        assert tuple(map(tuple, pairwise_closure(cp.ring, cp.images))) == cp.subalgebra_basis
+        charts.append(cp.chart_index)
+    assert set(charts) == {0, 1}
+
+
+def test_conductor_products_stay_within_the_semi_naive_count(monkeypatch):
+    counts = []
+    mul = curves.ConductorRing.mul
+
+    def counted(ring, v, w):
+        counts[-1] += 1
+        return mul(ring, v, w)
+
+    monkeypatch.setattr(curves.ConductorRing, "mul", counted)
+    nf = dict(_catalog_curves(5))["f5t-two-term-Q"]
+    counts.append(0)
+    cp = conductor_profile(nf)
+    counts.append(0)
+    glueing_cohomology(cp.ring, cp.subalgebra_basis)
+    # each row past 1 times each of the two generators; each pair of rows past 1
+    rows_past_one = cp.dim_subalgebra - 1
+    assert counts[0] <= 2 * rows_past_one == 18
+    assert counts[1] <= rows_past_one * (rows_past_one + 1) // 2 == 45
+
+
+def test_glueing_cohomology_accepts_a_closed_span_in_any_order():
+    nf = nf_of(5, ["t"], ["t", "t+t^2", "1"])
+    cp = conductor_profile(nf)
+    ring = cp.ring
+    one, *rest = cp.subalgebra_basis
+    assert list(one) == ring.one_vec()
+    # the same span listed with 1 last, and with 1 added to every other vector
+    shifted = [[a + b for a, b in zip(v, one)] for v in rest]
+    first = glueing_cohomology(ring, cp.subalgebra_basis)
+    assert (first.h0, first.h1, first.admissible) == (1, 6, True)
+    assert glueing_cohomology(ring, list(reversed(cp.subalgebra_basis))) == first
+    assert glueing_cohomology(ring, shifted + [one]) == first
+
+
+def test_glueing_cohomology_rejects_a_product_of_two_rows_past_one():
+    from insep.curves import ConductorRing
+    from insep.fieldarith import SimpleExtensionField
+
+    K = FunctionField(5, ["t"])
+    ring = ConductorRing(SimpleExtensionField(K, K.gen("t")))
+
+    def u_power(k):
+        v = [K.zero()] * ring.dim_K
+        v[k * ring.p] = K.one()
+        return v
+
+    # K + K*u + K*u^2 in L[u]/(u^4): 1 times anything, u*u and u^2*u^2 = 0 stay
+    # inside; only u*u^2 = u^3 leaves it
+    with pytest.raises(NotASubalgebraError, match="not closed under multiplication"):
+        glueing_cohomology(ring, [u_power(0), u_power(1), u_power(2)])
+    gc = glueing_cohomology(ring, [u_power(0), u_power(1), u_power(2), u_power(3)])
+    assert (gc.h0, gc.h1, gc.admissible) == (1, 20 - 4 - 5 + 1, False)

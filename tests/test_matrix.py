@@ -2,7 +2,8 @@ import pytest
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from insep.fieldarith import FunctionField, Matrix, PrimeField, extension_tower
+from insep.fieldarith import (FunctionField, Matrix, PrimeField, extension_tower, reduce_by_rows,
+                              row_space_basis)
 from insep.fieldarith.extension import ExtElem
 
 from conftest import random_ratfunc, seeded
@@ -97,6 +98,52 @@ def test_over_prime_field():
     m = Matrix(F5, rows)
     assert m.rank() == 2
     assert len(m.kernel_basis()) == 1
+
+
+def _check_reduce_by_rows(field, rng, entry, ncols):
+    """Remainders against an rref basis with monic remainders appended: zero exactly
+    on the span, zero in each row's leading column, and differing from the vector by
+    a member of the span."""
+    zero, one = field.zero(), field.one()
+    inside = 0
+    rows = row_space_basis(field, _sparse_rows(rng, rng.randrange(1, ncols), ncols, entry, zero))
+    for _ in range(ncols):
+        in_span = rng.random() < 0.5
+        vec = [zero] * ncols
+        if in_span:
+            for row in rows:
+                c = entry()
+                vec = [a + c * b for a, b in zip(vec, row)]
+        else:
+            vec = [entry() for _ in range(ncols)]
+        if isinstance(field, PrimeField):
+            vec = [a % field.p for a in vec]
+        rest = reduce_by_rows(field, rows, vec)
+        rank = Matrix(field, rows + [vec]).rank()
+        assert (not any(rest)) == (rank == len(rows))
+        assert Matrix(field, rows + [[a - b for a, b in zip(vec, rest)]]).rank() == len(rows)
+        for row in rows:
+            assert not rest[next(c for c, x in enumerate(row) if x)]
+        if any(rest):
+            lead = next(x for x in rest if x)
+            inv = pow(lead, field.p - 2, field.p) if isinstance(field, PrimeField) else one / lead
+            rows.append([x * inv for x in rest])
+            if isinstance(field, PrimeField):
+                rows[-1] = [x % field.p for x in rows[-1]]
+        else:
+            inside += 1
+    return inside
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_reduce_by_rows_is_zero_exactly_on_the_span(p, K3st):
+    rng = seeded(930 + p)
+    F = PrimeField(p)
+    inside = sum(_check_reduce_by_rows(F, rng, lambda: rng.randrange(1, p), 8)
+                 for _ in range(20))
+    if p == 3:
+        inside += _check_reduce_by_rows(K3st, rng, lambda: random_ratfunc(rng, K3st), 6)
+    assert 0 < inside < 20 * 8
 
 
 def _sparse_rows(rng, nrows, ncols, entry, zero):
