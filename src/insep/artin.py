@@ -18,6 +18,7 @@ from .fieldarith import (
     PrimeField,
     extension_tower,
     power,
+    reduce_by_rows,
     row_space_basis,
 )
 
@@ -218,22 +219,13 @@ class ResidueData:
         self.algebra = algebra
         # m_basis is in reduced echelon form: each row leads with 1 at its pivot
         self.m_rref = algebra.m_basis
-        self.pivots = [next(c for c, x in enumerate(row) if x) for row in self.m_rref]
-        pivot_set = set(self.pivots)
+        pivot_set = {next(c for c, x in enumerate(row) if x) for row in self.m_rref}
         self.free_cols = [c for c in range(algebra.dim) if c not in pivot_set]
         self.q = len(self.free_cols)
         self.one = self.project(algebra.one_vec())
 
-    def reduce_mod_m(self, vec):
-        v = list(vec)
-        for row, pc in zip(self.m_rref, self.pivots):
-            if v[pc]:
-                factor = v[pc]
-                v = [a - factor * b for a, b in zip(v, row)]
-        return self.algebra.reduce(v)
-
     def project(self, vec):
-        v = self.reduce_mod_m(vec)
+        v = reduce_by_rows(self.algebra.field, self.m_rref, vec)
         return tuple(v[c] for c in self.free_cols)
 
     def section(self, coords):

@@ -155,7 +155,7 @@ def check_catalog_entry(entry):
             checks["residue_degree"] = cp.sp.residue_degree == expect["residue_degree"]
         if "conductor_case" in expect:
             checks["conductor_case"] = cp.case == expect["conductor_case"]
-        gc = curves.glueing_cohomology(cp.ring, cp.subalgebra_basis)
+        gc = curves.glueing_cohomology(cp)
         checks["h0"] = gc.h0 == 1
         checks["h1"] = gc.h1 == (X.p - 1) * (X.p - 2) // 2
 

@@ -115,7 +115,7 @@ def _curve_conductor(field, task):
 
 def _curve_cohomology(field, task):
     cp = curves.conductor_profile(_normal_form(field, task))
-    gc = curves.glueing_cohomology(cp.ring, cp.subalgebra_basis)
+    gc = curves.glueing_cohomology(cp)
     return {"h0": gc.h0, "h1": gc.h1, "admissible": gc.admissible,
             "operations": ["conductor_profile", "glueing_cohomology"]}
 

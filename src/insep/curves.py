@@ -36,10 +36,6 @@ class TrivialExtensionError(ValueError):
     """The proposed p-th root already exists in K."""
 
 
-class NotASubalgebraError(ValueError):
-    """The provided span is not a unital K-subalgebra of O_A."""
-
-
 # -- normal form ---------------------------------------------------------------
 
 
@@ -235,10 +231,10 @@ class ConductorRing:
 
 
 class ConductorProfile(namedtuple("ConductorProfile", "ring chart_index images subalgebra_basis "
-                                                       "dim_subalgebra case witnesses sp")):
+                                  "dim_subalgebra dim_meet_L case witnesses sp")):
     """ring: the ConductorRing; images: the series images of the two affine
-    coordinates; subalgebra_basis: a K-basis (flattened vectors) of O_A0; sp: the
-    SingularPointData."""
+    coordinates; subalgebra_basis: a K-basis (flattened vectors) of O_A0;
+    dim_meet_L: dim_K(O_A0 /\\ L), asserted to be 1; sp: the SingularPointData."""
 
     __slots__ = ()
 
@@ -286,7 +282,8 @@ def conductor_profile(nf):
     if dim_sub != p * (p - 1) // 2:
         raise AssertionError("dim_K(O_A0) = %d, expected p(p-1)/2 = %d"
                              % (dim_sub, p * (p - 1) // 2))
-    if _subspace_intersection_dim(ring.K, basis, ring.u_level_span(0)) != 1:
+    dim_meet_L = _subspace_intersection_dim(ring.K, basis, ring.u_level_span(0))
+    if dim_meet_L != 1:
         raise AssertionError("O_A0 /\\ L is bigger than K")
     # conductor exactness guard: u^(p-2)*L does not land inside O_A0
     if _subspace_intersection_dim(ring.K, basis, ring.u_level_span(ring.order - 1)) >= p:
@@ -320,7 +317,7 @@ def conductor_profile(nf):
 
     return ConductorProfile(ring=ring, chart_index=chart, images=images,
                             subalgebra_basis=tuple(tuple(v) for v in basis),
-                            dim_subalgebra=dim_sub, case=case,
+                            dim_subalgebra=dim_sub, dim_meet_L=dim_meet_L, case=case,
                             witnesses=witnesses, sp=sp)
 
 
@@ -342,25 +339,17 @@ class GlueingCohomology(namedtuple("GlueingCohomology", "h0 h1 admissible")):
     __slots__ = ()
 
 
-def glueing_cohomology(ring, subalg_basis):
-    """h^0 and h^1 of the curve glued from P^1_L along subalg inside O_A.
+def glueing_cohomology(cp):
+    """h^0 and h^1 of the curve glued from P^1_L along O_A0 inside O_A.
 
-    subalg_basis spans any K-subspace of O_A, in any order; NotASubalgebraError
-    is raised unless 1 and each product of two rref rows past the first (which is
-    then exactly 1) reduce to zero against the rref rows.  Exactness of
-    0 -> H^0 -> subalg (+) L -> O_A -> H^1 -> 0 then reduces both numbers to
-    subspace dimension counts over K.
+    Exactness of 0 -> H^0 -> O_A0 (+) L -> O_A -> H^1 -> 0 reduces both numbers
+    to dimensions over K that the ConductorProfile cp already holds: H^0 is
+    O_A0 /\\ L, and dim_K L = p.
     """
-    basis = row_space_basis(ring.K, subalg_basis)
-    if any(reduce_by_rows(ring.K, basis, ring.one_vec())):
-        raise NotASubalgebraError("1 is not in the span")
-    if any(any(reduce_by_rows(ring.K, basis, ring.mul(a, b)))
-           for i, a in enumerate(basis[1:], 1) for b in basis[i:]):
-        raise NotASubalgebraError("span is not closed under multiplication")
-    h0 = _subspace_intersection_dim(ring.K, basis, ring.u_level_span(0))
-    h1 = ring.dim_K - len(basis) - ring.p + h0
+    h0, dim_sub, dim_ring = cp.dim_meet_L, cp.dim_subalgebra, cp.ring.dim_K
+    h1 = dim_ring - dim_sub - cp.ring.p + h0
     # admissible: O_A0 meets L in K and has half the dimension p(p-1) of O_A
-    return GlueingCohomology(h0=h0, h1=h1, admissible=h0 == 1 and 2 * len(basis) == ring.dim_K)
+    return GlueingCohomology(h0=h0, h1=h1, admissible=h0 == 1 and 2 * dim_sub == dim_ring)
 
 
 class MultipleCurveProfile(namedtuple(

@@ -9,9 +9,8 @@ Grammar:
 NAT is a decimal literal reduced mod p, IDENT a declared variable.  Whitespace
 is insignificant.  format(parse(x)) reparses to an equal value.
 
-The parser bounds its own work: a power of a base with more than one term in
-its numerator or denominator is refused when the exponent times the total
-degree of the base exceeds MAX_POWER_DEGREE, before it is expanded, a '('
+The parser bounds its own work: a power is refused when the exponent times the
+total degree of the base exceeds MAX_POWER_DEGREE, before it is expanded, a '('
 nested more than MAX_NESTING deep is refused before the descent recurses into
 it, and a division by zero is a parse error at the '/'.
 """
@@ -21,10 +20,10 @@ from functools import lru_cache
 from .multipoly import CACHE_SIZE
 from .ratfunc import FunctionField
 
-# the largest exponent * total degree of a power of a sum: the shipped catalog
-# and benchmark inputs stay at or below 7, and at the cap a dense quadratic in
-# four variables expands in about 0.01 s (under 0.1 s for any capped power tried,
-# one core of a 2-vCPU Xeon)
+# the largest exponent * total degree of a power: the shipped catalog and
+# benchmark inputs stay at or below 7, and at the cap a dense quadratic in four
+# variables expands in about 0.01 s (under 0.1 s for any capped power tried, one
+# core of a 2-vCPU Xeon)
 MAX_POWER_DEGREE = 32
 # the longest decimal literal, far below the 4300 digits Python converts to int
 MAX_DIGITS = 1000
@@ -160,8 +159,7 @@ def _parse_factor(toks, field):
         n, npos = toks.take_nat()
         if n is None:
             raise ParseError("expected exponent after '^'", npos)
-        if (max(len(value.num.terms), len(value.den.terms)) > 1
-                and n * _total_degree(value) > MAX_POWER_DEGREE):
+        if n * _total_degree(value) > MAX_POWER_DEGREE:
             raise ParseError("power too large: exponent times total degree of the base "
                              "exceeds the cap %d" % MAX_POWER_DEGREE, pos)
         value = value ** n

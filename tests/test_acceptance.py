@@ -121,7 +121,7 @@ def test_criterion_5_glueing_cohomology():
     for entry, X in _d1_curve_entries():
         nf = curves.normal_form(X.field, *X.coeffs)
         cp = curves.conductor_profile(nf)
-        gc = curves.glueing_cohomology(cp.ring, cp.subalgebra_basis)
+        gc = curves.glueing_cohomology(cp)
         assert gc.h0 == 1, entry["name"]
         assert gc.h1 == (X.p - 1) * (X.p - 2) // 2, entry["name"]
         if X.p == 3:

@@ -263,11 +263,13 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert "position" in err
 
     # a division by zero and a power too large to expand are parse errors, the
-    # power one refused before any expansion
-    for kind, key, exprs in (("classify", "lambda", ["1/0", "s"]),
-                             ("classify", "lambda", ["s/(s-s)", "s"]),
-                             ("pdegree", "exprs", ["(s+t+1)^3000", "s"])):
-        bad_expr.write_text(json.dumps({"field": {"p": 2, "vars": ["s", "t"]},
+    # power one refused before any expansion, of a sum or of a single term
+    for p, kind, key, exprs in ((2, "classify", "lambda", ["1/0", "s"]),
+                                (2, "classify", "lambda", ["s/(s-s)", "s"]),
+                                (2, "pdegree", "exprs", ["(s+t+1)^3000", "s"]),
+                                (3, "classify", "lambda", ["t^10000001+1", "s", "1"]),
+                                (3, "pdegree", "exprs", ["1/(t^30000001+s)", "s/(t^30000001+1)"])):
+        bad_expr.write_text(json.dumps({"field": {"p": p, "vars": ["s", "t"]},
                                         "tasks": [{"kind": kind, key: exprs}]}))
         start = time.perf_counter()
         assert main(["run", str(bad_expr)]) == 2

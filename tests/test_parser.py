@@ -34,10 +34,12 @@ def test_power_of_a_sum_is_capped_before_expanding(K2st):
                  "(s/(t+1))^%d" % (MAX_POWER_DEGREE + 1)):
         with pytest.raises(ParseError):
             parse_expr(text, K2st)
-    # a single term costs nothing to raise to any power
-    big = 99999999999999999999
-    assert parse_expr("s^%d" % big, K2st).num.terms == {(big, 0): 1}
-    assert parse_expr("(s/t)^%d" % big, K2st).den.terms == {(0, big): 1}
+    # a single term is capped too, at the '^'
+    assert parse_expr("s^%d" % MAX_POWER_DEGREE, K2st).num.terms == {(MAX_POWER_DEGREE, 0): 1}
+    for text in ("s^%d" % (MAX_POWER_DEGREE + 1), "(s/t)^%d" % (MAX_POWER_DEGREE + 1)):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, K2st)
+        assert err.value.position == text.index("^")
 
 
 def test_overlong_number_is_a_parse_error(K2st):
