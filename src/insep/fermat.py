@@ -4,12 +4,15 @@ The p-degree d of K^p(lambda_i/lambda_r) inside K controls everything: the
 scheme is regular iff d = n, is a p-th power (nowhere reduced) iff d = 0, and
 otherwise has singular locus of codimension exactly d.  That locus is cut out
 by f and its partials df/dt_k (singular_ideal), which the Groebner oracle reads;
-the same partials modulo f give the edim of the geometric generic fiber.
+the same partials modulo f give the edim of the geometric generic fiber.  All
+three read the t-Jacobian (d lambda_i/dt_k), computed once per hypersurface.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 
-from .frobenius import p_linear_relation, pdegree_generated, pth_root
+from .fieldarith import CACHE_SIZE, Matrix
+from .frobenius import p_linear_relation, pth_root
 from .groebner import buchberger, ideal_dimension
 from .upoly import UPoly
 
@@ -35,7 +38,7 @@ class PFermatHypersurface(namedtuple("PFermatHypersurface", "field n coeffs")):
             raise ValueError("need n+1 coefficients")
         if not any(coeffs):
             raise ValueError("coefficients must not all vanish")
-        return super().__new__(cls, field, n, coeffs)
+        return super().__new__(cls, field, n, tuple(coeffs))
 
     @property
     def p(self):
@@ -61,9 +64,20 @@ class Classification(namedtuple(
     __slots__ = ()
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def jacobian(X):
+    """The t-Jacobian of lambda: for each variable t_k of K the row (d lambda_i/dt_k)_i."""
+    return tuple(tuple(c.derivative(k) for c in X.coeffs) for k in range(len(X.field.vars)))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def invariant_d(X):
-    """p-degree over K^p of the field generated by the coefficient ratios."""
-    return pdegree_generated(X.ratios()).d
+    """p-degree over K^p of the field generated by the coefficient ratios, as
+    rank [d lambda/dt; lambda] - 1: with lambda_r != 0, the column operations
+    C_k <- lambda_r C_k - (d lambda_r/dt_k) C_lambda of the transpose leave C_k =
+    lambda_r^2 d(lambda_i/lambda_r)/dt_k, the Jacobian of the ratios (README)."""
+    # lambda goes last: the derivatives are the cheaper pivots, often constants
+    return Matrix(X.field, jacobian(X) + (X.coeffs,)).rank() - 1
 
 
 def rational_point(X):
@@ -108,13 +122,8 @@ def singular_ideal(X):
     Every derivation of K = F_p(t_1,...,t_n) is a K-combination of the d/dt_k,
     so these generate the ideal of f and all its derivatives along K.
     """
-    field = X.field
-    gens = [X.defining_upoly()]
-    for k in range(len(field.vars)):
-        poly = UPoly.from_power_form(field, [c.derivative(k) for c in X.coeffs], X.p)
-        if poly:
-            gens.append(poly)
-    return gens
+    partials = (UPoly.from_power_form(X.field, list(row), X.p) for row in jacobian(X))
+    return [X.defining_upoly()] + [g for g in partials if g]
 
 
 def geometric_generic_edim(X):
@@ -131,8 +140,7 @@ def geometric_generic_edim(X):
     if invariant_d(X) == 0:
         raise NotIntegralError("nowhere reduced hypersurface has no generic field")
     lam, r = X.coeffs, X.reference_index()
-    partials = ([c.derivative(k) for c in lam] for k in range(len(X.field.vars)))
-    return int(any(lam[r] * gi != g[r] * li for g in partials for gi, li in zip(g, lam)))
+    return int(any(lam[r] * gi != g[r] * li for g in jacobian(X) for gi, li in zip(g, lam)))
 
 
 class CodimCheck(namedtuple("CodimCheck", "predicted_d affine_dim oracle_codim match")):

@@ -5,9 +5,11 @@ order serves.
 
 This is the independent verification oracle for singular-locus codimensions:
 it must either answer correctly or fail loudly on a resource cap, never guess.
+A reduction works in place on one term dict; pairs wait in a heap by lcm.
 """
 
 from collections import namedtuple
+from heapq import heappop, heappush
 from itertools import combinations
 
 from .upoly import UPoly, grevlex_key, mono_div, mono_divides, mono_lcm, mono_mul
@@ -17,7 +19,7 @@ MAX_MONOMIALS = 1_000_000
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured pair or monomial cap was exceeded."""
+    """A pair or monomial cap was exceeded; the message gives the count and the cap."""
 
 
 class GroebnerBasis(namedtuple("GroebnerBasis", "generators")):
@@ -38,34 +40,43 @@ def normal_form(f, basis, counter=None):
 
     Each leading term is reduced by the first divisor in list order whose
     leading monomial divides it.  Against a Groebner basis any other choice
-    gives the same remainder.
+    gives the same remainder.  Each step pops the leading term c*U^e and
+    subtracts (c/lc)*U^(e-lm)*(g less its leading term) in place.
     """
     lead = [(g.leading_monomial(), g.leading_coeff(), g) for g in basis if g]
-    remainder = UPoly.zero(f.field, f.nvars)
-    work = f
+    work = dict(f.terms)
+    remainder = {}
     while work:
-        e = work.leading_monomial()
-        c = work.terms[e]
+        e = max(work, key=grevlex_key)
         if counter is not None:
-            counter[0] += len(work.terms)
+            counter[0] += len(work)
             if counter[0] > MAX_MONOMIALS:
-                raise ResourceLimitError("monomial budget exceeded during reduction")
+                raise ResourceLimitError("budget exceeded: %d monomials counted, over "
+                                         "MAX_MONOMIALS = %d" % (counter[0], MAX_MONOMIALS))
+        c = work.pop(e)
         hit = next((h for h in lead if mono_divides(h[0], e)), None)
         if hit is None:
-            remainder = remainder + UPoly(f.field, f.nvars, {e: c})
-            work = work - UPoly(f.field, f.nvars, {e: c})
-        else:
-            lm, lc, g = hit
-            work = work - g.mul_term(c / lc, mono_div(e, lm))
-    return remainder
+            remainder[e] = c
+            continue
+        lm, lc, g = hit
+        q = c if lc.is_one() else c / lc
+        shift = mono_div(e, lm)
+        for ge, gc in g.terms.items():
+            if ge != lm:
+                m = mono_mul(ge, shift)
+                s = work.pop(m, None)
+                s = -(gc * q) if s is None else s - gc * q
+                if s:
+                    work[m] = s
+    return UPoly(f.field, f.nvars, remainder)
 
 
 def s_polynomial(f, g):
     lf = f.leading_monomial()
     lg = g.leading_monomial()
     lcm = mono_lcm(lf, lg)
-    return (f.mul_term(f.field.one() / f.leading_coeff(), mono_div(lcm, lf))
-            - g.mul_term(g.field.one() / g.leading_coeff(), mono_div(lcm, lg)))
+    return (f.mul_term(f.leading_coeff().inverse(), mono_div(lcm, lf))
+            - g.mul_term(g.leading_coeff().inverse(), mono_div(lcm, lg)))
 
 
 def buchberger(gens):
@@ -79,31 +90,29 @@ def buchberger(gens):
         raise ValueError("need at least one nonzero generator")
     basis = [g.monic() for g in gens]
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    pairs = []  # normal strategy: minimal lcm in grevlex, ties broken on indices
+    def add_pairs(j):
+        for i in range(j):
+            lcm = mono_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
+            heappush(pairs, (grevlex_key(lcm), i, j, lcm))
+
+    for j in range(1, len(basis)):
+        add_pairs(j)
     counter = [0]
     processed = 0
     while pairs:
-        # normal strategy: minimal lcm in grevlex, ties broken on indices
-        def pair_key(p):
-            lcm = mono_lcm(basis[p[0]].leading_monomial(), basis[p[1]].leading_monomial())
-            return (grevlex_key(lcm), p)
-
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
+        _, i, j, lcm = heappop(pairs)
         processed += 1
         if processed > MAX_PAIRS:
-            raise ResourceLimitError("pair budget exceeded")
-        li = basis[i].leading_monomial()
-        lj = basis[j].leading_monomial()
-        if mono_lcm(li, lj) == mono_mul(li, lj):
+            raise ResourceLimitError("budget exceeded: %d pairs processed, over MAX_PAIRS = %d"
+                                     % (processed, MAX_PAIRS))
+        if lcm == mono_mul(basis[i].leading_monomial(), basis[j].leading_monomial()):
             continue  # coprime leading terms reduce to zero
         s = s_polynomial(basis[i], basis[j])
         rem = normal_form(s, basis, counter=counter)
         if rem:
-            rem = rem.monic()
-            basis.append(rem)
-            new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
+            basis.append(rem.monic())
+            add_pairs(len(basis) - 1)
 
     gb = GroebnerBasis(generators=tuple(_interreduce(_minimalize(basis))))
     if not is_groebner_basis(gb):

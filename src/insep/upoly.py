@@ -4,6 +4,7 @@ The U-variables are the projective coordinates; the ground-field variables
 live only inside coefficients.  The term order is grevlex: a monomial is
 larger when its total degree is higher or, at equal degree, when it has the
 smaller exponent in the last variable where the two differ.
+A UPoly is never mutated, so it finds its leading monomial once.
 """
 
 from .fieldarith import frobenius_power
@@ -33,7 +34,7 @@ def mono_lcm(a, b):
 class UPoly:
     """A polynomial in the U-variables over a rational function field."""
 
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("field", "nvars", "terms", "_lead")
 
     def __init__(self, field, nvars, terms):
         self.field = field
@@ -45,6 +46,7 @@ class UPoly:
                     raise ValueError("exponent %r has wrong arity" % (e,))
                 clean[tuple(e)] = c
         self.terms = clean
+        self._lead = None
 
     @classmethod
     def zero(cls, field, nvars):
@@ -109,10 +111,9 @@ class UPoly:
         return UPoly(self.field, self.nvars, res)
 
     def mul_term(self, coeff, mono):
-        if not coeff:
-            return UPoly.zero(self.field, self.nvars)
+        scaled = self if coeff.is_one() else self.scale(coeff)
         return UPoly(self.field, self.nvars,
-                     {mono_mul(e, mono): c * coeff for e, c in self.terms.items()})
+                     {mono_mul(e, mono): c for e, c in scaled.terms.items()})
 
     def scale(self, coeff):
         if not coeff:
@@ -130,9 +131,11 @@ class UPoly:
         return frobenius_power(self, n, self.field.characteristic, one)
 
     def leading_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial")
-        return max(self.terms, key=grevlex_key)
+        if self._lead is None:
+            if not self.terms:
+                raise ValueError("zero polynomial")
+            self._lead = max(self.terms, key=grevlex_key)
+        return self._lead
 
     def leading_coeff(self):
         return self.terms[self.leading_monomial()]
@@ -141,7 +144,7 @@ class UPoly:
         if not self.terms:
             return self
         lc = self.leading_coeff()
-        return UPoly(self.field, self.nvars, {e: c / lc for e, c in self.terms.items()})
+        return self if lc.is_one() else self.scale(lc.inverse())
 
     def evaluate(self, values, one, embed_coeff=None):
         """Evaluate at ring elements; ``embed_coeff`` maps K-coefficients into that ring."""

@@ -93,6 +93,31 @@ def pth_power_witness_over_root_field(X):
     return roots
 
 
+def reference_normal_form(f, basis, counter=None):
+    """Test-only reference for groebner.normal_form, in whole-UPoly arithmetic: each
+    step subtracts (c/lc) U^(e-lm) g, leading term included, and the first divisor in
+    list order wins.  The counter adds the terms of the working polynomial at each
+    step, as the oracle's monomial budget does; the cap itself is not checked here."""
+    from insep.upoly import mono_div, mono_divides
+
+    lead = [(g.leading_monomial(), g.leading_coeff(), g) for g in basis if g]
+    remainder = UPoly.zero(f.field, f.nvars)
+    work = f
+    while work:
+        e = work.leading_monomial()
+        c = work.terms[e]
+        if counter is not None:
+            counter[0] += len(work.terms)
+        hit = next((h for h in lead if mono_divides(h[0], e)), None)
+        if hit is None:
+            remainder = remainder + UPoly(f.field, f.nvars, {e: c})
+            work = work - UPoly(f.field, f.nvars, {e: c})
+        else:
+            lm, lc, g = hit
+            work = work - g.mul_term(c / lc, mono_div(e, lm))
+    return remainder
+
+
 def pairwise_closure(ring, images):
     """Test-only oracle for the conductor subalgebra: the span of 1 and images inside
     the ConductorRing, with every pairwise product of its rref basis adjoined until

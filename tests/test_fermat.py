@@ -9,11 +9,13 @@ from insep.fermat import (
     classify,
     geometric_generic_edim,
     invariant_d,
+    jacobian,
     rational_point,
     singular_ideal,
 )
+from insep.catalog import hypersurface, load_default_catalog
 from insep.fieldarith import FunctionField, parse_expr
-from insep.frobenius import imperfection_degree
+from insep.frobenius import imperfection_degree, pdegree_generated
 from insep.groebner import buchberger, ideal_dimension, normal_form
 from insep.upoly import UPoly
 
@@ -220,3 +222,37 @@ def test_invariant_d_against_brute_force_random():
                      for _ in range(3))
         X = PFermatHypersurface(field=K, n=2, coeffs=lams)
         assert invariant_d(X) == _brute_force_d(X)
+
+
+def test_invariant_d_is_the_p_degree_of_the_ratios():
+    """rank [d lambda/dt; lambda] - 1 against the p-degree of the ratios through their
+    own Jacobian, on the shipped catalog and on seeded hypersurfaces with p = 2, 3, 5,
+    7, one to three variables and n = 1, 2, 3, some with a zero lambda_i; jacobian(X)
+    holds the derivatives of the lambda_i."""
+    Xs = [hypersurface(FunctionField.from_descriptor(e["field"]), e["lambda"])
+          for e in load_default_catalog()]
+    rng = seeded(25)
+    for p in (2, 3, 5, 7):
+        for variables in (["t"], ["s", "t"], ["s", "t", "u"]):
+            K = FunctionField(p, variables)
+            for n in (1, 2, 3):
+                for _ in range(2):
+                    lams = [random_nonzero_ratfunc(rng, K, max_terms=2, max_exp=2)
+                            for _ in range(n + 1)]
+                    if rng.randrange(3) == 0:
+                        lams[rng.randrange(n + 1)] = K.zero()
+                    if rng.randrange(4) == 0:
+                        # ratios that are p-th powers: d = 0
+                        lams = [lams[0]] + [lams[0] * c ** p for c in lams[1:]]
+                    if not any(lams):
+                        lams[0] = K.one()
+                    Xs.append(PFermatHypersurface(field=K, n=n, coeffs=tuple(lams)))
+    seen = set()
+    for X in Xs:
+        assert jacobian(X) == tuple(tuple(c.derivative(k) for c in X.coeffs)
+                                    for k in range(len(X.field.vars)))
+        d = invariant_d(X)
+        assert d == pdegree_generated(X.ratios()).d, [c.format() for c in X.coeffs]
+        seen.add(d)
+    assert len(Xs) == 22 + 72
+    assert seen == {0, 1, 2, 3}

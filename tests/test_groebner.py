@@ -11,7 +11,7 @@ from insep.groebner import (
 )
 from insep.upoly import UPoly
 
-from conftest import random_nonzero_ratfunc, seeded
+from conftest import random_nonzero_ratfunc, reference_normal_form, seeded
 
 
 def upoly(field, nvars, terms):
@@ -148,12 +148,68 @@ def test_oracle_agrees_with_classification_on_random_instances():
             assert chk.match, [lam.format() for lam in lams]
 
 
+def _two_quadrics(K):
+    one = K.one()
+    return [upoly(K, 3, {(2, 0, 0): one, (0, 1, 1): one}),
+            upoly(K, 3, {(0, 2, 0): one, (0, 0, 2): one})]
+
+
 def test_resource_limit_is_loud(K, monkeypatch):
     import insep.groebner as gb_mod
 
     monkeypatch.setattr(gb_mod, "MAX_PAIRS", 0)
+    with pytest.raises(ResourceLimitError) as info:
+        buchberger(_two_quadrics(K))
+    assert str(info.value) == "budget exceeded: 1 pairs processed, over MAX_PAIRS = 0"
+
+
+def test_monomial_budget_is_loud(K, monkeypatch):
+    import insep.groebner as gb_mod
+
     one = K.one()
-    g1 = upoly(K, 3, {(2, 0, 0): one, (0, 1, 1): one})
-    g2 = upoly(K, 3, {(0, 2, 0): one, (0, 0, 2): one})
-    with pytest.raises(ResourceLimitError):
+    g1 = upoly(K, 3, {(2, 0, 0): one, (0, 1, 1): one})  # U0^2 + U1 U2
+    g2 = upoly(K, 3, {(1, 1, 0): one, (0, 0, 2): one})  # U0 U1 + U2^2
+    # S(g1, g2) = U1^2 U2 + U0 U2^2 is reduced, counting 2 and then 1 terms, and
+    # joins the basis; the S-polynomial U0^2 U2^2 + U1 U2^3 of its one pair whose
+    # leading terms are not coprime then counts 2 terms more, so the total is 5
+    monkeypatch.setattr(gb_mod, "MAX_MONOMIALS", 4)
+    with pytest.raises(ResourceLimitError) as info:
         buchberger([g1, g2])
+    assert str(info.value) == "budget exceeded: 5 monomials counted, over MAX_MONOMIALS = 4"
+    monkeypatch.setattr(gb_mod, "MAX_MONOMIALS", 5)
+    assert len(buchberger([g1, g2]).generators) == 3
+
+
+def _random_upoly(rng, field, nvars, max_terms, max_deg):
+    terms = {}
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        e = tuple(rng.randrange(0, max_deg + 1) for _ in range(nvars))
+        terms[e] = random_nonzero_ratfunc(rng, field, max_terms=2, max_exp=1)
+    return upoly(field, nvars, terms)
+
+
+def test_normal_form_matches_reference():
+    """The in-place reduction gives the remainder and the monomial count of the
+    whole-UPoly reference: on non-monic divisors, on divisor lists in both orders,
+    and on multiples of one divisor, whose remainder is zero."""
+    rng = seeded(25)
+    order_mattered = 0
+    for p, variables in ((2, ["s", "t"]), (3, ["t"]), (5, ["s", "t"]), (7, ["t"])):
+        K = FunctionField(p, variables)
+        for _ in range(10):
+            nvars = rng.choice([2, 3])
+            divisors = [_random_upoly(rng, K, nvars, max_terms=3, max_deg=2)
+                        for _ in range(rng.randrange(1, 4))]
+            f = _random_upoly(rng, K, nvars, max_terms=5, max_deg=4)
+            multiple = _random_upoly(rng, K, nvars, max_terms=2, max_deg=2) * divisors[0]
+            cases = [(f, divisors), (f, divisors[::-1]), (multiple, divisors[:1])]
+            remainders = []
+            for g, basis in cases:
+                mine, ref = [7], [7]
+                remainder = normal_form(g, basis, counter=mine)
+                assert remainder == reference_normal_form(g, basis, counter=ref)
+                assert mine == ref
+                remainders.append(remainder)
+            order_mattered += remainders[0] != remainders[1]
+            assert remainders[2].is_zero()
+    assert order_mattered >= 10
