@@ -1,5 +1,6 @@
 import pytest
 
+from insep.catalog import hypersurface, load_default_catalog
 from insep.fermat import (
     NotIntegralError,
     PFermatHypersurface,
@@ -13,7 +14,6 @@ from insep.fermat import (
     rational_point,
     singular_ideal,
 )
-from insep.catalog import hypersurface, load_default_catalog
 from insep.fieldarith import FunctionField, parse_expr
 from insep.frobenius import imperfection_degree, pdegree_generated
 from insep.groebner import buchberger, ideal_dimension, normal_form
