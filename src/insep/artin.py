@@ -54,10 +54,14 @@ class FiniteLocalAlgebra:
 
     Basis element 0 is the multiplicative identity.  ``table[i][j]`` maps basis
     indices to coefficients of e_i * e_j.  ``maxideal_gens`` are vectors (lists
-    of field elements) generating the designated maximal ideal.  Over a
-    PrimeField the elements are ints: the table and the generators are made
-    canonical here (reduced mod p, zero coefficients dropped), and every vector
-    operation reduces its result once per cell.
+    of field elements) generating the designated maximal ideal.
+
+    The table is used as given.  The builders below make rings by construction:
+    each table is R[T]/(T^n - g) for an R built the same way, a commutative ring
+    with identity for any g.  What a caller chooses is checked: the designated
+    ideal must be nilpotent and the quotient by it a field.  Over a PrimeField
+    the elements are ints: the generators are reduced mod p here, and every
+    vector operation reduces its result once per cell.
     """
 
     def __init__(self, field, dim, table, maxideal_gens):
@@ -65,11 +69,8 @@ class FiniteLocalAlgebra:
         self.dim = dim
         # p over a PrimeField, None over a function field or a tower
         self.modulus = field.p if isinstance(field, PrimeField) else None
-        self.table = self._canonical_table(table)
+        self.table = table
         self.maxideal_gens = [self.reduce(g) for g in maxideal_gens]
-        self._check_identity()
-        self._check_commutative()
-        self._check_associative()
         # m = span{g e_j}, m^2 = span{g v : g a generator of m, v in m}
         self.m_basis = row_space_basis(self.field, [self.mul_vec(g, self.basis_vec(j))
                                                     for g in self.maxideal_gens
@@ -124,89 +125,6 @@ class FiniteLocalAlgebra:
 
     def pow_vec(self, a, n):
         return power(a, n, self.one_vec(), self.mul_vec)
-
-    # -- construction invariants ----------------------------------------------------
-
-    def _canonical_table(self, table):
-        """The table with every coefficient canonical: reduced to 1..p-1 over a
-        PrimeField, nonzero over any field.  Equal products are then equal dicts."""
-        p = self.modulus
-        if p is None:
-            return [[{m: c for m, c in e.items() if c} for e in row] for row in table]
-        if all(0 < c < p for row in table for e in row for c in e.values()):
-            return table
-        return [[{m: c % p for m, c in e.items() if c % p} for e in row] for row in table]
-
-    def _check_identity(self):
-        one = self.field.one()
-        if any(self.table[0][j] != {j: one} for j in range(self.dim)):
-            raise ArtinError("basis element 0 is not the identity")
-
-    def _check_commutative(self):
-        table = self.table
-        if any(table[i][j] != table[j][i]
-               for i in range(self.dim) for j in range(i + 1, self.dim)):
-            raise ArtinError("multiplication table is not commutative")
-
-    def _check_associative(self):
-        """Exact: (e_g e_x) e_y = e_g (e_x e_y) for every g in G and all x, y.
-
-        The left nucleus {a : (a x) y = a (x y) for all x, y} is a subspace that
-        contains 1 and is closed under products (Teichmueller identity; Schafer,
-        An Introduction to Nonassociative Algebras, 1966).  An index joins G
-        unless e_i is already reached, i.e. a unit times e_g e_j for some g in G
-        and some reached e_j, starting from e_0 = 1.  Then every basis element
-        lies in the nucleus once G does, so the nucleus is all of A.
-
-        Entries are canonical, so when e_g e_x = c e_m and e_x e_y = d e_n are
-        single terms, the two sides c e_m e_y and d e_g e_n are compared entry
-        by entry; only a product of more terms is summed into a difference.
-        """
-        table = self.table
-        gens, reached = [], {0}
-        for i in range(self.dim):
-            if i in reached:
-                continue
-            gens.append(i)
-            todo = [(i, j) for j in reached]
-            while todo:
-                g, j = todo.pop()
-                entry = list(table[g][j])
-                if len(entry) == 1 and entry[0] not in reached:
-                    reached.add(entry[0])
-                    todo.extend((h, entry[0]) for h in gens)
-        p = self.modulus
-        nonzero = bool if p is None else (lambda v: v % p)
-        for g in gens:
-            tg = table[g]
-            for x in range(self.dim):
-                gx = tg[x]
-                if len(gx) == 1:
-                    (m, c), = gx.items()
-                    tm = table[m]
-                for y, xy in enumerate(table[x]):
-                    if not xy and len(gx) < 2:
-                        # e_g (e_x e_y) = 0, and (e_g e_x) e_y is 0 or c e_m e_y
-                        if not gx or not tm[y]:
-                            continue
-                    elif len(gx) == 1 == len(xy):
-                        (n, d), = xy.items()
-                        left, right = tm[y], tg[n]
-                        if (left == right if c == d else left.keys() == right.keys() and
-                                not any(nonzero(c * left[k] - d * right[k]) for k in left)):
-                            continue
-                    else:
-                        diff = {}
-                        for i, a in gx.items():
-                            for k, b in table[i][y].items():
-                                diff[k] = diff[k] + a * b if k in diff else a * b
-                        for i, a in xy.items():
-                            for k, b in tg[i].items():
-                                diff[k] = diff[k] - a * b if k in diff else -(a * b)
-                        if not any(map(nonzero, diff.values())):
-                            continue
-                    raise ArtinError("multiplication table is not associative "
-                                     "at (%d,%d,%d)" % (g, x, y))
 
     def __repr__(self):
         return "FiniteLocalAlgebra(dim=%d over %r)" % (self.dim, self.field)

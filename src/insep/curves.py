@@ -16,7 +16,7 @@ from .fieldarith import (
     row_space_basis,
 )
 from .fermat import PFermatHypersurface, invariant_d, singular_ideal
-from .frobenius import in_pspan, membership_in_pspan, pth_root
+from .frobenius import membership_in_pspan, pth_root
 from .upoly import UPoly
 
 CASE_P2 = "P2"
@@ -30,10 +30,6 @@ class WrongInvariantError(ValueError):
 
 class UnsupportedPError(ValueError):
     """Conductor computations are limited to p <= 5."""
-
-
-class TrivialExtensionError(ValueError):
-    """The proposed p-th root already exists in K."""
 
 
 # -- normal form ---------------------------------------------------------------
@@ -321,18 +317,7 @@ def conductor_profile(nf):
                             witnesses=witnesses, sp=sp)
 
 
-# -- base change, glueing cohomology, multiple-curve arithmetic ----------------------
-
-
-def remains_integral(nf, b):
-    """True iff the curve stays integral after adjoining b^(1/p) to K.
-
-    Equivalent to b not becoming a p-th power in the curve's function field,
-    which for the normalized curve means b outside K^p(lambda).
-    """
-    if pth_root(b) is not None:
-        raise TrivialExtensionError("%r is already a p-th power in K" % (b,))
-    return not in_pspan(b, [nf.lam])
+# -- glueing cohomology, multiple-curve arithmetic ----------------------------------
 
 
 class GlueingCohomology(namedtuple("GlueingCohomology", "h0 h1 admissible")):

@@ -18,7 +18,6 @@ it, and a division by zero is a parse error at the '/'.
 from functools import lru_cache
 
 from .multipoly import CACHE_SIZE
-from .ratfunc import FunctionField
 
 # the largest exponent * total degree of a power: the shipped catalog and
 # benchmark inputs stay at or below 7, and at the cap a dense quadratic in four
@@ -102,12 +101,7 @@ class _Tokens:
 
 
 def parse_expr(text, field):
-    """Parse an expression string into a RatFunc over the given field.
-
-    ``field`` is a FunctionField or a JSON-style descriptor {"p": ..., "vars": [...]}.
-    """
-    if isinstance(field, dict):
-        field = FunctionField.from_descriptor(field)
+    """Parse an expression string into a RatFunc over the FunctionField field."""
     return _parse(text, field)
 
 

@@ -146,8 +146,3 @@ def in_pspan(mu, basis):
     """True iff mu lies in K^p(basis): adding it does not raise the p-degree."""
     basis = tuple(basis)
     return pdegree_generated(basis + (mu,)).d == pdegree_generated(basis).d
-
-
-def imperfection_degree(field):
-    """The p-degree of K over K^p; for F_p(t_1,...,t_n) this is n."""
-    return len(field.vars)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from insep.fieldarith import FunctionField, MultiPoly, RatFunc, row_space_basis
-from insep.frobenius import pth_root
+from insep.frobenius import in_pspan, pth_root
 from insep.upoly import UPoly
 
 
@@ -74,6 +74,27 @@ def reassemble(field, coords):
         mono = RatFunc(MultiPoly(field.p, field.vars, {e: 1}), reduce=False)
         total = total + (g ** field.p) * mono
     return total
+
+
+def imperfection_degree(field):
+    """The p-degree of K over K^p; for F_p(t_1,...,t_n) this is n."""
+    return len(field.vars)
+
+
+class TrivialExtensionError(ValueError):
+    """The proposed p-th root already exists in K."""
+
+
+def remains_integral(nf, b):
+    """True iff the curve of the normal form nf stays integral after adjoining
+    b^(1/p) to K.
+
+    Equivalent to b not becoming a p-th power in the curve's function field,
+    which for the normalized curve means b outside K^p(lambda).
+    """
+    if pth_root(b) is not None:
+        raise TrivialExtensionError("%r is already a p-th power in K" % (b,))
+    return not in_pspan(b, [nf.lam])
 
 
 def pth_power_witness_over_root_field(X):

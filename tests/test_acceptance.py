@@ -17,14 +17,14 @@ from insep.fermat import verify_codim
 from insep.fieldarith import FunctionField, PrimeField, parse_expr
 from insep.frobenius import (
     frobenius_decompose,
-    imperfection_degree,
     pdegree_generated,
     pth_root,
 )
 from insep.groebner import buchberger, is_groebner_basis
 
-from conftest import (pth_power_witness_over_root_field, random_nonzero_ratfunc, random_ratfunc,
-                      reassemble, seeded, sympy_p_independent)
+from conftest import (imperfection_degree, pth_power_witness_over_root_field,
+                      random_nonzero_ratfunc, random_ratfunc, reassemble, seeded,
+                      sympy_p_independent)
 
 CATALOG = load_default_catalog()
 CURVE_FIELDS = ({"p": 2, "vars": ["s", "t"]}, {"p": 3, "vars": ["s", "t"]},

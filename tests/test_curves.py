@@ -8,7 +8,6 @@ from insep.curves import (
     CASE_P2,
     CASE_RESIDUE_K,
     CASE_RESIDUE_L,
-    TrivialExtensionError,
     UnsupportedPError,
     WrongInvariantError,
     conductor_profile,
@@ -16,12 +15,12 @@ from insep.curves import (
     multiple_curve_profile,
     normal_form,
     normalization,
-    remains_integral,
     singular_point,
 )
 from insep.fieldarith import FunctionField, Matrix, parse_expr
 
-from conftest import pairwise_closure, random_nonzero_ratfunc, seeded, sympy_p_independent
+from conftest import (TrivialExtensionError, pairwise_closure, random_nonzero_ratfunc,
+                      remains_integral, seeded, sympy_p_independent)
 
 
 def nf_of(p, variables, exprs):

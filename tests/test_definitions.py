@@ -18,7 +18,6 @@ import insep
 # that is no longer defined, or is now referenced, fails the check
 ALLOWED = {
     "multiple_curve_profile",
-    "remains_integral",
     "strip_timing",  # the report contract that byte-identity checks compare
 }
 

@@ -15,12 +15,12 @@ from insep.fermat import (
     singular_ideal,
 )
 from insep.fieldarith import FunctionField, parse_expr
-from insep.frobenius import imperfection_degree, pdegree_generated
+from insep.frobenius import pdegree_generated
 from insep.groebner import buchberger, ideal_dimension, normal_form
 from insep.upoly import UPoly
 
-from conftest import (pth_power_witness_over_root_field, random_nonzero_ratfunc, seeded,
-                      sympy_p_independent)
+from conftest import (imperfection_degree, pth_power_witness_over_root_field,
+                      random_nonzero_ratfunc, seeded, sympy_p_independent)
 
 
 def hyp(p, variables, exprs):

@@ -3,7 +3,6 @@ from itertools import permutations
 from insep.fieldarith import FunctionField, parse_expr
 from insep.frobenius import (
     frobenius_decompose,
-    imperfection_degree,
     in_pspan,
     membership_in_pspan,
     p_linear_relation,
@@ -11,8 +10,8 @@ from insep.frobenius import (
     pth_root,
 )
 
-from conftest import (random_nonzero_ratfunc, random_ratfunc, reassemble, seeded,
-                      sympy_p_independent)
+from conftest import (imperfection_degree, random_nonzero_ratfunc, random_ratfunc, reassemble,
+                      seeded, sympy_p_independent)
 
 
 def test_decompose_monomial(K2st):
@@ -250,9 +249,3 @@ def test_independence_consistent_with_linear_membership(K2st, K3st):
                 j = max(i for i, c in enumerate(relation) if c)
                 rest = elems[:j] + elems[j + 1:]
                 assert membership_in_pspan(elems[j], rest) is not None
-
-
-def test_imperfection_degree():
-    assert imperfection_degree(FunctionField(2, ["t"])) == 1
-    assert imperfection_degree(FunctionField(3, ["s", "t"])) == 2
-    assert imperfection_degree(FunctionField(2, [])) == 0

@@ -66,12 +66,6 @@ def test_expansion_by_repeated_multiplication(K3st):
     assert len(f.num.terms) == 2
 
 
-def test_descriptor_field_form():
-    f = parse_expr("t+1", {"p": 2, "vars": ["t"]})
-    K = FunctionField(2, ["t"])
-    assert f == K.gen("t") + K.one()
-
-
 def test_unary_minus_and_whitespace(K3st):
     assert parse_expr("- t + t", K3st).is_zero()
     assert parse_expr("  2 * t ", K3st) == parse_expr("2*t", K3st)
@@ -110,20 +104,19 @@ def test_a_repeated_parse_returns_the_same_object(K2st):
     first = parse_expr(text, K2st)
     assert parse_expr(text, K2st) is first
     assert parse_expr(text, FunctionField(2, ["s", "t"])) is first
-    assert parse_expr(text, {"p": 2, "vars": ["s", "t"]}) is first
     # the field is part of the key: the same text over other variables is another value
-    other = parse_expr(text, {"p": 2, "vars": ["t", "s"]})
+    other = parse_expr(text, FunctionField(2, ["t", "s"]))
     assert other.vars == ("t", "s")
-    assert parse_expr(text, {"p": 2, "vars": ["t", "s"]}) is other
+    assert parse_expr(text, FunctionField(2, ["t", "s"])) is other
 
 
 def test_errors_are_raised_on_every_call(K2st):
-    descriptor = {"p": 2, "vars": ["s", "t"]}
+    equal = FunctionField(2, ["s", "t"])
     cases = [("s+*t", ParseError, "unexpected"), ("1/0", DivisionByZeroError, "division by zero"),
              ("s+w", UnknownVariableError, "unknown variable"),
              ("(s+t+1)^3000", ParseError, "power too large")]
     for text, error, message in cases:
-        for field in (K2st, descriptor, K2st, descriptor):
+        for field in (K2st, equal, K2st, equal):
             with pytest.raises(error, match=message):
                 parse_expr(text, field)
 
