@@ -100,15 +100,11 @@ class _Tokens:
         return name, start
 
 
-def parse_expr(text, field):
-    """Parse an expression string into a RatFunc over the FunctionField field."""
-    return _parse(text, field)
-
-
 # a job validates its expressions and then runs them, so each is parsed once per
 # process; the results are immutable and a ParseError is never cached
 @lru_cache(maxsize=CACHE_SIZE)
-def _parse(text, field):
+def parse_expr(text, field):
+    """Parse an expression string into a RatFunc over the FunctionField field."""
     toks = _Tokens(text)
     value = _parse_sum(toks, field)
     ch, pos = toks.peek()

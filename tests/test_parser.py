@@ -130,7 +130,7 @@ def test_a_job_parses_each_expression_once(monkeypatch):
             super().__init__(text)
 
     monkeypatch.setattr(parser, "_Tokens", CountingTokens)
-    parser._parse.cache_clear()
+    parser.parse_expr.cache_clear()
     lam = ["t", "s^3*t", "1"]
     job = {"field": {"p": 3, "vars": ["s", "t"]},
            "tasks": [{"kind": "classify", "lambda": lam}, {"kind": "verify-codim", "lambda": lam},
