@@ -278,15 +278,18 @@ def _task_worker(payload):
 
 
 def _worker_count(jobs, n_items):
-    """Processes worth starting: at most one per item and one per CPU this process may
-    run on, at least one; always one where there is no os.fork."""
+    """(workers, cpus): the processes worth starting, at most one per item and one per
+    CPU this process may run on, at least one, and always one where there is no
+    os.fork; and the CPUs of this process's affinity mask in order, None without one
+    (os has sched_getaffinity and sched_setaffinity, or neither)."""
     if not hasattr(os, "fork"):
-        return 1
+        return 1, None
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
+        cpus = sorted(os.sched_getaffinity(0))
+        count = len(cpus)
     else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(jobs, n_items, cpus))
+        cpus, count = None, os.cpu_count() or 1
+    return max(1, min(jobs, n_items, count)), cpus
 
 
 def _run_records(worker, failed, items, jobs, fail_fast):
@@ -295,9 +298,9 @@ def _run_records(worker, failed, items, jobs, fail_fast):
     failed(item, exc) is the record of an item whose worker process died.  One
     worker runs the items here and stops early; more fork helpers (_fork_records).
     """
-    workers = _worker_count(jobs, len(items))
+    workers, cpus = _worker_count(jobs, len(items))
     if workers > 1:
-        records = _fork_records(worker, failed, items, workers, fail_fast)
+        records = _fork_records(worker, failed, items, workers, cpus, fail_fast)
     else:
         records = map(worker, items)
     out = []
@@ -321,7 +324,7 @@ MAX_TOKENS = 4096 // TOKEN_BYTES
 SIGKILL = 9  # the same number on every POSIX system; os has no name for it
 
 
-def _fork_records(worker, failed, items, workers, fail_fast):
+def _fork_records(worker, failed, items, workers, cpus, fail_fast):
     """The records of the items, computed by this process and workers - 1 forked helpers.
 
     Every process takes the next token from one queue pipe, filled before the fork,
@@ -329,6 +332,10 @@ def _fork_records(worker, failed, items, workers, fail_fast):
     own once the queue is empty, and leaves with os._exit.  An item that a helper
     took and never reported is a failed record of type WorkerExited.  If this
     process's own share raises, the helpers are killed; they are always reaped.
+
+    With an affinity mask cpus, worker k runs on cpus[k] alone, this process being
+    worker 0: a kernel that does not balance load leaves a forked helper on the CPU
+    of its parent.  This process gets the whole mask back at the end.
     """
     step = -(-len(items) // MAX_TOKENS)
     queue, tokens = os.pipe()
@@ -337,12 +344,15 @@ def _fork_records(worker, failed, items, workers, fail_fast):
     os.close(tokens)
     helpers = []  # (pid, read end of the helper's record pipe)
     try:
-        for _ in range(workers - 1):
+        if cpus:
+            _pin({cpus[0]})
+        for k in range(1, workers):
             out, into = os.pipe()
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _helper(worker, items, queue, step, fail_fast, into)
+                    _helper(worker, items, queue, step, fail_fast, into,
+                            cpus[k] if cpus else None)
             except BaseException:
                 os.close(out)
                 raise
@@ -357,6 +367,8 @@ def _fork_records(worker, failed, items, workers, fail_fast):
             os.kill(pid, SIGKILL)
         raise
     finally:
+        if cpus:
+            _pin(cpus)
         os.close(queue)
         for pid, out in helpers:
             os.close(out)
@@ -381,16 +393,28 @@ def _take(worker, items, queue, step, fail_fast):
                 return
 
 
-def _helper(worker, items, queue, step, fail_fast, into):
-    """A forked helper: its records go to into as JSON lines; it never returns."""
+def _helper(worker, items, queue, step, fail_fast, into, cpu):
+    """A forked helper on CPU cpu (None: where it was forked): its records go to into
+    as JSON lines; it never returns."""
     status = 1
     try:
+        if cpu is not None:
+            _pin({cpu})
         _write_all(into, "".join(json.dumps(pair) + "\n" for pair in
                                  _take(worker, items, queue, step, fail_fast)).encode())
         status = 0
     finally:
         # no exit handlers, no flush of buffers inherited from the caller, no traceback
         os._exit(status)
+
+
+def _pin(cpus):
+    """Let this process run on the CPUs cpus alone.  An OSError, from a CPU gone
+    offline since the mask was read, leaves the process where it runs."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
 def _write_all(fd, data):
@@ -467,6 +491,12 @@ def emit(report):
 def build_parser():
     import argparse
 
+    def positive_int(text):
+        n = int(text)
+        if n < 1:
+            raise argparse.ArgumentTypeError("must be at least 1, not %d" % n)
+        return n
+
     parser = argparse.ArgumentParser(
         prog="insep",
         description="Exact inseparability invariants of p-Fermat hypersurfaces "
@@ -475,12 +505,12 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="execute a JSON job file ('-' for stdin)")
     p_run.add_argument("job")
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=positive_int, default=1)
     p_run.add_argument("--fail-fast", action="store_true")
 
     p_all = sub.add_parser("verify-all", help="run the verification catalog")
     p_all.add_argument("--catalog", default=None)
-    p_all.add_argument("--jobs", type=int, default=1)
+    p_all.add_argument("--jobs", type=positive_int, default=1)
     p_all.add_argument("--fail-fast", action="store_true")
 
     p_pdeg = sub.add_parser("pdegree", help="p-degree of K^p(expressions)")

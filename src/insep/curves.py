@@ -317,7 +317,7 @@ def conductor_profile(nf):
                             witnesses=witnesses, sp=sp)
 
 
-# -- glueing cohomology, multiple-curve arithmetic ----------------------------------
+# -- glueing cohomology -------------------------------------------------------------
 
 
 class GlueingCohomology(namedtuple("GlueingCohomology", "h0 h1 admissible")):
@@ -335,28 +335,3 @@ def glueing_cohomology(cp):
     h1 = dim_ring - dim_sub - cp.ring.p + h0
     # admissible: O_A0 meets L in K and has half the dimension p(p-1) of O_A
     return GlueingCohomology(h0=h0, h1=h1, admissible=h0 == 1 and 2 * dim_sub == dim_ring)
-
-
-class MultipleCurveProfile(namedtuple(
-        "MultipleCurveProfile", "multiplicity deg_nilpotent_grading chi")):
-    __slots__ = ()
-
-
-def multiple_curve_profile(p):
-    """Solve chi = sum_(j<p) (j*deg + 1) for the grading degree; always -1.
-
-    chi = 1 - (p-1)(p-2)/2 is the Euler characteristic of the base-changed
-    curve, and the graded pieces of its nilpotent filtration are line bundles
-    of degrees 0, deg, 2*deg, ....
-    """
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    chi = 1 - (p - 1) * (p - 2) // 2
-    denominator = p * (p - 1) // 2
-    numerator = chi - p
-    if numerator % denominator:
-        raise AssertionError("grading degree is not an integer")
-    deg = numerator // denominator
-    if deg != -1:
-        raise AssertionError("expected degree -1, found %d" % deg)
-    return MultipleCurveProfile(multiplicity=p, deg_nilpotent_grading=deg, chi=chi)

@@ -1,5 +1,6 @@
 import os
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -95,6 +96,31 @@ def remains_integral(nf, b):
     if pth_root(b) is not None:
         raise TrivialExtensionError("%r is already a p-th power in K" % (b,))
     return not in_pspan(b, [nf.lam])
+
+
+class MultipleCurveProfile(namedtuple(
+        "MultipleCurveProfile", "multiplicity deg_nilpotent_grading chi")):
+    __slots__ = ()
+
+
+def multiple_curve_profile(p):
+    """Solve chi = sum_(j<p) (j*deg + 1) for the grading degree; always -1.
+
+    chi = 1 - (p-1)(p-2)/2 is the Euler characteristic of the base-changed
+    curve, and the graded pieces of its nilpotent filtration are line bundles
+    of degrees 0, deg, 2*deg, ....
+    """
+    if p < 2:
+        raise ValueError("p must be at least 2")
+    chi = 1 - (p - 1) * (p - 2) // 2
+    denominator = p * (p - 1) // 2
+    numerator = chi - p
+    if numerator % denominator:
+        raise AssertionError("grading degree is not an integer")
+    deg = numerator // denominator
+    if deg != -1:
+        raise AssertionError("expected degree -1, found %d" % deg)
+    return MultipleCurveProfile(multiplicity=p, deg_nilpotent_grading=deg, chi=chi)
 
 
 def pth_power_witness_over_root_field(X):

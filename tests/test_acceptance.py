@@ -22,9 +22,9 @@ from insep.frobenius import (
 )
 from insep.groebner import buchberger, is_groebner_basis
 
-from conftest import (imperfection_degree, pth_power_witness_over_root_field,
-                      random_nonzero_ratfunc, random_ratfunc, reassemble, seeded,
-                      sympy_p_independent)
+from conftest import (imperfection_degree, multiple_curve_profile,
+                      pth_power_witness_over_root_field, random_nonzero_ratfunc, random_ratfunc,
+                      reassemble, seeded, sympy_p_independent)
 
 CATALOG = load_default_catalog()
 CURVE_FIELDS = ({"p": 2, "vars": ["s", "t"]}, {"p": 3, "vars": ["s", "t"]},
@@ -211,7 +211,7 @@ def test_edim_reaches_imperfection_degree_on_curves_that_are_not_regular():
 def test_criterion_8_multiple_curve_degree():
     start = time.monotonic()
     for p in (2, 3, 5, 7):
-        prof = curves.multiple_curve_profile(p)
+        prof = multiple_curve_profile(p)
         assert prof.deg_nilpotent_grading == -1
     _announce(8, "nilpotent grading degree -1", True, time.monotonic() - start)
 

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -92,34 +93,62 @@ def test_reports_deterministic_across_runs_and_jobs():
 def test_worker_count_is_clamped():
     # the CPUs this process may run on, which an affinity mask can make fewer
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
+        mask = sorted(os.sched_getaffinity(0))
+        cpus = len(mask)
     else:
-        cpus = os.cpu_count() or 1
-    assert _worker_count(10**9, 3) == min(3, cpus)
-    assert _worker_count(10**9, 10**9) == cpus
-    assert _worker_count(4, 0) == 1
-    assert _worker_count(0, 5) == 1
+        mask, cpus = None, os.cpu_count() or 1
+    assert _worker_count(10**9, 3) == (min(3, cpus), mask)
+    assert _worker_count(10**9, 10**9) == (cpus, mask)
+    assert _worker_count(4, 0) == (1, mask)
+    assert _worker_count(0, 5) == (1, mask)
 
 
 def test_worker_count_follows_affinity_and_needs_fork(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert _worker_count(10**9, 10**9) == 3
+    assert _worker_count(10**9, 10**9) == (3, [0, 3, 5])
     # without an affinity mask, the CPUs of the machine
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert _worker_count(10**9, 10**9) == 8
-    assert _worker_count(5, 10**9) == 5
+    assert _worker_count(10**9, 10**9) == (8, None)
+    assert _worker_count(5, 10**9) == (5, None)
     monkeypatch.delattr(os, "fork", raising=False)
-    assert _worker_count(10**9, 10**9) == 1
+    assert _worker_count(10**9, 10**9) == (1, None)
 
 
-def _allow_cpus(monkeypatch, n):
-    """Let _worker_count start n workers whatever the CPUs of this machine."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+@pytest.fixture
+def allow_cpus(monkeypatch, tmp_path):
+    """allow_cpus(cpus) fakes cpus as the affinity mask, so _worker_count starts up to
+    len(cpus) workers whatever the CPUs of this machine.  The fake os.sched_setaffinity
+    takes a non-empty subset of cpus, and with refuse=True raises EINVAL on every call.
+    It returns pins(): the [pid, sorted CPUs] of every call so far, from any process."""
+    log = tmp_path / "sched_setaffinity.log"
+
+    def allow(cpus, refuse=False):
+        allowed = frozenset(cpus)
+        current = set(allowed)  # each forked process has its own copy, as with a real mask
+
+        def getaffinity(pid):
+            return set(current)
+
+        def setaffinity(pid, mask):
+            mask = set(mask)
+            with open(log, "a") as f:
+                f.write(json.dumps([os.getpid(), sorted(mask)]) + "\n")
+            if refuse or not mask or not mask <= allowed:
+                raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+            current.clear()
+            current.update(mask)
+
+        log.write_text("")
+        monkeypatch.setattr(os, "sched_getaffinity", getaffinity, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", setaffinity, raising=False)
+        return lambda: [json.loads(line) for line in log.read_text().splitlines()]
+
+    return allow
 
 
-def test_records_are_the_same_at_one_two_and_three_workers(tmp_path, monkeypatch):
-    _allow_cpus(monkeypatch, 3)
+def test_records_are_the_same_at_one_two_and_three_workers(tmp_path, allow_cpus):
+    allow_cpus(range(3))
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(load_default_catalog()[:2]))
     job = {"field": {"p": 3, "vars": ["s", "t"]},
@@ -138,8 +167,8 @@ def test_records_are_the_same_at_one_two_and_three_workers(tmp_path, monkeypatch
     assert len({json.dumps(r, sort_keys=True) for r in reports}) == 1
 
 
-def test_fail_fast_cuts_the_report_at_two_workers(monkeypatch):
-    _allow_cpus(monkeypatch, 2)
+def test_fail_fast_cuts_the_report_at_two_workers(allow_cpus):
+    allow_cpus(range(2))
     tasks = [{"kind": "pdegree", "exprs": ["s"]}] * 5
     tasks[3] = {"kind": "curve-normalize", "lambda": ["s^2", "t^2", "1"]}  # d = 0
     job = {"field": {"p": 2, "vars": ["s", "t"]}, "tasks": tasks}
@@ -149,9 +178,9 @@ def test_fail_fast_cuts_the_report_at_two_workers(monkeypatch):
     assert strip_timing(report)["tasks"] == full["tasks"][:4]
 
 
-def test_a_job_of_more_than_1024_tasks_keeps_its_order(monkeypatch):
+def test_a_job_of_more_than_1024_tasks_keeps_its_order(allow_cpus):
     # one write of tokens holds 1024; past that a token stands for a run of tasks
-    _allow_cpus(monkeypatch, 2)
+    allow_cpus(range(2))
     exprs = [["s"], ["s", "t"], ["s^2"], ["t", "s*t"]]
     job = {"field": {"p": 2, "vars": ["s", "t"]},
            "tasks": [{"kind": "pdegree", "exprs": exprs[i % 4]} for i in range(1500)]}
@@ -162,8 +191,8 @@ def test_a_job_of_more_than_1024_tasks_keeps_its_order(monkeypatch):
     assert strip_timing(report) == strip_timing(run_job(job, jobs=1))
 
 
-def test_a_killed_helper_gives_failed_records(tmp_path, capsys, monkeypatch):
-    _allow_cpus(monkeypatch, 2)
+def test_a_killed_helper_gives_failed_records(tmp_path, capsys, monkeypatch, allow_cpus):
+    allow_cpus(range(2))
     caller = os.getpid()
     took, tell = os.pipe()
     pdegree = cli.TASK_HANDLERS["pdegree"]
@@ -195,8 +224,8 @@ def test_a_killed_helper_gives_failed_records(tmp_path, capsys, monkeypatch):
         "message": "the worker process that took this item ended before reporting it"}}
 
 
-def test_a_raise_in_the_callers_share_kills_and_reaps_the_helpers(monkeypatch):
-    _allow_cpus(monkeypatch, 3)
+def test_a_raise_in_the_callers_share_kills_and_reaps_the_helpers(allow_cpus):
+    allow_cpus(range(3))
     caller = os.getpid()
 
     class Stop(BaseException):
@@ -214,6 +243,95 @@ def test_a_raise_in_the_callers_share_kills_and_reaps_the_helpers(monkeypatch):
     assert time.perf_counter() - start < 3
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_each_worker_pins_to_its_own_cpu_and_the_caller_gets_its_mask_back(allow_cpus):
+    caller = os.getpid()
+    job = {"field": {"p": 2, "vars": ["s", "t"]},
+           "tasks": [{"kind": "pdegree", "exprs": ["s"]},
+                     {"kind": "curve-normalize", "lambda": ["s^2", "t^2", "1"]},  # d = 0
+                     {"kind": "classify", "lambda": ["s", "t", "1"]}] * 2}
+    serial = strip_timing(run_job(job, jobs=1))
+
+    pins = allow_cpus({0, 3, 5})
+    report = run_job(job, jobs=3)
+    calls = pins()
+    # the caller runs on the first CPU, then gets the whole mask back
+    assert [cpus for pid, cpus in calls if pid == caller] == [[0], [0, 3, 5]]
+    helpers = [(pid, cpus) for pid, cpus in calls if pid != caller]
+    assert len({pid for pid, _ in helpers}) == len(helpers) == 2
+    assert sorted(cpus for _, cpus in helpers) == [[3], [5]]
+    assert os.sched_getaffinity(0) == {0, 3, 5}
+    assert strip_timing(report) == serial
+
+    class Stop(BaseException):
+        pass
+
+    def worker(item):
+        if os.getpid() == caller:
+            raise Stop
+        time.sleep(5)
+        return {"ok": True}
+
+    pins = allow_cpus({0, 3, 5})
+    with pytest.raises(Stop):
+        cli._run_records(worker, None, list(range(6)), 3, False)
+    assert [cpus for pid, cpus in pins() if pid == caller] == [[0], [0, 3, 5]]
+    assert os.sched_getaffinity(0) == {0, 3, 5}
+
+    # a CPU gone offline since the mask was read: every process stays where it is
+    pins = allow_cpus({0, 3, 5}, refuse=True)
+    assert strip_timing(run_job(job, jobs=3)) == serial
+    assert len({pid for pid, _ in pins()}) == 3
+    assert os.sched_getaffinity(0) == {0, 3, 5}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs an affinity mask of at least two CPUs")
+def test_two_workers_run_on_two_cpus_of_the_real_mask(monkeypatch):
+    mask = os.sched_getaffinity(0)
+    caller = os.getpid()
+    took, tell = os.pipe()
+
+    def handler(field, task):
+        cpus = sorted(os.sched_getaffinity(0))
+        if os.getpid() != caller:
+            os.write(tell, json.dumps(cpus).encode() + b"\n")
+        else:
+            # the caller's tasks wait until the helper has taken one
+            select.select([took], [], [], 30)
+        return {"cpus": cpus}
+
+    monkeypatch.setitem(cli.TASK_HANDLERS, "pdegree", handler)
+    job = {"field": {"p": 2, "vars": ["s"]}, "tasks": [{"kind": "pdegree", "exprs": ["s"]}] * 3}
+    try:
+        report = run_job(job, jobs=2)
+        os.close(tell)
+        tell = None
+        sent = os.read(took, 4096).decode().split()
+    finally:
+        os.close(took)
+        if tell is not None:
+            os.close(tell)
+    assert report["ok"]
+    seen = {tuple(t["result"]["cpus"]) for t in report["tasks"]}
+    assert len(seen) == 2 and all(len(cpus) == 1 and set(cpus) <= mask for cpus in seen)
+    assert {tuple(json.loads(line)) for line in sent} < seen
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_jobs_below_one_are_rejected(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"field": {"p": 2, "vars": ["t"]},
+                               "tasks": [{"kind": "pdegree", "exprs": ["t"]}]}))
+    for argv in (["run", str(job)], ["verify-all"]):
+        for n in ("0", "-3"):
+            with pytest.raises(SystemExit) as exit:
+                main(argv + ["--jobs", n])
+            assert exit.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "error: argument --jobs: must be at least 1, not %s\n" % n in err
 
 
 def test_report_expressions_reparse():

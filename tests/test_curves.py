@@ -12,15 +12,14 @@ from insep.curves import (
     WrongInvariantError,
     conductor_profile,
     glueing_cohomology,
-    multiple_curve_profile,
     normal_form,
     normalization,
     singular_point,
 )
 from insep.fieldarith import FunctionField, Matrix, parse_expr
 
-from conftest import (TrivialExtensionError, pairwise_closure, random_nonzero_ratfunc,
-                      remains_integral, seeded, sympy_p_independent)
+from conftest import (TrivialExtensionError, multiple_curve_profile, pairwise_closure,
+                      random_nonzero_ratfunc, remains_integral, seeded, sympy_p_independent)
 
 
 def nf_of(p, variables, exprs):

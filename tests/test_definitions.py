@@ -17,7 +17,6 @@ import insep
 # public names that only the tests and the acceptance criteria reach; an entry
 # that is no longer defined, or is now referenced, fails the check
 ALLOWED = {
-    "multiple_curve_profile",
     "strip_timing",  # the report contract that byte-identity checks compare
 }
 
