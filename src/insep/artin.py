@@ -71,17 +71,24 @@ class FiniteLocalAlgebra:
         self.modulus = field.p if isinstance(field, PrimeField) else None
         self.table = table
         self.maxideal_gens = [self.reduce(g) for g in maxideal_gens]
-        # m = span{g e_j}, m^2 = span{g v : g a generator of m, v in m}
-        self.m_basis = row_space_basis(self.field, [self.mul_vec(g, self.basis_vec(j))
-                                                    for g in self.maxideal_gens
-                                                    for j in range(self.dim)])
-        # A is commutative, so m is nilpotent iff each generator is; a nilpotent
-        # g has g^dim = 0, since A, gA, g^2 A, ... shrink strictly until they vanish
-        if any(any(self.pow_vec(g, self.dim)) for g in self.maxideal_gens):
-            raise NotLocalError("designated ideal is not nilpotent")
-        self.m_sq_basis = row_space_basis(self.field, [self.mul_vec(g, v)
-                                                       for g in self.maxideal_gens
-                                                       for v in self.m_basis])
+        # A is commutative, so m is nilpotent iff each generator is; a nilpotent g
+        # has g^e = 0 for every e >= dim, since A, gA, g^2 A, ... shrink strictly
+        # until they vanish, and a g that is not nilpotent has no zero power
+        for g in self.maxideal_gens:
+            g_e, e = g, 1
+            while e < dim and any(g_e):
+                g_e, e = self.mul_vec(g_e, g_e), 2 * e
+            if any(g_e):
+                raise NotLocalError("designated ideal is not nilpotent")
+        # m = span{g e_j}, m^2 = span{g v : g a generator of m, v in m}, and
+        # g v = sum_j v_j (g e_j) from the same sparse columns of g
+        columns = [self.columns(g) for g in self.maxideal_gens]
+        self.m_basis = row_space_basis(field, dim, (col.items() for cols in columns
+                                                    for col in cols))
+        supports = [[(j, x) for j, x in enumerate(v) if x] for v in self.m_basis]
+        self.m_sq_basis = row_space_basis(field, dim, (self.combine(cols, support).items()
+                                                       for cols in columns
+                                                       for support in supports))
         self._residue = ResidueData(self)
         self.residue_dim = self._residue.q
         self._residue.certify_field()
@@ -99,16 +106,29 @@ class FiniteLocalAlgebra:
     def one_vec(self):
         return self.basis_vec(0)
 
-    def from_table_entry(self, entry):
-        v = self.zero_vec()
-        for m, c in entry.items():
-            v[m] = c
-        return v
-
     def reduce(self, vec):
         """A canonical copy of vec: each int reduced mod p over a PrimeField."""
         p = self.modulus
         return list(vec) if p is None else [x % p for x in vec]
+
+    def combine(self, rows, pairs):
+        """The sum of x * rows[j] over the pairs (j, x), for sparse rows
+        {index: coefficient}; the result is one too, canonical with zeros dropped."""
+        out = {}
+        for j, x in pairs:
+            for m, c in rows[j].items():
+                y = x * c
+                out[m] = out[m] + y if m in out else y
+        p = self.modulus
+        if p is None:
+            return {m: c for m, c in out.items() if c}
+        return {m: c % p for m, c in out.items() if c % p}
+
+    def columns(self, g):
+        """The products g e_j for j = 0..dim-1, as sparse rows: e_j g, read off
+        row j of the table, since A is commutative."""
+        support = [(i, gi) for i, gi in enumerate(g) if gi]
+        return [self.combine(row, support) for row in self.table]
 
     def mul_vec(self, a, b):
         out = self.zero_vec()
@@ -305,10 +325,11 @@ def adjoin_root(algebra, f, r):
         raise ArtinError("f has %d coordinates, the algebra has dimension %d" % (len(f), n_r))
     q = p ** r
 
-    # T^q = f^p, so a product past T^(q-1) is (e_i e_k) f^p T^(j+l-q)
-    fp = algebra.pow_vec(f, p)
-    table = _adjunction_table(algebra.table, q, lambda entry: {
-        m: c for m, c in enumerate(algebra.mul_vec(algebra.from_table_entry(entry), fp)) if c})
+    # T^q = f^p, so a product past T^(q-1) is (e_i e_k) f^p T^(j+l-q), and
+    # (e_i e_k) f^p = sum_m c_m (e_m f^p) from the columns of f^p
+    fp_columns = algebra.columns(algebra.pow_vec(f, p))
+    table = _adjunction_table(algebra.table, q,
+                              lambda entry: algebra.combine(fp_columns, entry.items()))
 
     residue = algebra._residue
     s, y = 1, residue.project(f)
@@ -337,16 +358,21 @@ def _adjunction_table(table, n, times_g=None):
 
     times_g maps an entry of R's table to its product with g, zeros dropped;
     None means g = 0.  e_i T^j * e_k T^l = (e_i e_k) T^(j+l), and T^n = g; the
-    entries for one (i, k, j + l) are one shared dict, never changed.
+    entries for one dict of R's table and one j + l are one shared dict, never
+    changed, and times_g runs once per dict of R's table.
     """
     n_r = len(table)
     out = [[None] * (n_r * n) for _ in range(n_r * n)]
+    shared = {}  # id of a dict of R's table -> its entries by degree j + l
     for i in range(n_r):
         for k in range(n_r):
             pair = table[i][k]
-            over = {} if times_g is None else times_g(pair)
-            by_degree = ([{e * n_r + m: c for m, c in pair.items()} for e in range(n)]
-                         + [{e * n_r + m: c for m, c in over.items()} for e in range(n - 1)])
+            by_degree = shared.get(id(pair))
+            if by_degree is None:
+                over = {} if times_g is None else times_g(pair)
+                by_degree = shared[id(pair)] = (
+                    [{e * n_r + m: c for m, c in pair.items()} for e in range(n)]
+                    + [{e * n_r + m: c for m, c in over.items()} for e in range(n - 1)])
             for j in range(n):
                 out[j * n_r + i][k::n_r] = by_degree[j:j + n]  # l = 0..n-1 at index l n_r + k
     return out

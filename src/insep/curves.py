@@ -201,7 +201,7 @@ class ConductorRing:
         each row added to the span of 1 and gens is multiplied once by each
         generator (its rref rows after 1), and a product that does not reduce to
         zero against the rows so far is appended, made monic."""
-        rows = row_space_basis(self.K, [self.one_vec(), *gens])
+        rows = row_space_basis(self.K, self.dim_K, map(enumerate, [self.one_vec(), *gens]))
         gens, done = rows[1:], 1
         while done < len(rows):
             new, done = rows[done:], len(rows)
@@ -211,7 +211,7 @@ class ConductorRing:
                     if any(rest):
                         lead = next(x for x in rest if x)
                         rows.append([x / lead for x in rest])
-        return row_space_basis(self.K, rows)
+        return row_space_basis(self.K, self.dim_K, map(enumerate, rows))
 
     def one_vec(self):
         return self.flatten(self.series.one())
@@ -235,9 +235,11 @@ class ConductorProfile(namedtuple("ConductorProfile", "ring chart_index images s
     __slots__ = ()
 
 
-def _subspace_intersection_dim(field, basis_a, basis_b):
-    """dim(A /\\ B) = dim A + dim B - dim(A + B), given a basis of A and one of B."""
-    return len(basis_a) + len(basis_b) - len(row_space_basis(field, basis_a + basis_b))
+def _subspace_intersection_dim(ring, basis_a, basis_b):
+    """dim(A /\\ B) = dim A + dim B - dim(A + B), given a K-basis of A and one of B
+    in the ring's flattened coordinates."""
+    return len(basis_a) + len(basis_b) - len(row_space_basis(ring.K, ring.dim_K,
+                                                             map(enumerate, basis_a + basis_b)))
 
 
 def conductor_profile(nf):
@@ -278,11 +280,11 @@ def conductor_profile(nf):
     if dim_sub != p * (p - 1) // 2:
         raise AssertionError("dim_K(O_A0) = %d, expected p(p-1)/2 = %d"
                              % (dim_sub, p * (p - 1) // 2))
-    dim_meet_L = _subspace_intersection_dim(ring.K, basis, ring.u_level_span(0))
+    dim_meet_L = _subspace_intersection_dim(ring, basis, ring.u_level_span(0))
     if dim_meet_L != 1:
         raise AssertionError("O_A0 /\\ L is bigger than K")
     # conductor exactness guard: u^(p-2)*L does not land inside O_A0
-    if _subspace_intersection_dim(ring.K, basis, ring.u_level_span(ring.order - 1)) >= p:
+    if _subspace_intersection_dim(ring, basis, ring.u_level_span(ring.order - 1)) >= p:
         raise AssertionError("conductor would be larger than (u^(p-1))")
 
     witnesses = {}

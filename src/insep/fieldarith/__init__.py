@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: prime fields, sparse polynomials, rational function
-fields, dense linear algebra, the expression parser, and the quotient rings
+fields, linear algebra, the expression parser, and the quotient rings
 base[y]/(y^n - beta) (degree-p root extensions and truncated series) with one
 element type whose inverse is the Frobenius norm."""
 

@@ -3,8 +3,11 @@ over a PrimeField the entries are the ints 0..p-1.
 
 Pivoting picks the first symbolically nonzero entry; there is no rounding
 anywhere, so rank, kernel and solve are exact.  One elimination serves all
-three: solve reduces the augmented matrix [A | b].
+three: solve reduces the augmented matrix [A | b].  Spans are reduced apart,
+from sparse rows, one row at a time (row_space_basis).
 """
+
+from heapq import heapify, heappop, heappush
 
 from .primefield import PrimeField
 
@@ -110,13 +113,79 @@ class Matrix:
         return x
 
 
-def row_space_basis(field, vectors):
-    """An rref basis for the span of the given vectors (dropping zero rows)."""
-    vecs = [v for v in vectors if any(v)]
-    if not vecs:
-        return []
-    rows, pivots = Matrix(field, vecs)._echelon()
-    return [rows[i] for i in range(len(pivots))]
+def row_space_basis(field, ncols, rows):
+    """An rref basis, as dense rows of length ncols, for the span of the given rows.
+
+    Each row is an iterable of (column, entry) pairs, each column at most once and
+    in any order; zero entries and zero rows are dropped.  The rows are reduced one
+    at a time against the pivot rows found so far, leading column first, touching
+    only their nonzero entries: a row either vanishes or its leading column is a new
+    pivot, and it is made monic there.  The pivot rows are back-substituted once, at
+    the end.  Over a PrimeField each cell written is reduced mod p.
+    """
+    p = field.p if isinstance(field, PrimeField) else None
+    zero, one = field.zero(), field.one()
+    tails = {}  # pivot column -> the entries after it of its monic pivot row
+    for pairs in rows:
+        row = ({c: x for c, x in pairs if x} if p is None
+               else {c: x % p for c, x in pairs if x % p})
+        queue = list(row)  # every column of row, and stale ones whose entry cancelled
+        heapify(queue)
+        while queue:
+            col = heappop(queue)
+            factor = row.pop(col, None)
+            if factor is None:
+                continue
+            tail = tails.get(col)
+            if tail is None:
+                inv = one / factor if p is None else pow(factor, p - 2, p)
+                tails[col] = ({c: x * inv for c, x in row.items()} if p is None
+                              else {c: x * inv % p for c, x in row.items()})
+                break
+            for c in _subtract(row, factor, tail, p):
+                heappush(queue, c)
+    pivots = sorted(tails)
+    # each tail after col is already free of pivot columns, so one pass clears col's
+    for col in reversed(pivots):
+        tail = tails[col]
+        for c in [c for c in tail if c in tails]:
+            _subtract(tail, tail.pop(c), tails[c], p)
+    basis = []
+    for col in pivots:
+        dense = [zero] * ncols
+        dense[col] = one
+        for c, x in tails[col].items():
+            dense[c] = x
+        basis.append(dense)
+    return basis
+
+
+def _subtract(row, factor, tail, p):
+    """row -= factor * tail, in place with zeros dropped; returns the columns it adds."""
+    added = []
+    if p is None:
+        for c, x in tail.items():
+            if c in row:
+                y = row[c] - factor * x
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
+            else:
+                row[c] = -(factor * x)
+                added.append(c)
+    else:
+        for c, x in tail.items():
+            if c in row:
+                y = (row[c] - factor * x) % p
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
+            else:
+                row[c] = -factor * x % p
+                added.append(c)
+    return added
 
 
 def reduce_by_rows(field, rows, vector):

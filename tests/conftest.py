@@ -169,10 +169,11 @@ def pairwise_closure(ring, images):
     """Test-only oracle for the conductor subalgebra: the span of 1 and images inside
     the ConductorRing, with every pairwise product of its rref basis adjoined until
     the span stops growing; returns that rref basis."""
-    basis = row_space_basis(ring.K, [ring.one_vec()] + [ring.flatten(im) for im in images])
+    basis = row_space_basis(ring.K, ring.dim_K,
+                            map(enumerate, [ring.one_vec()] + [ring.flatten(im) for im in images]))
     while True:
         products = [ring.mul(a, b) for i, a in enumerate(basis) for b in basis[i:]]
-        closed = row_space_basis(ring.K, basis + products)
+        closed = row_space_basis(ring.K, ring.dim_K, map(enumerate, basis + products))
         if len(closed) == len(basis):
             return basis
         basis = closed

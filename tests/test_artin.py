@@ -52,11 +52,23 @@ def test_one_non_nilpotent_generator_rejected():
     # k[x]/(x^2) x k with basis 1, (x, 0), (0, 1): the ideal (x, (0, 1)) has
     # quotient k, but its generator (0, 1) is idempotent, not nilpotent
     one, zero = F3.one(), F3.zero()
-    table = [[{0: one}, {1: one}, {2: one}], [{1: one}, {}, {}], [{2: one}, {}, {2: one}]]
+    split = [[{0: one}, {1: one}, {2: one}], [{1: one}, {}, {}], [{2: one}, {}, {2: one}]]
     x, e = [zero, one, zero], [zero, zero, one]
-    for gens in ([x, e], [e, x]):
+    # and in F_3[u]/(u^3) the unit 1 + u, which unlike e is not idempotent
+    A = truncated_polynomial_algebra(F3, [3])
+    u, unit = A.basis_vec(1), [1, 1, 0]
+    for table, gens in [(split, [x, e]), (split, [e, x]), (A.table, [unit]), (A.table, [u, unit])]:
         with pytest.raises(NotLocalError, match="designated ideal is not nilpotent"):
             FiniteLocalAlgebra(F3, 3, table, gens)
+
+
+@pytest.mark.parametrize("field, n", [(F3, 3), (F5, 5), (F2, 6), (F3, 7)])
+def test_nilpotency_index_equal_to_the_dimension_accepted(field, n):
+    # u in k[u]/(u^n) has nilpotency index n = dim: u^(n-1) != 0 = u^n; repeated
+    # squaring skips u^n when n is not a power of two and stops at a higher power
+    A = truncated_polynomial_algebra(field, [n])
+    report = edim(FiniteLocalAlgebra(field, n, A.table, [A.basis_vec(1)]))
+    assert (report.dim_total, report.dim_m, report.dim_m_sq, report.edim) == (n, n - 1, n - 2, 1)
 
 
 def test_adjoin_root_at_the_dimension_cap():
@@ -408,7 +420,9 @@ def _adjoin_root_table(algebra, f, r):
     fp = algebra.pow_vec(f, algebra.field.characteristic)
     table = [[None] * (n_r * q) for _ in range(n_r * q)]
     for i, j, k, l in product(range(n_r), range(q), range(n_r), range(q)):
-        pair = algebra.from_table_entry(algebra.table[i][k])
+        pair = algebra.zero_vec()
+        for m, c in algebra.table[i][k].items():
+            pair[m] = c
         e = j + l
         if e >= q:
             pair, e = algebra.mul_vec(pair, fp), e - q

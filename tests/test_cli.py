@@ -737,13 +737,13 @@ def test_cli_reader_closes_pipe_early(tmp_path):
     job = tmp_path / "big.json"
     job.write_text(json.dumps({"field": {"p": 2, "vars": ["t"]},
                                "tasks": [{"kind": "pdegree", "exprs": ["t"]}] * 2000}))
-    proc = subprocess.Popen([sys.executable, "-m", "insep.cli", "run", str(job)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                            env=_child_env())
-    assert proc.stdout.readline() == "{\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    with subprocess.Popen([sys.executable, "-m", "insep.cli", "run", str(job)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=_child_env()) as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
     assert err.startswith("error: ")
 

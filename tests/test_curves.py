@@ -273,7 +273,8 @@ def test_conductor_products_stay_within_the_semi_naive_count(monkeypatch):
     shipped = dict(_catalog_curves(5))
     count = Counter()
     for owner, name in ((curves.ConductorRing, "mul"), (Matrix, "_echelon"),
-                        (curves, "reduce_by_rows"), (curves, "_subspace_intersection_dim")):
+                        (curves, "row_space_basis"), (curves, "reduce_by_rows"),
+                        (curves, "_subspace_intersection_dim")):
         def counted(*args, _inner=getattr(owner, name), _name=name):
             count[_name] += 1
             return _inner(*args)

@@ -106,7 +106,8 @@ def _check_reduce_by_rows(field, rng, entry, ncols):
     a member of the span."""
     zero, one = field.zero(), field.one()
     inside = 0
-    rows = row_space_basis(field, _sparse_rows(rng, rng.randrange(1, ncols), ncols, entry, zero))
+    rows = row_space_basis(field, ncols, map(enumerate, _sparse_rows(rng, rng.randrange(1, ncols),
+                                                                     ncols, entry, zero)))
     for _ in range(ncols):
         in_span = rng.random() < 0.5
         vec = [zero] * ncols
@@ -165,12 +166,62 @@ def test_echelon_matches_sympy_rref_over_prime_field(p):
                              lambda: F.from_int(rng.randrange(1, p)), F.zero())
                 for _ in range(60)]
     assert _zero_share(matrices) >= 0.7
+    assert row_space_basis(F, 4, []) == []
     for rows in matrices:
         ours, pivots = Matrix(F, rows)._echelon()
         ref, ref_pivots = DomainMatrix([[GFp(x) for x in r] for r in rows],
                                        (len(rows), len(rows[0])), GFp).rref()
         assert tuple(pivots) == tuple(ref_pivots)
-        assert ours == [[int(x) for x in r] for r in ref.to_list()]
+        expected = [[int(x) for x in r] for r in ref.to_list()]
+        assert ours == expected
+        # entries off by multiples of p, which row_space_basis reduces
+        pairs = [[(c, x + p * rng.randrange(3)) for c, x in row]
+                 for row in _span_input(rng, rows, F.zero())]
+        assert row_space_basis(F, len(rows[0]), pairs) == expected[:len(ref_pivots)]
+
+
+def _span_input(rng, rows, zero):
+    """The rows as (column, entry) pairs for row_space_basis, zeros kept, with one row
+    repeated, a zero row and an empty row added, pairs and rows in seeded orders."""
+    out = [list(enumerate(r)) for r in rows + [rng.choice(rows), [zero] * len(rows[0])]] + [[]]
+    for row in out:
+        rng.shuffle(row)
+    rng.shuffle(out)
+    return out
+
+
+def test_row_space_basis_matches_sympy_rref_over_function_field(K3st):
+    from sympy.polys.fields import field as frac_field
+
+    rng = seeded(940)
+    S = frac_field(",".join(K3st.vars), GF(3))[0]
+
+    def to_sympy(f):
+        return S(S.ring(dict(f.num.terms))) / S(S.ring(dict(f.den.terms)))
+
+    def entry():
+        return random_ratfunc(rng, K3st, max_terms=2, max_exp=1)
+
+    matrices = [_sparse_rows(rng, rng.randrange(1, 6), rng.randrange(1, 6), entry, K3st.zero())
+                for _ in range(30)]
+    # and rank-deficient ones: a last row that combines the first and the last
+    for rows in matrices[:10]:
+        c = entry()
+        rows.append([c * x + y for x, y in zip(rows[0], rows[-1])])
+    assert _zero_share(matrices) >= 0.5
+    ranks = set()
+    for rows in matrices:
+        ncols = len(rows[0])
+        ref, ref_pivots = DomainMatrix([[to_sympy(x) for x in r] for r in rows],
+                                       (len(rows), ncols), S.to_domain()).rref()
+        ours = row_space_basis(K3st, ncols, _span_input(rng, rows, K3st.zero()))
+        ref_rows = ref.to_list()[:len(ref_pivots)]
+        # sympy may leave an entry such as 2/2 unreduced, so compare by differences
+        assert len(ours) == len(ref_rows)
+        assert all(not (to_sympy(x) - y) for r, ref_r in zip(ours, ref_rows)
+                   for x, y in zip(r, ref_r))
+        ranks.add((len(ref_pivots), len(rows)))
+    assert any(rank < nrows for rank, nrows in ranks)
 
 
 def _check_sparse_system(field, rows, entry):
