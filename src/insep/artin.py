@@ -16,10 +16,9 @@ from .fieldarith import (
     Matrix,
     NotAPthPowerCheckError,
     PrimeField,
+    Span,
     extension_tower,
     power,
-    reduce_by_rows,
-    row_space_basis,
 )
 
 DIMENSION_CAP = 512
@@ -59,7 +58,8 @@ class FiniteLocalAlgebra:
     The table is used as given.  The builders below make rings by construction:
     each table is R[T]/(T^n - g) for an R built the same way, a commutative ring
     with identity for any g.  What a caller chooses is checked: the designated
-    ideal must be nilpotent and the quotient by it a field.  Over a PrimeField
+    ideal must be nilpotent and the quotient by it a field.  ``m`` and ``m_sq``
+    are the Spans of the maximal ideal and of its square.  Over a PrimeField
     the elements are ints: the generators are reduced mod p here, and every
     vector operation reduces its result once per cell.
     """
@@ -80,15 +80,14 @@ class FiniteLocalAlgebra:
                 g_e, e = self.mul_vec(g_e, g_e), 2 * e
             if any(g_e):
                 raise NotLocalError("designated ideal is not nilpotent")
-        # m = span{g e_j}, m^2 = span{g v : g a generator of m, v in m}, and
-        # g v = sum_j v_j (g e_j) from the same sparse columns of g
+        # m = span{g e_j}, m^2 = span{g v : g a generator of m, v a pivot row of m},
+        # and g v = sum_j v_j (g e_j) from the same sparse columns of g
         columns = [self.columns(g) for g in self.maxideal_gens]
-        self.m_basis = row_space_basis(field, dim, (col.items() for cols in columns
-                                                    for col in cols))
-        supports = [[(j, x) for j, x in enumerate(v) if x] for v in self.m_basis]
-        self.m_sq_basis = row_space_basis(field, dim, (self.combine(cols, support).items()
-                                                       for cols in columns
-                                                       for support in supports))
+        self.m = Span(field, dim, (col.items() for cols in columns for col in cols))
+        one = field.one()
+        supports = [[(col, one), *tail.items()] for col, tail in self.m.tails.items()]
+        self.m_sq = Span(field, dim, (self.combine(cols, support).items()
+                                      for cols in columns for support in supports))
         self._residue = ResidueData(self)
         self.residue_dim = self._residue.q
         self._residue.certify_field()
@@ -155,16 +154,15 @@ class ResidueData:
 
     def __init__(self, algebra):
         self.algebra = algebra
-        # m_basis is in reduced echelon form: each row leads with 1 at its pivot
-        self.m_rref = algebra.m_basis
-        pivot_set = {next(c for c, x in enumerate(row) if x) for row in self.m_rref}
-        self.free_cols = [c for c in range(algebra.dim) if c not in pivot_set]
+        # the columns that are not pivots of m coordinatize A/m
+        self.free_cols = [c for c in range(algebra.dim) if c not in algebra.m.tails]
         self.q = len(self.free_cols)
         self.one = self.project(algebra.one_vec())
 
     def project(self, vec):
-        v = reduce_by_rows(self.algebra.field, self.m_rref, vec)
-        return tuple(v[c] for c in self.free_cols)
+        v = self.algebra.m.reduce(enumerate(vec))
+        zero = self.algebra.field.zero()
+        return tuple(v.get(c, zero) for c in self.free_cols)
 
     def section(self, coords):
         v = self.algebra.zero_vec()
@@ -278,8 +276,8 @@ def check_dimension(factors):
 
 def edim(algebra):
     """Embedding dimension: dim of m/m^2 over the residue field A/m."""
-    dim_m = len(algebra.m_basis)
-    dim_m_sq = len(algebra.m_sq_basis)
+    dim_m = len(algebra.m)
+    dim_m_sq = len(algebra.m_sq)
     q = algebra.residue_dim
     diff = dim_m - dim_m_sq
     if diff % q:

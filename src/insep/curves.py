@@ -11,9 +11,8 @@ from collections import namedtuple
 from .fieldarith import (
     Matrix,
     SimpleExtensionField,
+    Span,
     TruncSeriesRing,
-    reduce_by_rows,
-    row_space_basis,
 )
 from .fermat import PFermatHypersurface, invariant_d, singular_ideal
 from .frobenius import membership_in_pspan, pth_root
@@ -197,21 +196,19 @@ class ConductorRing:
         return self.flatten(self.unflatten(v) * self.unflatten(w))
 
     def closure(self, gens):
-        """An rref basis of the K-subalgebra generated by gens, closed semi-naively:
-        each row added to the span of 1 and gens is multiplied once by each
-        generator (its rref rows after 1), and a product that does not reduce to
-        zero against the rows so far is appended, made monic."""
-        rows = row_space_basis(self.K, self.dim_K, map(enumerate, [self.one_vec(), *gens]))
-        gens, done = rows[1:], 1
-        while done < len(rows):
-            new, done = rows[done:], len(rows)
-            for v in new:
-                for g in gens:
-                    rest = reduce_by_rows(self.K, rows, self.mul(v, g))
-                    if any(rest):
-                        lead = next(x for x in rest if x)
-                        rows.append([x / lead for x in rest])
-        return row_space_basis(self.K, self.dim_K, map(enumerate, rows))
+        """An rref basis of the K-subalgebra generated by gens, closed semi-naively
+        in one span: each pivot row added after 1 is multiplied once by each
+        generator's pivot row, until a round adds no pivot."""
+        span = Span(self.K, self.dim_K, [enumerate(self.one_vec())])
+
+        def added(vecs):  # the pivot rows that vecs add to the span, one by one
+            cols = [span.add(enumerate(v)) for v in vecs]
+            return [span.row(col) for col in cols if col is not None]
+
+        gens = new = added(gens)
+        while new:
+            new = added([self.mul(v, g) for v in new for g in gens])
+        return span.basis()
 
     def one_vec(self):
         return self.flatten(self.series.one())
@@ -238,8 +235,8 @@ class ConductorProfile(namedtuple("ConductorProfile", "ring chart_index images s
 def _subspace_intersection_dim(ring, basis_a, basis_b):
     """dim(A /\\ B) = dim A + dim B - dim(A + B), given a K-basis of A and one of B
     in the ring's flattened coordinates."""
-    return len(basis_a) + len(basis_b) - len(row_space_basis(ring.K, ring.dim_K,
-                                                             map(enumerate, basis_a + basis_b)))
+    return len(basis_a) + len(basis_b) - len(Span(ring.K, ring.dim_K,
+                                                  map(enumerate, basis_a + basis_b)))
 
 
 def conductor_profile(nf):

@@ -10,7 +10,7 @@ from .extension import (
     TruncSeriesRing,
     extension_tower,
 )
-from .matrix import Matrix, reduce_by_rows, row_space_basis
+from .matrix import Matrix, Span
 from .multipoly import CACHE_SIZE, MAX_VARIABLES, MultiPoly, poly_gcd
 from .parser import ParseError, UnknownVariableError, parse_expr
 from .primefield import SUPPORTED_PRIMES, PrimeField, frobenius_power, power
@@ -29,6 +29,7 @@ __all__ = [
     "RatFunc",
     "SUPPORTED_PRIMES",
     "SimpleExtensionField",
+    "Span",
     "TruncSeriesRing",
     "UnknownVariableError",
     "extension_tower",
@@ -36,6 +37,4 @@ __all__ = [
     "parse_expr",
     "poly_gcd",
     "power",
-    "reduce_by_rows",
-    "row_space_basis",
 ]

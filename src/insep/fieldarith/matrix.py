@@ -1,10 +1,12 @@
-"""Exact dense linear algebra over any field object with zero()/one() elements;
-over a PrimeField the entries are the ints 0..p-1.
+"""Exact linear algebra over a field object with zero() and one() whose elements
+have inverse(); over a PrimeField the entries are the ints 0..p-1.
 
-Pivoting picks the first symbolically nonzero entry; there is no rounding
-anywhere, so rank, kernel and solve are exact.  One elimination serves all
-three: solve reduces the augmented matrix [A | b].  Spans are reduced apart,
-from sparse rows, one row at a time (row_space_basis).
+There is one elimination, Span: rows are reduced one at a time, from sparse
+(column, entry) pairs, against the pivot rows found so far, and the pivot rows
+are back-substituted once for a basis.  Pivoting picks the first symbolically
+nonzero entry; there is no rounding anywhere, so rank, kernel and solve are
+exact.  Matrix is a dense view of the span of its rows, so one elimination
+serves all three: solve reduces the augmented matrix [A | b].
 """
 
 from heapq import heapify, heappop, heappush
@@ -13,11 +15,7 @@ from .primefield import PrimeField
 
 
 class Matrix:
-    """A dense matrix over a field object.
-
-    Elimination skips zero cells and inverts each pivot once, so its field
-    operations scale with the nonzeros of the pivot rows, not with the size.
-    """
+    """A dense matrix over a field object."""
 
     def __init__(self, field, rows):
         self.field = field
@@ -33,47 +31,12 @@ class Matrix:
                                    for j in range(self.ncols)])
 
     def _echelon(self):
-        """Row-reduce to reduced row echelon form; returns (rows, pivot columns).
-
-        Each step inverts its pivot once and touches only the support of the pivot
-        row (its nonzero columns, all after the pivot column); the pivot column
-        itself becomes a unit vector.  a - f*0 == a exactly, and every field
-        keeps its elements canonical, so skipping those cells changes no value.
-        Over a PrimeField each cell a step writes is reduced mod p.
-        """
-        p = self.field.p if isinstance(self.field, PrimeField) else None
-        rows = [list(r) for r in self.rows]
-        zero, one = self.field.zero(), self.field.one()
-        pivots = []
-        row = 0
-        for col in range(self.ncols):
-            pivot = next((r for r in range(row, len(rows)) if rows[r][col]), None)
-            if pivot is None:
-                continue
-            rows[row], rows[pivot] = rows[pivot], rows[row]
-            prow = rows[row]
-            inv = one / prow[col] if p is None else pow(prow[col], p - 2, p)
-            prow[col] = one
-            support = [(c, prow[c] * inv) for c in range(col + 1, self.ncols) if prow[c]]
-            if p is not None:
-                support = [(c, x % p) for c, x in support]
-            for c, x in support:
-                prow[c] = x
-            for r, other in enumerate(rows):
-                factor = other[col]
-                if r != row and factor:
-                    other[col] = zero
-                    if p is None:
-                        for c, x in support:
-                            other[c] = other[c] - factor * x
-                    else:
-                        for c, x in support:
-                            other[c] = (other[c] - factor * x) % p
-            pivots.append(col)
-            row += 1
-            if row == len(rows):
-                break
-        return rows, pivots
+        """The reduced row echelon form, nrows rows with the zero rows last, and
+        its pivot columns: the basis of the span of the rows, padded."""
+        span = Span(self.field, self.ncols, map(enumerate, self.rows))
+        rows = span.basis()
+        rows += [[self.field.zero()] * self.ncols for _ in range(self.nrows - len(rows))]
+        return rows, sorted(span.tails)
 
     def rank(self):
         return len(self._echelon()[1])
@@ -113,20 +76,32 @@ class Matrix:
         return x
 
 
-def row_space_basis(field, ncols, rows):
-    """An rref basis, as dense rows of length ncols, for the span of the given rows.
+class Span:
+    """The span of rows of length ncols, grown one row at a time.
 
-    Each row is an iterable of (column, entry) pairs, each column at most once and
-    in any order; zero entries and zero rows are dropped.  The rows are reduced one
-    at a time against the pivot rows found so far, leading column first, touching
-    only their nonzero entries: a row either vanishes or its leading column is a new
-    pivot, and it is made monic there.  The pivot rows are back-substituted once, at
-    the end.  Over a PrimeField each cell written is reduced mod p.
+    A row is an iterable of (column, entry) pairs, each column at most once and
+    in any order; zero entries are dropped.  ``tails`` maps each pivot column to
+    the entries after it of its monic pivot row, {column: entry}.  A row is
+    reduced leading column first, touching only nonzero entries, and each pivot
+    is inverted once.  Over a PrimeField each cell written is reduced mod p.
     """
-    p = field.p if isinstance(field, PrimeField) else None
-    zero, one = field.zero(), field.one()
-    tails = {}  # pivot column -> the entries after it of its monic pivot row
-    for pairs in rows:
+
+    def __init__(self, field, ncols, rows=()):
+        self.field = field
+        self.ncols = ncols
+        self.p = field.p if isinstance(field, PrimeField) else None
+        self.tails = {}
+        for row in rows:
+            self.add(row)
+
+    def __len__(self):
+        return len(self.tails)
+
+    def _leads(self, pairs):
+        """Reduce the row against the pivot rows, leading column first, through a
+        heap of its columns: yields (column, entry, rest) for each column that is
+        not a pivot, in order, with rest the entries after it, reduced so far."""
+        p, tails = self.p, self.tails
         row = ({c: x for c, x in pairs if x} if p is None
                else {c: x % p for c, x in pairs if x % p})
         queue = list(row)  # every column of row, and stale ones whose entry cancelled
@@ -138,26 +113,54 @@ def row_space_basis(field, ncols, rows):
                 continue
             tail = tails.get(col)
             if tail is None:
-                inv = one / factor if p is None else pow(factor, p - 2, p)
-                tails[col] = ({c: x * inv for c, x in row.items()} if p is None
-                              else {c: x * inv % p for c, x in row.items()})
-                break
-            for c in _subtract(row, factor, tail, p):
-                heappush(queue, c)
-    pivots = sorted(tails)
-    # each tail after col is already free of pivot columns, so one pass clears col's
-    for col in reversed(pivots):
-        tail = tails[col]
-        for c in [c for c in tail if c in tails]:
-            _subtract(tail, tail.pop(c), tails[c], p)
-    basis = []
-    for col in pivots:
-        dense = [zero] * ncols
-        dense[col] = one
-        for c, x in tails[col].items():
+                yield col, factor, row
+            else:
+                for c in _subtract(row, factor, tail, p):
+                    heappush(queue, c)
+
+    def add(self, pairs):
+        """Add a row; returns its new pivot column, or None if it is in the span.
+
+        The new pivot row is the row less a member of the span, zero before its
+        leading column, made monic there."""
+        lead = next(self._leads(pairs), None)
+        if lead is None:
+            return None
+        col, factor, rest = lead
+        p = self.p
+        if p is None:
+            inv = factor.inverse()
+            self.tails[col] = {c: x * inv for c, x in rest.items()}
+        else:
+            inv = pow(factor, p - 2, p)
+            self.tails[col] = {c: x * inv % p for c, x in rest.items()}
+        return col
+
+    def reduce(self, pairs):
+        """The row less a member of the span, zero at every pivot column, as
+        {column: entry}; it is empty iff the row lies in the span."""
+        return {col: x for col, x, _ in self._leads(pairs)}
+
+    def row(self, col):
+        """The pivot row of col, dense."""
+        dense = [self.field.zero()] * self.ncols
+        dense[col] = self.field.one()
+        for c, x in self.tails[col].items():
             dense[c] = x
-        basis.append(dense)
-    return basis
+        return dense
+
+    def basis(self):
+        """The rref basis of the span, dense rows in pivot order.
+
+        Each tail after col is already free of pivot columns, so one pass, last
+        pivot first, clears col's; the tails stay back-substituted."""
+        tails, p = self.tails, self.p
+        pivots = sorted(tails)
+        for col in reversed(pivots):
+            tail = tails[col]
+            for c in [c for c in tail if c in tails]:
+                _subtract(tail, tail.pop(c), tails[c], p)
+        return [self.row(col) for col in pivots]
 
 
 def _subtract(row, factor, tail, p):
@@ -186,17 +189,3 @@ def _subtract(row, factor, tail, p):
                 row[c] = -factor * x % p
                 added.append(c)
     return added
-
-
-def reduce_by_rows(field, rows, vector):
-    """vector less its combination of rows; zero iff vector lies in their span.
-
-    Each row has a 1 at its first nonzero entry and every later row a 0 there: an
-    rref basis, and after it any nonzero results of this function, made monic.
-    """
-    vec = list(vector)
-    for row in rows:
-        factor = vec[next(c for c, x in enumerate(row) if x)]
-        if factor:
-            vec = [a - factor * b if b else a for a, b in zip(vec, row)]
-    return [a % field.p for a in vec] if isinstance(field, PrimeField) else vec

@@ -17,7 +17,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
-from .fieldarith import CACHE_SIZE, Matrix, MultiPoly, RatFunc
+from .fieldarith import CACHE_SIZE, Matrix, MultiPoly, RatFunc, Span
 
 PSPAN_BASIS_CAP = 4
 
@@ -125,9 +125,8 @@ def membership_in_pspan(mu, basis):
 def pdegree_generated(gens):
     """Greedy p-basis of K^p(gens): keep each generator not spanned by the kept ones.
 
-    A generator is spanned iff its Jacobian row lies in the K-span of the rows
-    before it, i.e. iff its column of the transposed Jacobian is not a pivot
-    column; so one elimination finds every kept generator.
+    A generator is spanned iff its Jacobian row (dg/dt_k)_k lies in the K-span of
+    the rows before it, i.e. iff adding that row to their span adds no pivot.
     """
     return _pdegree_generated(tuple(gens))
 
@@ -136,9 +135,12 @@ def pdegree_generated(gens):
 def _pdegree_generated(examined):
     selected = ()
     if examined:
-        mu = examined[0]
-        columns = [[g.derivative(k) for g in examined] for k in range(len(mu.vars))]
-        selected = tuple(examined[c] for c in Matrix(mu.field(), columns)._echelon()[1])
+        n = len(examined[0].vars)
+        span = Span(examined[0].field(), n)
+        # once the span is all of K^n, no later row adds a pivot
+        selected = tuple(g for g in examined
+                         if len(span) < n
+                         and span.add((k, g.derivative(k)) for k in range(n)) is not None)
     return PBasisResult(examined=examined, selected=selected, d=len(selected))
 
 

@@ -4,7 +4,7 @@ from collections import namedtuple
 
 import pytest
 
-from insep.fieldarith import FunctionField, MultiPoly, RatFunc, row_space_basis
+from insep.fieldarith import FunctionField, MultiPoly, RatFunc, Span
 from insep.frobenius import in_pspan, pth_root
 from insep.upoly import UPoly
 
@@ -169,11 +169,11 @@ def pairwise_closure(ring, images):
     """Test-only oracle for the conductor subalgebra: the span of 1 and images inside
     the ConductorRing, with every pairwise product of its rref basis adjoined until
     the span stops growing; returns that rref basis."""
-    basis = row_space_basis(ring.K, ring.dim_K,
-                            map(enumerate, [ring.one_vec()] + [ring.flatten(im) for im in images]))
+    basis = Span(ring.K, ring.dim_K,
+                 map(enumerate, [ring.one_vec()] + [ring.flatten(im) for im in images])).basis()
     while True:
         products = [ring.mul(a, b) for i, a in enumerate(basis) for b in basis[i:]]
-        closed = row_space_basis(ring.K, ring.dim_K, map(enumerate, basis + products))
+        closed = Span(ring.K, ring.dim_K, map(enumerate, basis + products)).basis()
         if len(closed) == len(basis):
             return basis
         basis = closed

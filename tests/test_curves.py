@@ -16,7 +16,7 @@ from insep.curves import (
     normalization,
     singular_point,
 )
-from insep.fieldarith import FunctionField, Matrix, parse_expr
+from insep.fieldarith import FunctionField, Matrix, Span, parse_expr
 
 from conftest import (TrivialExtensionError, multiple_curve_profile, pairwise_closure,
                       random_nonzero_ratfunc, remains_integral, seeded, sympy_p_independent)
@@ -272,9 +272,8 @@ def test_closure_equals_the_pairwise_closure_on_seeded_curves_in_both_charts():
 def test_conductor_products_stay_within_the_semi_naive_count(monkeypatch):
     shipped = dict(_catalog_curves(5))
     count = Counter()
-    for owner, name in ((curves.ConductorRing, "mul"), (Matrix, "_echelon"),
-                        (curves, "row_space_basis"), (curves, "reduce_by_rows"),
-                        (curves, "_subspace_intersection_dim")):
+    for owner, name in ((curves.ConductorRing, "mul"), (Matrix, "_echelon"), (Span, "add"),
+                        (Span, "reduce"), (Span, "basis"), (curves, "_subspace_intersection_dim")):
         def counted(*args, _inner=getattr(owner, name), _name=name):
             count[_name] += 1
             return _inner(*args)

@@ -2,8 +2,7 @@ import pytest
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from insep.fieldarith import (FunctionField, Matrix, PrimeField, extension_tower, reduce_by_rows,
-                              row_space_basis)
+from insep.fieldarith import FunctionField, Matrix, PrimeField, Span, extension_tower
 from insep.fieldarith.extension import ExtElem
 
 from conftest import random_ratfunc, seeded
@@ -100,15 +99,17 @@ def test_over_prime_field():
     assert len(m.kernel_basis()) == 1
 
 
-def _check_reduce_by_rows(field, rng, entry, ncols):
-    """Remainders against an rref basis with monic remainders appended: zero exactly
-    on the span, zero in each row's leading column, and differing from the vector by
-    a member of the span."""
-    zero, one = field.zero(), field.one()
+def _check_span_reduce(field, rng, entry, ncols):
+    """Span.reduce against a span grown by the vectors that reduce to nonzero: zero
+    exactly on the span, zero in each basis row's leading column, and differing
+    from the vector by a member of the span; adding the vector gives a new pivot,
+    at the leading column of its remainder, exactly when that remainder is nonzero."""
+    zero = field.zero()
     inside = 0
-    rows = row_space_basis(field, ncols, map(enumerate, _sparse_rows(rng, rng.randrange(1, ncols),
-                                                                     ncols, entry, zero)))
+    span = Span(field, ncols, map(enumerate, _sparse_rows(rng, rng.randrange(1, ncols),
+                                                          ncols, entry, zero)))
     for _ in range(ncols):
+        rows = span.basis()
         in_span = rng.random() < 0.5
         vec = [zero] * ncols
         if in_span:
@@ -119,19 +120,15 @@ def _check_reduce_by_rows(field, rng, entry, ncols):
             vec = [entry() for _ in range(ncols)]
         if isinstance(field, PrimeField):
             vec = [a % field.p for a in vec]
-        rest = reduce_by_rows(field, rows, vec)
+        rest = span.reduce(enumerate(vec))
+        dense = [rest.get(c, zero) for c in range(ncols)]
         rank = Matrix(field, rows + [vec]).rank()
-        assert (not any(rest)) == (rank == len(rows))
-        assert Matrix(field, rows + [[a - b for a, b in zip(vec, rest)]]).rank() == len(rows)
+        assert (not any(dense)) == (not rest) == (rank == len(rows))
+        assert Matrix(field, rows + [[a - b for a, b in zip(vec, dense)]]).rank() == len(rows)
         for row in rows:
-            assert not rest[next(c for c, x in enumerate(row) if x)]
-        if any(rest):
-            lead = next(x for x in rest if x)
-            inv = pow(lead, field.p - 2, field.p) if isinstance(field, PrimeField) else one / lead
-            rows.append([x * inv for x in rest])
-            if isinstance(field, PrimeField):
-                rows[-1] = [x % field.p for x in rows[-1]]
-        else:
+            assert not dense[next(c for c, x in enumerate(row) if x)]
+        assert span.add(enumerate(vec)) == (min(rest) if rest else None)
+        if not rest:
             inside += 1
     return inside
 
@@ -140,10 +137,10 @@ def _check_reduce_by_rows(field, rng, entry, ncols):
 def test_reduce_by_rows_is_zero_exactly_on_the_span(p, K3st):
     rng = seeded(930 + p)
     F = PrimeField(p)
-    inside = sum(_check_reduce_by_rows(F, rng, lambda: rng.randrange(1, p), 8)
+    inside = sum(_check_span_reduce(F, rng, lambda: rng.randrange(1, p), 8)
                  for _ in range(20))
     if p == 3:
-        inside += _check_reduce_by_rows(K3st, rng, lambda: random_ratfunc(rng, K3st), 6)
+        inside += _check_span_reduce(K3st, rng, lambda: random_ratfunc(rng, K3st), 6)
     assert 0 < inside < 20 * 8
 
 
@@ -166,7 +163,7 @@ def test_echelon_matches_sympy_rref_over_prime_field(p):
                              lambda: F.from_int(rng.randrange(1, p)), F.zero())
                 for _ in range(60)]
     assert _zero_share(matrices) >= 0.7
-    assert row_space_basis(F, 4, []) == []
+    assert Span(F, 4).basis() == [] and Span(F, 4, [[(1, p)]]).basis() == []
     for rows in matrices:
         ours, pivots = Matrix(F, rows)._echelon()
         ref, ref_pivots = DomainMatrix([[GFp(x) for x in r] for r in rows],
@@ -174,14 +171,14 @@ def test_echelon_matches_sympy_rref_over_prime_field(p):
         assert tuple(pivots) == tuple(ref_pivots)
         expected = [[int(x) for x in r] for r in ref.to_list()]
         assert ours == expected
-        # entries off by multiples of p, which row_space_basis reduces
+        # entries off by multiples of p, which Span reduces
         pairs = [[(c, x + p * rng.randrange(3)) for c, x in row]
                  for row in _span_input(rng, rows, F.zero())]
-        assert row_space_basis(F, len(rows[0]), pairs) == expected[:len(ref_pivots)]
+        assert Span(F, len(rows[0]), pairs).basis() == expected[:len(ref_pivots)]
 
 
 def _span_input(rng, rows, zero):
-    """The rows as (column, entry) pairs for row_space_basis, zeros kept, with one row
+    """The rows as (column, entry) pairs for a Span, zeros kept, with one row
     repeated, a zero row and an empty row added, pairs and rows in seeded orders."""
     out = [list(enumerate(r)) for r in rows + [rng.choice(rows), [zero] * len(rows[0])]] + [[]]
     for row in out:
@@ -214,11 +211,16 @@ def test_row_space_basis_matches_sympy_rref_over_function_field(K3st):
         ncols = len(rows[0])
         ref, ref_pivots = DomainMatrix([[to_sympy(x) for x in r] for r in rows],
                                        (len(rows), ncols), S.to_domain()).rref()
-        ours = row_space_basis(K3st, ncols, _span_input(rng, rows, K3st.zero()))
-        ref_rows = ref.to_list()[:len(ref_pivots)]
+        ours = Span(K3st, ncols, _span_input(rng, rows, K3st.zero())).basis()
+        ref_rows = ref.to_list()
         # sympy may leave an entry such as 2/2 unreduced, so compare by differences
-        assert len(ours) == len(ref_rows)
+        assert len(ours) == len(ref_pivots)
         assert all(not (to_sympy(x) - y) for r, ref_r in zip(ours, ref_rows)
+                   for x, y in zip(r, ref_r))
+        # the dense view: every row, the zero rows last, and the pivots
+        echelon, pivots = Matrix(K3st, rows)._echelon()
+        assert tuple(pivots) == tuple(ref_pivots) and len(echelon) == len(ref_rows)
+        assert all(not (to_sympy(x) - y) for r, ref_r in zip(echelon, ref_rows)
                    for x, y in zip(r, ref_r))
         ranks.add((len(ref_pivots), len(rows)))
     assert any(rank < nrows for rank, nrows in ranks)
