@@ -197,18 +197,19 @@ class ResidueData:
             % (self.q, field))
 
     def minpoly(self, qv):
-        """Monic minimal polynomial of qv over the base field, as a coefficient list."""
+        """Monic minimal polynomial of qv over the base field, as a coefficient list.
+
+        Column j of the span holds qv^j; the first power that is not a pivot
+        column gives the relation qv^k + sum_j x_j qv^j = 0, and x is the list."""
         field = self.algebra.field
         powers = [self.one]
-        current = self.one
         while True:
-            m = Matrix(field, powers).transpose()
-            current = self.mul(current, qv)
-            sol = m.solve(list(current))
-            if sol is not None:
-                # current = sum sol_j * qv^j, so minpoly = T^k - sum sol_j T^j
-                return [-c for c in sol] + [field.one()]
-            powers.append(current)
+            powers.append(self.mul(powers[-1], qv))
+            k = len(powers) - 1
+            span = Span(field, k + 1, ([(j, v[i]) for j, v in enumerate(powers)]
+                                       for i in range(self.q)))
+            if k not in span.tails:
+                return span.relation(k)
 
     def certify_field(self):
         """Raise NotLocalError unless A/m can be certified to be a field.

@@ -2,11 +2,12 @@
 have inverse(); over a PrimeField the entries are the ints 0..p-1.
 
 There is one elimination, Span: rows are reduced one at a time, from sparse
-(column, entry) pairs, against the pivot rows found so far, and the pivot rows
-are back-substituted once for a basis.  Pivoting picks the first symbolically
-nonzero entry; there is no rounding anywhere, so rank, kernel and solve are
-exact.  Matrix is a dense view of the span of its rows, so one elimination
-serves all three: solve reduces the augmented matrix [A | b].
+(column, entry) pairs, against the pivot rows found so far.  Span.add grows the
+span, Span.reduce gives a row's remainder, Span.relation reads a vector of the
+null space off the pivot rows at a non-pivot column, and Span.basis
+back-substitutes the pivot rows once for the rref basis.  Pivoting picks the
+first symbolically nonzero entry; there is no rounding anywhere, so every
+answer is exact.  Matrix holds dense rows for their rank alone.
 """
 
 from heapq import heapify, heappop, heappush
@@ -15,7 +16,7 @@ from .primefield import PrimeField
 
 
 class Matrix:
-    """A dense matrix over a field object."""
+    """Dense rows over a field object, for their rank."""
 
     def __init__(self, field, rows):
         self.field = field
@@ -26,54 +27,12 @@ class Matrix:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
 
-    def transpose(self):
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                   for j in range(self.ncols)])
-
     def _echelon(self):
-        """The reduced row echelon form, nrows rows with the zero rows last, and
-        its pivot columns: the basis of the span of the rows, padded."""
-        span = Span(self.field, self.ncols, map(enumerate, self.rows))
-        rows = span.basis()
-        rows += [[self.field.zero()] * self.ncols for _ in range(self.nrows - len(rows))]
-        return rows, sorted(span.tails)
+        """The Span of the rows."""
+        return Span(self.field, self.ncols, map(enumerate, self.rows))
 
     def rank(self):
-        return len(self._echelon()[1])
-
-    def kernel_basis(self):
-        """Vectors spanning {x : A x = 0}, one per free column."""
-        rows, pivots = self._echelon()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        zero, one = self.field.zero(), self.field.one()
-        basis = []
-        for fc in free:
-            vec = [zero] * self.ncols
-            vec[fc] = one
-            for i, pc in enumerate(pivots):
-                vec[pc] = -rows[i][fc]
-            basis.append(vec)
-        if isinstance(self.field, PrimeField):
-            return [[x % self.field.p for x in vec] for vec in basis]
-        return basis
-
-    def solve(self, b):
-        """A particular solution of A x = b, or None if inconsistent.
-
-        [A | b] is reduced by the same elimination: the first ncols columns see
-        the pivots and operations of A alone, and a pivot in the last column
-        means the system is inconsistent.
-        """
-        if len(b) != self.nrows:
-            raise ValueError("dimension mismatch")
-        rows, pivots = Matrix(self.field, [r + [c] for r, c in zip(self.rows, b)])._echelon()
-        if pivots and pivots[-1] == self.ncols:
-            return None
-        x = [self.field.zero()] * self.ncols
-        for i, pc in enumerate(pivots):
-            x[pc] = rows[i][-1]
-        return x
+        return len(self._echelon())
 
 
 class Span:
@@ -140,6 +99,34 @@ class Span:
         """The row less a member of the span, zero at every pivot column, as
         {column: entry}; it is empty iff the row lies in the span."""
         return {col: x for col, x, _ in self._leads(pairs)}
+
+    def relation(self, free):
+        """The vector x, dense, with x[free] = 1, zero at every other non-pivot
+        column, and zero product with every row of the span; free is not a pivot.
+
+        Each pivot row gives x[col] = -(its tail . x).  A pivot after free sees
+        only zeros, so it gets 0; the pivots before free are solved last first,
+        each from the entries already solved, with no back-substitution."""
+        field, p, tails = self.field, self.p, self.tails
+        if free in tails:
+            raise ValueError("column %d is a pivot" % free)
+        x = {}
+        for col in sorted((c for c in tails if c < free), reverse=True):
+            tail = tails[col]
+            acc = tail.get(free)  # times x[free] = 1
+            for c, v in x.items():
+                if c in tail:
+                    term = tail[c] * v
+                    acc = term if acc is None else acc + term
+            if acc is not None:
+                acc = -acc if p is None else -acc % p
+                if acc:
+                    x[col] = acc
+        dense = [field.zero()] * self.ncols
+        dense[free] = field.one()
+        for c, v in x.items():
+            dense[c] = v
+        return dense
 
     def row(self, col):
         """The pivot row of col, dense."""

@@ -17,7 +17,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
-from .fieldarith import CACHE_SIZE, Matrix, MultiPoly, RatFunc, Span
+from .fieldarith import CACHE_SIZE, MultiPoly, RatFunc, Span
 
 PSPAN_BASIS_CAP = 4
 
@@ -67,13 +67,15 @@ def pth_root(f):
     return coords[zero_e]
 
 
-def _coordinate_matrix(elems, field):
-    """Rows of Frobenius coordinates over the union of appearing exponents."""
-    decomps = [frobenius_decompose(f) for f in elems]
-    keys = sorted(set().union(*decomps)) if decomps else []
-    zero = field.zero()
-    rows = [[d.get(e, zero) for e in keys] for d in decomps]
-    return rows, keys
+def _coordinate_span(elems, field):
+    """The span of one row per exponent e, (j, g_e(elems[j])) over j: column j
+    holds the Frobenius coordinates of elems[j], so sum_j x_j^p elems[j] = 0
+    iff x is in the null space of the rows."""
+    rows = {}
+    for j, f in enumerate(elems):
+        for e, g in frobenius_decompose(f).items():
+            rows.setdefault(e, []).append((j, g))
+    return Span(field, len(elems), (rows[e] for e in sorted(rows)))
 
 
 def p_linear_relation(elems):
@@ -81,15 +83,9 @@ def p_linear_relation(elems):
     elems = list(elems)
     if not elems:
         return None
-    field = elems[0].field()
-    rows, _ = _coordinate_matrix(elems, field)
-    if not rows[0]:
-        one = field.one()
-        return [one] + [field.zero()] * (len(elems) - 1)
-    kernel = Matrix(field, rows).transpose().kernel_basis()
-    if not kernel:
-        return None
-    return kernel[0]
+    span = _coordinate_span(elems, elems[0].field())
+    free = next((j for j in range(len(elems)) if j not in span.tails), None)
+    return None if free is None else span.relation(free)
 
 
 def membership_in_pspan(mu, basis):
@@ -110,16 +106,12 @@ def membership_in_pspan(mu, basis):
         for g, e in zip(basis, a):
             m = m * (g ** e)
         monomials.append(m)
-    rows, keys = _coordinate_matrix(monomials + [mu], field)
-    target = rows[-1]
-    columns = rows[:-1]
-    if not keys:
-        # everything in sight is zero
-        return {} if mu.is_zero() else None
-    sol = Matrix(field, columns).transpose().solve(target)
-    if sol is None:
+    k = len(monomials)
+    span = _coordinate_span(monomials + [mu], field)
+    if k in span.tails:
         return None
-    return {a: c for a, c in zip(exponents, sol) if c}
+    # sum_a x_a^p monomial_a + mu = 0, so d_a = -x_a
+    return {a: -c for a, c in zip(exponents, span.relation(k)) if c}
 
 
 def pdegree_generated(gens):

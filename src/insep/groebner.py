@@ -153,12 +153,14 @@ def is_groebner_basis(gb):
 
 
 def ideal_dimension(gb):
-    """Affine and projective dimension from independent variable subsets.
+    """Affine and projective dimension from the leading-term ideal.
 
-    A subset S of the variables is independent modulo the leading-term ideal
-    iff no leading monomial involves only variables from S; the affine Krull
-    dimension is the maximal size of an independent subset.  A basis from
-    buchberger has at least one generator.
+    A set S of the variables is independent modulo the leading-term ideal iff
+    no leading monomial involves only variables from S, i.e. iff the other
+    variables meet every leading-monomial support; the affine Krull dimension
+    is the largest size of an independent set, so nvars less the fewest
+    variables that meet every support.  A basis from buchberger has at least
+    one generator.
     """
     leads = gb.leading_monomials()
     nvars = gb.generators[0].nvars
@@ -166,15 +168,27 @@ def ideal_dimension(gb):
     if any(not s for s in supports):
         # a unit leading term: the whole ring, empty locus
         return DimensionReport(affine_dim=-1, projective_dim=None)
-    best = 0
-    for size in range(nvars, 0, -1):
-        for subset in combinations(range(nvars), size):
-            sset = set(subset)
-            if all(not supp <= sset for supp in supports):
-                best = size
-                break
-        if best:
-            break
-    affine = best
+    affine = nvars - _fewest_meeting(supports, nvars)
     projective = affine - 1 if affine >= 1 else None
     return DimensionReport(affine_dim=affine, projective_dim=projective)
+
+
+def _fewest_meeting(supports, budget):
+    """min(budget, the fewest variables that meet every support).
+
+    Each such set holds a variable of the smallest support, so branch on those;
+    a branch ends once pairwise disjoint supports, each needing a variable of
+    its own, use up its budget."""
+    if not supports:
+        return 0
+    disjoint, seen = 0, set()
+    for s in sorted(supports, key=len):
+        if seen.isdisjoint(s):
+            disjoint += 1
+            seen |= s
+    if disjoint >= budget:
+        return budget
+    best = budget
+    for v in sorted(min(supports, key=len)):
+        best = min(best, 1 + _fewest_meeting([s for s in supports if v not in s], best - 1))
+    return best

@@ -106,10 +106,9 @@ def test_tensor_square_presentation_independence():
         assert edim(tensor_self(K, moduli)).edim == 2
 
 
-def test_tensor_square_agrees_with_direct_k_algebra():
+def _direct_tensor_square(K):
     # L (x)_K L for L = K(t^(1/2)) built directly over K with basis 1, x, y, xy
-    # (x^2 = y^2 = t); the residue field is L, and edim must still be 1
-    K = FunctionField(2, ["t"])
+    # (x^2 = y^2 = t)
     t = K.gen("t")
     one, zero = K.one(), K.zero()
     table = [
@@ -119,12 +118,38 @@ def test_tensor_square_agrees_with_direct_k_algebra():
         [{3: one}, {2: t}, {1: t}, {0: t * t}],
     ]
     nilpotent = [zero, one, one, zero]  # x - y, squaring to zero in char 2
-    A = FiniteLocalAlgebra(K, 4, table, [nilpotent])
+    return FiniteLocalAlgebra(K, 4, table, [nilpotent])
+
+
+def test_tensor_square_agrees_with_direct_k_algebra():
+    # the residue field is L, and edim must still be 1
+    K = FunctionField(2, ["t"])
+    t = K.gen("t")
+    A = _direct_tensor_square(K)
     report = edim(A)
     assert report.residue_dim == 2
     assert report.edim == 1
     # and the L-algebra route gives the same embedding dimension
     assert edim(tensor_self(K, [t])).edim == 1
+
+
+def test_residue_minimal_polynomials_vanish():
+    # A/m = K(t^(1/2)), of dimension 2 over K: the minimal polynomial of each
+    # basis element is monic and vanishes on it; one element lies in K, and the
+    # other is a multiple of the square root of t, with minimal polynomial T^2 - c
+    K = FunctionField(2, ["t"])
+    residue = _direct_tensor_square(K)._residue
+    polys = []
+    for i in range(residue.q):
+        theta = tuple(K.one() if j == i else K.zero() for j in range(residue.q))
+        poly = residue.minpoly(theta)
+        value = [K.zero()] * residue.q
+        for j, c in enumerate(poly):
+            value = [v + c * x for v, x in zip(value, residue.pow(theta, j))]
+        assert poly[-1] == K.one() and not any(value)
+        polys.append(poly)
+    linear, quadratic = sorted(polys, key=len)
+    assert len(linear) == 2 and len(quadratic) == 3 and quadratic[1] == K.zero()
 
 
 def test_tensor_square_rejects_pth_powers():

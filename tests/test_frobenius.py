@@ -1,6 +1,6 @@
 from itertools import permutations
 
-from insep.fieldarith import FunctionField, parse_expr
+from insep.fieldarith import FunctionField, Span, parse_expr
 from insep.frobenius import (
     frobenius_decompose,
     in_pspan,
@@ -217,17 +217,19 @@ def test_pdegree_monotonicity_and_bound(K2st, K3st):
 
 
 def _in_p_linear_span(field, mu, others):
-    """Solve mu = sum d_i^p * others_i directly in Frobenius coordinates."""
-    from insep.fieldarith import Matrix
-
+    """Solve mu = sum d_i^p * others_i directly in Frobenius coordinates: mu's
+    column is not a pivot, and its relation is then a solution."""
     decomps = [frobenius_decompose(f) for f in others + [mu]]
     keys = sorted(set().union(*decomps))
-    if not keys:
-        return mu.is_zero()
-    zero = field.zero()
-    cols = [[decomps[j].get(e, zero) for j in range(len(others))] for e in keys]
-    rhs = [decomps[-1].get(e, zero) for e in keys]
-    return Matrix(field, cols).solve(rhs) is not None
+    k, zero = len(others), field.zero()
+    rows = [[d.get(e, zero) for d in decomps] for e in keys]
+    span = Span(field, k + 1, map(enumerate, rows))
+    if k in span.tails:
+        return False
+    x = span.relation(k)
+    assert x[k] == field.one()
+    assert all(not sum((r[j] * x[j] for j in range(k + 1)), zero) for r in rows)
+    return True
 
 
 def test_independence_consistent_with_linear_membership(K2st, K3st):

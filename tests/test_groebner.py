@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import pytest
 
 from insep.fermat import PFermatHypersurface, verify_codim
 from insep.fieldarith import FunctionField, parse_expr
 from insep.groebner import (
+    GroebnerBasis,
     ResourceLimitError,
     buchberger,
     ideal_dimension,
@@ -100,6 +103,49 @@ def test_dimension_single_binomial(K):
     one = K.one()
     gb = buchberger([upoly(K, 3, {(1, 1, 0): one})])  # U0*U1
     assert ideal_dimension(gb).affine_dim == 2
+
+
+def _dimension_by_subsets(supports, nvars):
+    """Reference: the largest variable subset that contains no support, found by
+    trying every subset from size nvars downward."""
+    for size in range(nvars, 0, -1):
+        for subset in combinations(range(nvars), size):
+            if all(not supp <= set(subset) for supp in supports):
+                return size
+    return 0
+
+
+def _monomial_basis(field, nvars, exponents):
+    return GroebnerBasis(generators=tuple(upoly(field, nvars, {e: field.one()})
+                                          for e in exponents))
+
+
+def test_dimension_matches_subset_enumeration(K):
+    rng = seeded(31)
+    dims = set()
+    for _ in range(200):
+        nvars = rng.randrange(1, 8)
+        draws = [tuple(rng.choice([0, 0, 0, 1, 2]) for _ in range(nvars))
+                 for _ in range(rng.randrange(1, 7))]
+        exponents = sorted({e for e in draws if any(e)})
+        if not exponents:
+            continue
+        gb = _monomial_basis(K, nvars, exponents)
+        supports = [frozenset(i for i, x in enumerate(e) if x) for e in gb.leading_monomials()]
+        report = ideal_dimension(gb)
+        assert report.affine_dim == _dimension_by_subsets(supports, nvars), exponents
+        assert report.projective_dim == (report.affine_dim - 1 if report.affine_dim else None)
+        dims.add(report.affine_dim)
+    assert dims == set(range(7))
+
+
+def test_dimension_in_two_hundred_variables(K):
+    # U_0^2, ..., U_3^2 in 200 variables: the subsets from size 200 down to 196
+    # number about C(200, 4) = 6.5e7, but four variables meet every support
+    nvars = 200
+    squares = [tuple(2 if i == j else 0 for i in range(nvars)) for j in range(4)]
+    report = ideal_dimension(_monomial_basis(K, nvars, squares))
+    assert report == (196, 195)
 
 
 def test_verify_codim_on_examples():

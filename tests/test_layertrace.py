@@ -1,7 +1,8 @@
 """The traced benchmark run (perfbench/layertrace.py) wraps program functions
 by module and attribute name.  Every name it lists must still exist, so a
 refactor that drops or renames one fails here and not only in a traced run.
-The module is loaded from its file and nothing is patched."""
+The module is loaded from its file; only the last test patches a method, to
+count its calls."""
 
 import importlib.util
 from pathlib import Path
@@ -46,3 +47,27 @@ def test_matrix_spans_read_the_field_and_size_of_a_matrix():
     assert layertrace._matrix_span_name((over_k,)) == "matrix.K.echelon"
     assert (layertrace._matrix_cells((over_fp,)), layertrace._matrix_cells((over_k,))) == (6, 4)
     assert set(layertrace._matrix_span_name.names) == {"matrix.Fp.echelon", "matrix.K.echelon"}
+
+
+def test_invariant_d_reaches_the_traced_matrix_layer(monkeypatch):
+    # the traced matrix.* metrics read Matrix._echelon, and the p-degree d of a
+    # hypersurface is the rank of its dense rows [d lambda/dt; lambda]: its
+    # elimination must still go through that method to count there
+    from insep.fermat import PFermatHypersurface, invariant_d
+    from insep.fieldarith import FunctionField, Matrix, parse_expr
+
+    layertrace = _layertrace()
+    assert ("matrix.echelon", "insep.fieldarith.matrix", "Matrix._echelon") in layertrace.SPANS
+    shapes = []
+    echelon = Matrix._echelon
+
+    def counted(self):
+        shapes.append((self.nrows, self.ncols))
+        return echelon(self)
+
+    monkeypatch.setattr(Matrix, "_echelon", counted)
+    K = FunctionField(2, ["s", "t"])
+    X = PFermatHypersurface(field=K, n=2, coeffs=tuple(parse_expr(e, K) for e in ("s", "t", "1")))
+    # past the cache, which another test may have filled for the same X
+    assert invariant_d.__wrapped__(X) == 2
+    assert shapes == [(3, 3)]

@@ -10,52 +10,89 @@ from conftest import random_ratfunc, seeded
 ZERO_SHARE = 0.75  # the elimination skips zeros, so the matrices are mostly zeros
 
 
+def _solve(field, rows, b):
+    """A solution of A x = b, or None if inconsistent: a last column -b is not a
+    pivot exactly when b is in the column span, and its relation gives x."""
+    n = len(rows[0])
+    minus = (lambda v: -v % field.p) if isinstance(field, PrimeField) else (lambda v: -v)
+    span = Span(field, n + 1, (list(enumerate(r)) + [(n, minus(v))] for r, v in zip(rows, b)))
+    if n in span.tails:
+        return None
+    x = span.relation(n)
+    assert x[n] == field.one()
+    return x[:n]
+
+
+def _kernel(field, rows):
+    """The relation at each non-pivot column of the span of the rows."""
+    span = Span(field, len(rows[0]), map(enumerate, rows))
+    return [span.relation(c) for c in range(span.ncols) if c not in span.tails]
+
+
 def test_identity_solve(K2st):
     s, t = K2st.gens()
     one, zero = K2st.one(), K2st.zero()
-    m = Matrix(K2st, [[one, zero], [zero, one]])
     b = [s, t]
-    assert m.solve(b) == b
+    assert _solve(K2st, [[one, zero], [zero, one]], b) == b
 
 
 def test_zero_matrix(K2st):
-    z = K2st.zero()
-    m = Matrix(K2st, [[z, z], [z, z]])
-    assert m.rank() == 0
-    assert len(m.kernel_basis()) == 2
+    z, one = K2st.zero(), K2st.one()
+    rows = [[z, z], [z, z]]
+    assert Matrix(K2st, rows).rank() == 0
+    # every column is free: the relations are the unit vectors
+    assert _kernel(K2st, rows) == [[one, z], [z, one]]
 
 
 def test_symbolic_rank_two(K2st):
     s, t = K2st.gens()
-    m = Matrix(K2st, [[s, t], [t, s]])
+    rows = [[s, t], [t, s]]
     # det = s^2 + t^2 = (s+t)^2, nonzero as a rational function
-    assert m.rank() == 2
-    assert m.kernel_basis() == []
+    assert Matrix(K2st, rows).rank() == 2
+    assert _kernel(K2st, rows) == []
+    with pytest.raises(ValueError):
+        Span(K2st, 2, map(enumerate, rows)).relation(1)
 
 
 def test_inconsistent_system_returns_none(K2st):
     s, t = K2st.gens()
-    m = Matrix(K2st, [[s, t], [s, t]])
-    assert m.solve([K2st.one(), K2st.zero()]) is None
+    rows = [[s, t], [s, t]]
+    # the target column becomes the pivot of the second row
+    span = Span(K2st, 3, [[(0, s), (1, t), (2, -K2st.one())], [(0, s), (1, t)]])
+    assert sorted(span.tails) == [0, 2]
+    assert _solve(K2st, rows, [K2st.one(), K2st.zero()]) is None
+
+
+def _to_sympy(S, f):
+    return S(S.ring(dict(f.num.terms))) / S(S.ring(dict(f.den.terms)))
 
 
 def test_solve_and_kernel_random(K3st):
+    from sympy.polys.fields import field as frac_field
+
     rng = seeded(808)
+    S = frac_field(",".join(K3st.vars), GF(3))[0]
     for _ in range(40):
         rows = [[random_ratfunc(rng, K3st, max_terms=2, max_exp=1) for _ in range(3)]
                 for _ in range(2)]
-        m = Matrix(K3st, rows)
         x = [random_ratfunc(rng, K3st, max_terms=2, max_exp=1) for _ in range(3)]
         b = [sum((rows[i][j] * x[j] for j in range(3)), K3st.zero()) for i in range(2)]
-        sol = m.solve(b)
+        sol = _solve(K3st, rows, b)
         assert sol is not None
         for i in range(2):
             lhs = sum((rows[i][j] * sol[j] for j in range(3)), K3st.zero())
             assert lhs == b[i]
-        for vec in m.kernel_basis():
+        kernel = _kernel(K3st, rows)
+        for vec in kernel:
             for i in range(2):
                 assert sum((rows[i][j] * vec[j] for j in range(3)), K3st.zero()).is_zero()
-        assert m.rank() + len(m.kernel_basis()) == 3
+        ref = DomainMatrix([[_to_sympy(S, f) for f in r] for r in rows], (2, 3), S.to_domain())
+        assert Matrix(K3st, rows).rank() == ref.rank()
+        assert Matrix(K3st, rows).rank() + len(kernel) == 3
+        ref_kernel = ref.nullspace(divide_last=True).to_list()
+        assert len(kernel) == len(ref_kernel)
+        assert all(not (_to_sympy(S, a) - c) for vec, ref_vec in zip(kernel, ref_kernel)
+                   for a, c in zip(vec, ref_vec))
 
     # rank-deficient systems, consistent and not, over K and over F_5
     F5 = PrimeField(5)
@@ -74,15 +111,17 @@ def test_solve_and_kernel_random(K3st):
             top = [[entry() for _ in range(3)] for _ in range(2)]
             c = entry()
             rows = top + [[canon(c * x + y) for x, y in zip(top[0], top[1])]]  # rank <= 2
-            m = Matrix(field, rows)
             if rng.randrange(2):
                 x = [entry() for _ in range(3)]
                 b = [canon(sum((r[j] * x[j] for j in range(3)), zero)) for r in rows]
             else:
                 b = [entry() for _ in range(3)]
             augmented = Matrix(field, [r + [v] for r, v in zip(rows, b)])
-            sol = m.solve(b)
-            assert (sol is None) == (m.rank() < augmented.rank())
+            sol = _solve(field, rows, b)
+            assert (sol is None) == (Matrix(field, rows).rank() < augmented.rank())
+            for vec in _kernel(field, rows):
+                for r in rows:
+                    assert not canon(sum((r[j] * vec[j] for j in range(3)), zero))
             if sol is None:
                 inconsistent += 1
                 continue
@@ -94,9 +133,9 @@ def test_solve_and_kernel_random(K3st):
 def test_over_prime_field():
     F5 = PrimeField(5)
     rows = [[F5.from_int(a) for a in r] for r in ([1, 2, 3], [2, 4, 2], [0, 0, 5])]
-    m = Matrix(F5, rows)
-    assert m.rank() == 2
-    assert len(m.kernel_basis()) == 1
+    assert Matrix(F5, rows).rank() == 2
+    # the entries of a relation over F_p are reduced into 0..p-1
+    assert _kernel(F5, rows) == [[3, 1, 0]]
 
 
 def _check_span_reduce(field, rng, entry, ncols):
@@ -165,12 +204,18 @@ def test_echelon_matches_sympy_rref_over_prime_field(p):
     assert _zero_share(matrices) >= 0.7
     assert Span(F, 4).basis() == [] and Span(F, 4, [[(1, p)]]).basis() == []
     for rows in matrices:
-        ours, pivots = Matrix(F, rows)._echelon()
-        ref, ref_pivots = DomainMatrix([[GFp(x) for x in r] for r in rows],
-                                       (len(rows), len(rows[0])), GFp).rref()
-        assert tuple(pivots) == tuple(ref_pivots)
+        span = Matrix(F, rows)._echelon()
+        ref_matrix = DomainMatrix([[GFp(x) for x in r] for r in rows],
+                                  (len(rows), len(rows[0])), GFp)
+        ref, ref_pivots = ref_matrix.rref()
+        assert tuple(sorted(span.tails)) == tuple(ref_pivots)
+        assert Matrix(F, rows).rank() == len(ref_pivots)
         expected = [[int(x) for x in r] for r in ref.to_list()]
-        assert ours == expected
+        assert span.basis() == expected[:len(ref_pivots)]
+        assert not any(any(r) for r in expected[len(ref_pivots):])
+        # sympy's null space scaled to 1 at its last nonzero entry, the free column
+        ref_kernel = ref_matrix.nullspace(divide_last=True).to_list()
+        assert _kernel(F, rows) == [[int(x) for x in r] for r in ref_kernel]
         # entries off by multiples of p, which Span reduces
         pairs = [[(c, x + p * rng.randrange(3)) for c, x in row]
                  for row in _span_input(rng, rows, F.zero())]
@@ -194,7 +239,7 @@ def test_row_space_basis_matches_sympy_rref_over_function_field(K3st):
     S = frac_field(",".join(K3st.vars), GF(3))[0]
 
     def to_sympy(f):
-        return S(S.ring(dict(f.num.terms))) / S(S.ring(dict(f.den.terms)))
+        return _to_sympy(S, f)
 
     def entry():
         return random_ratfunc(rng, K3st, max_terms=2, max_exp=1)
@@ -209,38 +254,47 @@ def test_row_space_basis_matches_sympy_rref_over_function_field(K3st):
     ranks = set()
     for rows in matrices:
         ncols = len(rows[0])
-        ref, ref_pivots = DomainMatrix([[to_sympy(x) for x in r] for r in rows],
-                                       (len(rows), ncols), S.to_domain()).rref()
+        ref_matrix = DomainMatrix([[to_sympy(x) for x in r] for r in rows],
+                                  (len(rows), ncols), S.to_domain())
+        ref, ref_pivots = ref_matrix.rref()
         ours = Span(K3st, ncols, _span_input(rng, rows, K3st.zero())).basis()
         ref_rows = ref.to_list()
         # sympy may leave an entry such as 2/2 unreduced, so compare by differences
         assert len(ours) == len(ref_pivots)
         assert all(not (to_sympy(x) - y) for r, ref_r in zip(ours, ref_rows)
                    for x, y in zip(r, ref_r))
-        # the dense view: every row, the zero rows last, and the pivots
-        echelon, pivots = Matrix(K3st, rows)._echelon()
-        assert tuple(pivots) == tuple(ref_pivots) and len(echelon) == len(ref_rows)
-        assert all(not (to_sympy(x) - y) for r, ref_r in zip(echelon, ref_rows)
+        # the dense rows: their rank and their span, pivots and basis
+        span = Matrix(K3st, rows)._echelon()
+        assert Matrix(K3st, rows).rank() == len(ref_pivots)
+        assert tuple(sorted(span.tails)) == tuple(ref_pivots)
+        assert all(not (to_sympy(x) - y) for r, ref_r in zip(span.basis(), ref_rows)
+                   for x, y in zip(r, ref_r))
+        # the relations are sympy's null space, one per non-pivot column
+        kernel = _kernel(K3st, rows)
+        ref_kernel = ref_matrix.nullspace(divide_last=True).to_list()
+        assert len(kernel) == len(ref_kernel) == ncols - len(ref_pivots)
+        assert all(not (to_sympy(x) - y) for r, ref_r in zip(kernel, ref_kernel)
                    for x, y in zip(r, ref_r))
         ranks.add((len(ref_pivots), len(rows)))
     assert any(rank < nrows for rank, nrows in ranks)
 
 
 def _check_sparse_system(field, rows, entry):
-    m = Matrix(field, rows)
     zero, one = field.zero(), field.one()
-    ncols = m.ncols
-    reduced, pivots = m._echelon()
+    ncols = len(rows[0])
+    span = Span(field, ncols, map(enumerate, rows))
+    pivots = sorted(span.tails)
+    reduced = span.basis()
     for i, pc in enumerate(pivots):
-        assert [r[pc] for r in reduced] == [one if k == i else zero for k in range(m.nrows)]
-    kernel = m.kernel_basis()
-    assert m.rank() == len(pivots) and m.rank() + len(kernel) == ncols
+        assert [r[pc] for r in reduced] == [one if k == i else zero for k in range(len(pivots))]
+    kernel = _kernel(field, rows)
+    assert Matrix(field, rows).rank() == len(pivots) and len(pivots) + len(kernel) == ncols
     for vec in kernel:
         for r in rows:
             assert not sum((r[j] * vec[j] for j in range(ncols)), zero)
     x = [entry() for _ in range(ncols)]
     b = [sum((r[j] * x[j] for j in range(ncols)), zero) for r in rows]
-    sol = m.solve(b)
+    sol = _solve(field, rows, b)
     assert sol is not None
     for r, v in zip(rows, b):
         assert sum((r[j] * sol[j] for j in range(ncols)), zero) == v
@@ -282,6 +336,6 @@ def test_sparse_elimination_over_extension_inverts_each_pivot_once(monkeypatch):
     monkeypatch.setattr(ExtElem, "inverse", counted)
     for rows in matrices:
         calls.clear()
-        pivots = Matrix(L, rows)._echelon()[1]
-        assert len(calls) <= len(pivots)
+        rank = Matrix(L, rows).rank()
+        assert len(calls) <= rank
         _check_sparse_system(L, rows, entry)

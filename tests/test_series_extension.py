@@ -2,9 +2,9 @@ import pytest
 
 from insep.fieldarith import (
     FunctionField,
-    Matrix,
     NotAPthPowerCheckError,
     SimpleExtensionField,
+    Span,
     TruncSeriesRing,
     extension_tower,
     parse_expr,
@@ -99,15 +99,18 @@ def test_series_non_unit(K3t):
 
 
 def _matrix_inverse(a):
-    """Reference inverse: multiplication by a is base-linear, so solve M v = e_0."""
+    """Reference inverse: multiplication by a is base-linear, so solve M v = e_0,
+    as the relation of a last column -e_0 against the columns of M."""
     ring, base = a.field, a.field.base
     n = ring.degree
     cols = [(a * ring.from_coeffs([base.one() if i == j else base.zero() for i in range(n)])).coeffs
             for j in range(n)]
-    sol = Matrix(base, cols).transpose().solve([base.one()] + [base.zero()] * (n - 1))
-    if sol is None:
+    rows = [[(j, col[i]) for j, col in enumerate(cols)] for i in range(n)]
+    rows[0].append((n, -base.one()))
+    span = Span(base, n + 1, rows)
+    if n in span.tails:
         raise ZeroDivisionError("not a unit")
-    return ring.from_coeffs(sol)
+    return ring.from_coeffs(span.relation(n)[:n])
 
 
 def _random_elem(rng, ring, bottom):
