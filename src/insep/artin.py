@@ -4,7 +4,11 @@ R[T]/(T^(p^r) - f^p).
 
 Algebras are presented by structure constants over a base field together with
 designated generators of the maximal ideal; computing the radical from scratch
-in characteristic p is deliberately avoided.
+in characteristic p is deliberately avoided.  An element is a sparse vector
+{basis index: coefficient}, the format of the table entries and of the Span
+rows.  Every sum of elements (a product, a column g e_j, a row of m^2) is made
+by the update that reduces Span rows, and so is the projection to A/m, a
+reduction against the Span of m.
 """
 
 from collections import namedtuple
@@ -20,6 +24,7 @@ from .fieldarith import (
     extension_tower,
     power,
 )
+from .fieldarith.matrix import _add_multiple
 
 DIMENSION_CAP = 512
 
@@ -51,17 +56,18 @@ class EdimReport(namedtuple("EdimReport", "dim_total residue_dim edim dim_m dim_
 class FiniteLocalAlgebra:
     """A commutative algebra over a field, given by structure constants.
 
-    Basis element 0 is the multiplicative identity.  ``table[i][j]`` maps basis
-    indices to coefficients of e_i * e_j.  ``maxideal_gens`` are vectors (lists
-    of field elements) generating the designated maximal ideal.
+    Every element is a sparse vector {basis index: coefficient}, zeros dropped.
+    Basis element 0 is the multiplicative identity, and ``table[i][j]`` is
+    e_i * e_j.  ``maxideal_gens`` are elements generating the designated
+    maximal ideal.
 
     The table is used as given.  The builders below make rings by construction:
     each table is R[T]/(T^n - g) for an R built the same way, a commutative ring
     with identity for any g.  What a caller chooses is checked: the designated
     ideal must be nilpotent and the quotient by it a field.  ``m`` and ``m_sq``
-    are the Spans of the maximal ideal and of its square.  Over a PrimeField
-    the elements are ints: the generators are reduced mod p here, and every
-    vector operation reduces its result once per cell.
+    are the Spans of the maximal ideal and of its square.  Every sum of
+    elements goes through the one update of the Span rows, so over a PrimeField
+    the coefficients are ints reduced mod p, the generators' too.
     """
 
     def __init__(self, field, dim, table, maxideal_gens):
@@ -70,23 +76,23 @@ class FiniteLocalAlgebra:
         # p over a PrimeField, None over a function field or a tower
         self.modulus = field.p if isinstance(field, PrimeField) else None
         self.table = table
-        self.maxideal_gens = [self.reduce(g) for g in maxideal_gens]
+        one = field.one()
+        self.maxideal_gens = [self.combine([(g, one)]) for g in maxideal_gens]
         # A is commutative, so m is nilpotent iff each generator is; a nilpotent g
         # has g^e = 0 for every e >= dim, since A, gA, g^2 A, ... shrink strictly
         # until they vanish, and a g that is not nilpotent has no zero power
         for g in self.maxideal_gens:
             g_e, e = g, 1
-            while e < dim and any(g_e):
+            while e < dim and g_e:
                 g_e, e = self.mul_vec(g_e, g_e), 2 * e
-            if any(g_e):
+            if g_e:
                 raise NotLocalError("designated ideal is not nilpotent")
         # m = span{g e_j}, m^2 = span{g v : g a generator of m, v a pivot row of m},
-        # and g v = sum_j v_j (g e_j) from the same sparse columns of g
+        # and g v = sum_j v_j (g e_j) from the same columns of g
         columns = [self.columns(g) for g in self.maxideal_gens]
         self.m = Span(field, dim, (col.items() for cols in columns for col in cols))
-        one = field.one()
         supports = [[(col, one), *tail.items()] for col, tail in self.m.tails.items()]
-        self.m_sq = Span(field, dim, (self.combine(cols, support).items()
+        self.m_sq = Span(field, dim, (self.combine((cols[j], x) for j, x in support).items()
                                       for cols in columns for support in supports))
         self._residue = ResidueData(self)
         self.residue_dim = self._residue.q
@@ -94,56 +100,24 @@ class FiniteLocalAlgebra:
 
     # -- element helpers ----------------------------------------------------
 
-    def zero_vec(self):
-        return [self.field.zero()] * self.dim
-
-    def basis_vec(self, i):
-        v = self.zero_vec()
-        v[i] = self.field.one()
-        return v
-
-    def one_vec(self):
-        return self.basis_vec(0)
-
-    def reduce(self, vec):
-        """A canonical copy of vec: each int reduced mod p over a PrimeField."""
-        p = self.modulus
-        return list(vec) if p is None else [x % p for x in vec]
-
-    def combine(self, rows, pairs):
-        """The sum of x * rows[j] over the pairs (j, x), for sparse rows
-        {index: coefficient}; the result is one too, canonical with zeros dropped."""
+    def combine(self, terms):
+        """The sum of x * v over the (v, x) terms, v an element and x a scalar."""
         out = {}
-        for j, x in pairs:
-            for m, c in rows[j].items():
-                y = x * c
-                out[m] = out[m] + y if m in out else y
-        p = self.modulus
-        if p is None:
-            return {m: c for m, c in out.items() if c}
-        return {m: c % p for m, c in out.items() if c % p}
+        for v, x in terms:
+            _add_multiple(out, x, v, self.modulus)
+        return out
 
     def columns(self, g):
-        """The products g e_j for j = 0..dim-1, as sparse rows: e_j g, read off
-        row j of the table, since A is commutative."""
-        support = [(i, gi) for i, gi in enumerate(g) if gi]
-        return [self.combine(row, support) for row in self.table]
+        """The products g e_j for j = 0..dim-1: e_j g, read off row j of the
+        table, since A is commutative."""
+        return [self.combine((row[i], x) for i, x in g.items()) for row in self.table]
 
     def mul_vec(self, a, b):
-        out = self.zero_vec()
-        b_support = [(j, bj) for j, bj in enumerate(b) if bj]
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = self.table[i]
-            for j, bj in b_support:
-                scale = ai * bj
-                for m, c in row[j].items():
-                    out[m] += scale * c
-        return self.reduce(out)
+        table = self.table
+        return self.combine((table[i][j], x * y) for i, x in a.items() for j, y in b.items())
 
     def pow_vec(self, a, n):
-        return power(a, n, self.one_vec(), self.mul_vec)
+        return power(a, n, {0: self.field.one()}, self.mul_vec)
 
     def __repr__(self):
         return "FiniteLocalAlgebra(dim=%d over %r)" % (self.dim, self.field)
@@ -157,18 +131,15 @@ class ResidueData:
         # the columns that are not pivots of m coordinatize A/m
         self.free_cols = [c for c in range(algebra.dim) if c not in algebra.m.tails]
         self.q = len(self.free_cols)
-        self.one = self.project(algebra.one_vec())
+        self.one = self.project({0: algebra.field.one()})
 
     def project(self, vec):
-        v = self.algebra.m.reduce(enumerate(vec))
+        v = self.algebra.m.reduce(vec.items())
         zero = self.algebra.field.zero()
         return tuple(v.get(c, zero) for c in self.free_cols)
 
     def section(self, coords):
-        v = self.algebra.zero_vec()
-        for c, x in zip(self.free_cols, coords):
-            v[c] = x
-        return v
+        return {c: x for c, x in zip(self.free_cols, coords) if x}
 
     def mul(self, qa, qb):
         return self.project(self.algebra.mul_vec(self.section(qa), self.section(qb)))
@@ -179,7 +150,7 @@ class ResidueData:
     def pth_root(self, qv):
         """A p-th root inside A/m, or None if there is none."""
         field = self.algebra.field
-        p = field.characteristic
+        p = field.p
         if isinstance(field, PrimeField):
             # finite field F_(p^q): Frobenius is bijective with inverse x -> x^(p^(q-1))
             cand = self.pow(qv, p ** (self.q - 1))
@@ -311,24 +282,26 @@ def tensor_self(field, pth_powers):
 def adjoin_root(algebra, f, r):
     """A = R[T]/(T^(p^r) - f^p), with maximal ideal lifted from R plus one new generator.
 
-    The new generator is h = T^(p^(r-s)) - c where c^(p^s) = (residue of f)^p
-    with s maximal; the quotient A/(m_R, h) is then a field.
+    f is given by its coordinates, a list of dim R field elements.  The new
+    generator is h = T^(p^(r-s)) - c where c^(p^s) = (residue of f)^p with s
+    maximal; the quotient A/(m_R, h) is then a field.
     """
     if r < 1:
         raise ArtinError("r must be >= 1")
     field = algebra.field
-    p = field.characteristic
+    p = field.p
     n_r = algebra.dim
     dim = check_dimension(chain([n_r], repeat(p, r)))
     if len(f) != n_r:
         raise ArtinError("f has %d coordinates, the algebra has dimension %d" % (len(f), n_r))
     q = p ** r
+    f = {i: c for i, c in enumerate(f) if c}  # as an element of R; every sum reduces it
 
     # T^q = f^p, so a product past T^(q-1) is (e_i e_k) f^p T^(j+l-q), and
     # (e_i e_k) f^p = sum_m c_m (e_m f^p) from the columns of f^p
     fp_columns = algebra.columns(algebra.pow_vec(f, p))
-    table = _adjunction_table(algebra.table, q,
-                              lambda entry: algebra.combine(fp_columns, entry.items()))
+    table = _adjunction_table(algebra.table, q, lambda entry: algebra.combine(
+        (fp_columns[m], c) for m, c in entry.items()))
 
     residue = algebra._residue
     s, y = 1, residue.project(f)
@@ -338,15 +311,11 @@ def adjoin_root(algebra, f, r):
             break
         y = root
         s += 1
-    lift_y = residue.section(y)
 
     # R sits in the first n_r coordinates, and T^j at index j * n_r
-    pad = [field.zero()] * (dim - n_r)
-    h = [-c for c in lift_y] + pad
+    h = {c: -x for c, x in residue.section(y).items()}
     h[p ** (r - s) * n_r] = field.one()
-    gens = [g + pad for g in algebra.maxideal_gens] + [h]
-
-    return FiniteLocalAlgebra(field, dim, table, gens)
+    return FiniteLocalAlgebra(field, dim, table, algebra.maxideal_gens + [h])
 
 
 # -- the table builder ------------------------------------------------------------
@@ -384,11 +353,11 @@ def truncated_polynomial_algebra(field, exponents):
         if a < 1:
             raise ArtinError("exponent a_%d = %d of u_%d must be at least 1" % (i, a, i))
     dim = check_dimension(exponents)
-    one, zero = field.one(), field.zero()
+    one = field.one()
     table = [[{0: one}]]
     for a in reversed(exponents):  # u_1, adjoined last, leads the monomial order
         table = _adjunction_table(table, a)
     # u_i, for each a_i >= 2, is the basis element at index a_(i+1) * ... * a_r
     at = [prod(exponents[i + 1:]) for i, a in enumerate(exponents) if a >= 2]
-    gens = [[one if j == k else zero for j in range(dim)] for k in at]
+    gens = [{k: one} for k in at]
     return FiniteLocalAlgebra(field, dim, table, gens)

@@ -143,7 +143,7 @@ def geometric_generic_edim(X):
     return int(any(lam[r] * gi != g[r] * li for g in jacobian(X) for gi, li in zip(g, lam)))
 
 
-class CodimCheck(namedtuple("CodimCheck", "predicted_d affine_dim oracle_codim match")):
+class CodimCheck(namedtuple("CodimCheck", "predicted_d oracle_codim match")):
     """oracle_codim is an int, or None when the locus is empty."""
 
     __slots__ = ()
@@ -159,5 +159,5 @@ def verify_codim(X):
     d = invariant_d(X)
     report = ideal_dimension(buchberger(singular_ideal(X)))
     codim = None if report.projective_dim is None else (X.n - 1) - report.projective_dim
-    return CodimCheck(predicted_d=d, affine_dim=report.affine_dim, oracle_codim=codim,
+    return CodimCheck(predicted_d=d, oracle_codim=codim,
                       match=codim is None if d == X.n else codim == d)

@@ -156,8 +156,7 @@ class SimpleExtensionField(_QuotientRing):
         from ..frobenius import in_pspan
 
         self.base = base
-        self.p = base.characteristic
-        self.characteristic = self.p
+        self.p = base.p
         self.degree = self.p
         self.beta = beta  # element of the bottom rational function field
         self.gen_name = gen_name or ("x%d" % (len(base.moduli) + 1))
@@ -246,7 +245,7 @@ class TruncSeriesRing(_QuotientRing):
 
     def __init__(self, base, order):
         self.base = base
-        self.p = base.characteristic
+        self.p = base.p
         if not 1 <= order <= self.p:
             raise ValueError("order must lie between 1 and p = %d" % self.p)
         self.degree = order

@@ -8,6 +8,11 @@ null space off the pivot rows at a non-pivot column, and Span.basis
 back-substitutes the pivot rows once for the rref basis.  Pivoting picks the
 first symbolically nonzero entry; there is no rounding anywhere, so every
 answer is exact.  Matrix holds dense rows for their rank alone.
+
+Sparse rows {column: entry} change by one update, _add_multiple, written once
+for F_p and for other fields: over F_p it reduces each cell it writes mod p.
+The elimination runs on it, and so does every sum in the local algebras of
+insep.artin, whose elements are rows of this kind.
 """
 
 from heapq import heapify, heappop, heappush
@@ -74,7 +79,7 @@ class Span:
             if tail is None:
                 yield col, factor, row
             else:
-                for c in _subtract(row, factor, tail, p):
+                for c in _add_multiple(row, -factor, tail, p):
                     heappush(queue, c)
 
     def add(self, pairs):
@@ -146,33 +151,27 @@ class Span:
         for col in reversed(pivots):
             tail = tails[col]
             for c in [c for c in tail if c in tails]:
-                _subtract(tail, tail.pop(c), tails[c], p)
+                _add_multiple(tail, -tail.pop(c), tails[c], p)
         return [self.row(col) for col in pivots]
 
 
-def _subtract(row, factor, tail, p):
-    """row -= factor * tail, in place with zeros dropped; returns the columns it adds."""
+def _add_multiple(row, factor, tail, p):
+    """row += factor * tail, in place with zeros dropped; over F_p, p is given
+    and each cell written is reduced mod p.  Returns the columns it adds.
+
+    It is the one update of sparse rows: the elimination passes -factor, and
+    the sums of a FiniteLocalAlgebra pass each coefficient as it is."""
     added = []
-    if p is None:
-        for c, x in tail.items():
-            if c in row:
-                y = row[c] - factor * x
-                if y:
-                    row[c] = y
-                else:
-                    del row[c]
-            else:
-                row[c] = -(factor * x)
-                added.append(c)
-    else:
-        for c, x in tail.items():
-            if c in row:
-                y = (row[c] - factor * x) % p
-                if y:
-                    row[c] = y
-                else:
-                    del row[c]
-            else:
-                row[c] = -factor * x % p
-                added.append(c)
+    for c, x in tail.items():
+        if c in row:
+            y = row[c] + factor * x
+        else:
+            y = factor * x
+            added.append(c)
+        if p is not None:
+            y %= p
+        if y:
+            row[c] = y
+        else:
+            row.pop(c, None)
     return added

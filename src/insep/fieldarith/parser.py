@@ -77,10 +77,10 @@ class _Tokens:
 
     def take_nat(self):
         ch, start = self.peek()
-        if ch is None or not ch.isdigit():
+        if ch is None or not ch.isdecimal():
             return None, start
         end = self.pos
-        while end < len(self.text) and self.text[end].isdigit():
+        while end < len(self.text) and self.text[end].isdecimal():
             end += 1
         if end - self.pos > MAX_DIGITS:
             raise ParseError("number longer than %d digits" % MAX_DIGITS, start)

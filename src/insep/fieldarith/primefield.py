@@ -55,7 +55,6 @@ class PrimeField:
         if p not in SUPPORTED_PRIMES:
             raise ValueError("unsupported characteristic %r (need one of %r)" % (p, SUPPORTED_PRIMES))
         self.p = p
-        self.characteristic = p
 
     def zero(self):
         return 0

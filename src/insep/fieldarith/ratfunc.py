@@ -213,7 +213,6 @@ class FunctionField:
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
         self.p = p
-        self.characteristic = p
         self.vars = variables
         self._zero = RatFunc(MultiPoly.zero(p, variables), reduce=False)
         self._one = RatFunc(MultiPoly.const(p, variables, 1), reduce=False)

@@ -122,13 +122,13 @@ class UPoly:
 
     def frobenius(self):
         """(sum c_e U^e)^p = sum c_e^p U^(p e): the p-th power in characteristic p."""
-        p = self.field.characteristic
+        p = self.field.p
         return UPoly(self.field, self.nvars,
                      {tuple(p * x for x in e): c ** p for e, c in self.terms.items()})
 
     def __pow__(self, n):
         one = UPoly(self.field, self.nvars, {(0,) * self.nvars: self.field.one()})
-        return frobenius_power(self, n, self.field.characteristic, one)
+        return frobenius_power(self, n, self.field.p, one)
 
     def leading_monomial(self):
         if self._lead is None:
@@ -146,12 +146,11 @@ class UPoly:
         lc = self.leading_coeff()
         return self if lc.is_one() else self.scale(lc.inverse())
 
-    def evaluate(self, values, one, embed_coeff=None):
+    def evaluate(self, values, one, embed_coeff):
         """Evaluate at ring elements; ``embed_coeff`` maps K-coefficients into that ring."""
-        embed = embed_coeff or (lambda c: c)
         total = None
         for e, c in sorted(self.terms.items()):
-            term = embed(c)
+            term = embed_coeff(c)
             for v, k in zip(values, e):
                 if k:
                     term = term * v ** k

@@ -11,8 +11,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from insep.cli import TASK_KEY, TASK_KINDS, main
 
 NUMBERS = st.integers(0, 99).map(str)
-# two-digit numbers, the field's variables, the operators, parentheses and spaces
-TOKENS = st.one_of(NUMBERS, st.sampled_from(["s", "t", "+", "-", "*", "/", "^", "(", ")", " "]))
+# two-digit numbers, the field's variables, the operators, parentheses, spaces, and
+# digits that str.isdigit accepts but int() does not
+TOKENS = st.one_of(NUMBERS, st.sampled_from(["s", "t", "+", "-", "*", "/", "^", "(", ")", " ",
+                                             "²", "³", "①"]))
 # strings that mostly parse, so the arithmetic and the tasks are reached too
 WELL_FORMED = st.recursive(
     st.one_of(NUMBERS, st.sampled_from(["s", "t"])),
@@ -33,6 +35,7 @@ EXPRESSIONS = st.one_of(WELL_FORMED, st.lists(TOKENS, max_size=12).map("".join))
 @example(p=2, kind="classify", text="1/0")
 @example(p=2, kind="classify", text="s/(s-s)")
 @example(p=2, kind="pdegree", text="(s+t+1)^99")
+@example(p=2, kind="pdegree", text="2²")
 # deeper than the stack that hypothesis allows a test, which is more than the default
 @example(p=2, kind="classify", text="(" * 1000 + "s" + ")" * 1000)
 def test_any_expression_exits_0_1_or_2(tmp_path, capsys, p, kind, text):

@@ -78,9 +78,11 @@ def test_nat_reduced_mod_p(K3st):
 
 
 def test_syntax_error_carries_position(K2st):
-    with pytest.raises(ParseError) as err:
-        parse_expr("s+*t", K2st)
-    assert err.value.position == 2
+    # superscripts and circled numbers pass str.isdigit, but int() rejects them
+    for text, position in (("s+*t", 2), ("2²", 1), ("³", 0), ("s^①", 2), ("s+①", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, K2st)
+        assert err.value.position == position, text
     with pytest.raises(ParseError):
         parse_expr("(s+t", K2st)
     with pytest.raises(ParseError):
