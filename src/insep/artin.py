@@ -8,7 +8,8 @@ in characteristic p is deliberately avoided.  An element is a sparse vector
 {basis index: coefficient}, the format of the table entries and of the Span
 rows.  Every sum of elements (a product, a column g e_j, a row of m^2) is made
 by the update that reduces Span rows, and so is the projection to A/m, a
-reduction against the Span of m.
+reduction against the Span of m.  combine and product, that sum and the
+product from a table, serve the conductor ring of insep.curves too.
 """
 
 from collections import namedtuple
@@ -77,7 +78,7 @@ class FiniteLocalAlgebra:
         self.modulus = field.p if isinstance(field, PrimeField) else None
         self.table = table
         one = field.one()
-        self.maxideal_gens = [self.combine([(g, one)]) for g in maxideal_gens]
+        self.maxideal_gens = [combine([(g, one)], self.modulus) for g in maxideal_gens]
         # A is commutative, so m is nilpotent iff each generator is; a nilpotent g
         # has g^e = 0 for every e >= dim, since A, gA, g^2 A, ... shrink strictly
         # until they vanish, and a g that is not nilpotent has no zero power
@@ -92,7 +93,8 @@ class FiniteLocalAlgebra:
         columns = [self.columns(g) for g in self.maxideal_gens]
         self.m = Span(field, dim, (col.items() for cols in columns for col in cols))
         supports = [[(col, one), *tail.items()] for col, tail in self.m.tails.items()]
-        self.m_sq = Span(field, dim, (self.combine((cols[j], x) for j, x in support).items()
+        self.m_sq = Span(field, dim, (combine(((cols[j], x) for j, x in support),
+                                              self.modulus).items()
                                       for cols in columns for support in supports))
         self._residue = ResidueData(self)
         self.residue_dim = self._residue.q
@@ -100,21 +102,14 @@ class FiniteLocalAlgebra:
 
     # -- element helpers ----------------------------------------------------
 
-    def combine(self, terms):
-        """The sum of x * v over the (v, x) terms, v an element and x a scalar."""
-        out = {}
-        for v, x in terms:
-            _add_multiple(out, x, v, self.modulus)
-        return out
-
     def columns(self, g):
         """The products g e_j for j = 0..dim-1: e_j g, read off row j of the
         table, since A is commutative."""
-        return [self.combine((row[i], x) for i, x in g.items()) for row in self.table]
+        return [combine(((row[i], x) for i, x in g.items()), self.modulus)
+                for row in self.table]
 
     def mul_vec(self, a, b):
-        table = self.table
-        return self.combine((table[i][j], x * y) for i, x in a.items() for j, y in b.items())
+        return product(self.table, a, b, self.modulus)
 
     def pow_vec(self, a, n):
         return power(a, n, {0: self.field.one()}, self.mul_vec)
@@ -300,8 +295,8 @@ def adjoin_root(algebra, f, r):
     # T^q = f^p, so a product past T^(q-1) is (e_i e_k) f^p T^(j+l-q), and
     # (e_i e_k) f^p = sum_m c_m (e_m f^p) from the columns of f^p
     fp_columns = algebra.columns(algebra.pow_vec(f, p))
-    table = _adjunction_table(algebra.table, q, lambda entry: algebra.combine(
-        (fp_columns[m], c) for m, c in entry.items()))
+    table = _adjunction_table(algebra.table, q, lambda entry: combine(
+        ((fp_columns[m], c) for m, c in entry.items()), algebra.modulus))
 
     residue = algebra._residue
     s, y = 1, residue.project(f)
@@ -316,6 +311,31 @@ def adjoin_root(algebra, f, r):
     h = {c: -x for c, x in residue.section(y).items()}
     h[p ** (r - s) * n_r] = field.one()
     return FiniteLocalAlgebra(field, dim, table, algebra.maxideal_gens + [h])
+
+
+# -- sums and products of sparse elements ------------------------------------------
+
+
+def combine(terms, modulus=None):
+    """The sum of x * v over the (v, x) terms, v an element and x a scalar; modulus
+    is p over a PrimeField and None over any other field."""
+    out = {}
+    for v, x in terms:
+        _add_multiple(out, x, v, modulus)
+    return out
+
+
+def product(table, a, b, modulus=None):
+    """a * b from the structure constants table, summed as combine sums; a pair of
+    basis elements whose product is 0 costs no scalar product."""
+    out = {}
+    for i, x in a.items():
+        row = table[i]
+        for j, y in b.items():
+            entry = row[j]
+            if entry:
+                _add_multiple(out, x * y, entry, modulus)
+    return out
 
 
 # -- the table builder ------------------------------------------------------------

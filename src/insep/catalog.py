@@ -43,14 +43,23 @@ def check_field(where, desc):
 
 
 def check_expressions(where, exprs, field):
-    """exprs must be a list of strings that parse in field."""
+    """exprs must be a list of strings that parse in field; returns their values."""
     if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
         raise JobValidationError("%s must be a list of strings" % where)
+    values = []
     for expr in exprs:
         try:
-            parse_expr(expr, field)
+            values.append(parse_expr(expr, field))
         except ParseError as exc:
             raise JobValidationError("%s: bad expression %r: %s" % (where, expr, exc)) from exc
+    return values
+
+
+def check_lambda(where, exprs, field):
+    """exprs must be the coefficients of a hypersurface in field: strings that
+    parse, not all to zero."""
+    if not any(check_expressions(where, exprs, field)):
+        raise JobValidationError("%s: the coefficients must not all vanish" % where)
 
 
 def load_default_catalog():
@@ -102,7 +111,7 @@ def load_catalog(path=None):
         lams = entry.get("lambda")
         if not isinstance(lams, list) or len(lams) < 2:
             raise JobValidationError("%s: lambda must be a list of at least two strings" % where)
-        check_expressions(where + ": lambda", lams, field)
+        check_lambda(where + ": lambda", lams, field)
     return entries
 
 

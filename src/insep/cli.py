@@ -19,7 +19,7 @@ from math import prod
 
 from . import artin, catalog, curves, fermat
 from .catalog import (JobValidationError, check_expressions, check_field, check_keys,
-                      hypersurface)
+                      check_lambda, hypersurface)
 from .fermat import verify_codim
 from .fieldarith import SUPPORTED_PRIMES, FunctionField, PrimeField, parse_expr
 from .frobenius import pdegree_generated
@@ -234,9 +234,10 @@ def validate_job(job):
         check_keys("task %d" % i, task, {"kind", key})
         if key not in task and kind != "verify-all":
             raise JobValidationError("task %d: %s task needs key %r" % (i, kind, key))
-        if key in ("exprs", "lambda"):
-            check_expressions("task %d: %s" % (i, key), task[key], field)
+        if key == "exprs":
+            check_expressions("task %d: exprs" % i, task[key], field)
         if key == "lambda":
+            check_lambda("task %d: lambda" % i, task[key], field)
             if kind.startswith("curve-") and len(task["lambda"]) != 3:
                 raise JobValidationError("task %d: lambda of a %s task needs exactly three "
                                          "coefficients" % (i, kind))

@@ -3,17 +3,15 @@
 Such a curve is the image of a projective line over L = K(lambda^(1/p)) under a
 degree-one map; the interesting geometry is concentrated at one singular point,
 where the curve and the line differ by the conductor Artin rings
-O_A = L[u]/(u^(p-1)) and its K-subalgebra O_A0 of half dimension.
+O_A = L[u]/(u^(p-1)) and its K-subalgebra O_A0 of half dimension.  O_A is used
+only as a K-vector space of dimension p(p-1), so it is a table of structure
+constants over K, built and multiplied as the local algebras of insep.artin are.
 """
 
 from collections import namedtuple
 
-from .fieldarith import (
-    Matrix,
-    SimpleExtensionField,
-    Span,
-    TruncSeriesRing,
-)
+from .artin import _adjunction_table, product
+from .fieldarith import SimpleExtensionField, Span, power
 from .fermat import PFermatHypersurface, invariant_d, singular_ideal
 from .frobenius import membership_in_pspan, pth_root
 from .upoly import UPoly
@@ -175,43 +173,53 @@ def singular_point(nf):
 
 
 class ConductorRing:
-    """O_A = L[u]/(u^(p-1)) seen as a K-vector space of dimension p(p-1)."""
+    """O_A = L[u]/(u^(p-1)) as a K-algebra of dimension p(p-1): two adjunctions of
+    insep.artin's table builder, x^p = lambda over K and u^(p-1) = 0, put u^j x^i
+    at index j p + i.  An element is a sparse vector {index: coefficient in K}.
+    At p = 2, O_A = L and u = 0."""
 
     def __init__(self, line_field):
         self.L = line_field
         self.K = line_field.base
         self.p = line_field.p
-        self.order = self.p - 1
-        self.series = TruncSeriesRing(line_field, self.order)
         self.dim_K = self.p * (self.p - 1)
+        lam = line_field.beta
+        self.one = {0: self.K.one()}
+        field_table = _adjunction_table([[self.one]], self.p,
+                                        lambda entry: {m: c * lam for m, c in entry.items()})
+        self.table = _adjunction_table(field_table, self.p - 1)
 
-    def flatten(self, series):
-        return [c for j in range(self.order) for c in series.coeffs[j].coeffs]
-
-    def unflatten(self, vec):
-        return self.series.from_coeffs([self.L.from_coeffs(vec[j * self.p:(j + 1) * self.p])
-                                        for j in range(self.order)])
+    def lift(self, a):
+        """The element a of L, at u^0."""
+        return {i: c for i, c in enumerate(a.coeffs) if c}
 
     def mul(self, v, w):
-        return self.flatten(self.unflatten(v) * self.unflatten(w))
+        return product(self.table, v, w)
+
+    def inverse(self, a):
+        """a^(p-1) * (a^p)^(-1): a^p = a_0^p is a scalar of K, since x^p = lambda and
+        u^p = 0, and a is a unit iff it is nonzero."""
+        a_p1 = power(a, self.p - 1, self.one, self.mul)
+        norm = self.mul(a_p1, a)
+        if not norm:
+            raise ZeroDivisionError("%r is not a unit of O_A" % (a,))
+        inv = norm[0].inverse()
+        return {c: x * inv for c, x in a_p1.items()}
 
     def closure(self, gens):
         """An rref basis of the K-subalgebra generated by gens, closed semi-naively
         in one span: each pivot row added after 1 is multiplied once by each
         generator's pivot row, until a round adds no pivot."""
-        span = Span(self.K, self.dim_K, [enumerate(self.one_vec())])
+        span = Span(self.K, self.dim_K, [self.one.items()])
 
         def added(vecs):  # the pivot rows that vecs add to the span, one by one
-            cols = [span.add(enumerate(v)) for v in vecs]
-            return [span.row(col) for col in cols if col is not None]
+            cols = [span.add(v.items()) for v in vecs]
+            return [{col: self.K.one(), **span.tails[col]} for col in cols if col is not None]
 
         gens = new = added(gens)
         while new:
             new = added([self.mul(v, g) for v in new for g in gens])
         return span.basis()
-
-    def one_vec(self):
-        return self.flatten(self.series.one())
 
     def u_level_span(self, k):
         """Basis of the subspace u^k * L; k = 0 gives the coefficient field L."""
@@ -220,21 +228,23 @@ class ConductorRing:
                 for i in range(self.p)]
 
     def vanishing_order(self, vec):
-        return self.unflatten(vec).order_of_vanishing()
+        """The least j with a nonzero coefficient at u^j; p - 1 for zero."""
+        return min(vec, default=self.dim_K) // self.p
 
 
 class ConductorProfile(namedtuple("ConductorProfile", "ring chart_index images subalgebra_basis "
                                   "dim_subalgebra dim_meet_L case witnesses sp")):
-    """ring: the ConductorRing; images: the series images of the two affine
-    coordinates; subalgebra_basis: a K-basis (flattened vectors) of O_A0;
-    dim_meet_L: dim_K(O_A0 /\\ L), asserted to be 1; sp: the SingularPointData."""
+    """ring: the ConductorRing; images: the two affine coordinates, as elements
+    of O_A; subalgebra_basis: the rref K-basis of O_A0, dense rows;
+    dim_meet_L: dim_K(O_A0 /\\ L), asserted to be 1; witnesses: elements of O_A
+    (and mu, of L); sp: the SingularPointData."""
 
     __slots__ = ()
 
 
 def _subspace_intersection_dim(ring, basis_a, basis_b):
     """dim(A /\\ B) = dim A + dim B - dim(A + B), given a K-basis of A and one of B
-    in the ring's flattened coordinates."""
+    as dense rows in the ring's coordinates."""
     return len(basis_a) + len(basis_b) - len(Span(ring.K, ring.dim_K,
                                                   map(enumerate, basis_a + basis_b)))
 
@@ -247,7 +257,7 @@ def conductor_profile(nf):
     u = T_0/T_1 + rho.  O_A0 is closed from U0/U1 = u - rho and U2/U1 in either
     chart: U1 pulls back to T1 = 1, a unit at the point, and so is U0 in chart 0;
     the inverse of a unit of a finite K-algebra is a polynomial in it, so
-    K[U1/U0, U2/U0] = K[U0/U1, U2/U1].  These generators need no series inverse.
+    K[U1/U0, U2/U0] = K[U0/U1, U2/U1].  These generators need no inverse in O_A.
     """
     p = nf.p
     if p > 5:
@@ -255,23 +265,25 @@ def conductor_profile(nf):
     sp = singular_point(nf)
     L = sp.nu.line_field
     ring = ConductorRing(L)
-    series = ring.series
+    K = ring.K
 
     rho = -sp.point_on_line[0]
-    # s = T0/T1 expands as u - rho in the local parameter u
-    s_series = series.from_coeffs([-rho, L.one()])
-    # U2/U1 pulls back to -x*s - q_root
-    u2_over_u1 = -(series.lift(L.gen()) * s_series) - series.lift(sp.nu.q_root)
+    # s = T0/T1 expands as u - rho in the local parameter u, which is 0 at p = 2, and
+    # U2/U1 pulls back to -x*s - q_root = (x*rho - q_root) - x*u
+    s_vec = ring.lift(-rho)
+    u2_over_u1 = ring.lift(L.gen() * rho - sp.nu.q_root)
+    if p > 2:
+        s_vec[p], u2_over_u1[p + 1] = K.one(), -K.one()
 
     if sp.image_point[0]:
         chart = 0
-        inv = s_series.inverse()
-        images = (inv, u2_over_u1 * inv)            # U1/U0, U2/U0
+        inv = ring.inverse(s_vec)
+        images = (inv, ring.mul(u2_over_u1, inv))   # U1/U0, U2/U0
     else:
         chart = 1
-        images = (s_series, u2_over_u1)             # U0/U1, U2/U1
+        images = (s_vec, u2_over_u1)                # U0/U1, U2/U1
 
-    basis = ring.closure([ring.flatten(s_series), ring.flatten(u2_over_u1)])
+    basis = ring.closure([s_vec, u2_over_u1])
 
     dim_sub = len(basis)
     if dim_sub != p * (p - 1) // 2:
@@ -281,7 +293,7 @@ def conductor_profile(nf):
     if dim_meet_L != 1:
         raise AssertionError("O_A0 /\\ L is bigger than K")
     # conductor exactness guard: u^(p-2)*L does not land inside O_A0
-    if _subspace_intersection_dim(ring, basis, ring.u_level_span(ring.order - 1)) >= p:
+    if _subspace_intersection_dim(ring, basis, ring.u_level_span(p - 2)) >= p:
         raise AssertionError("conductor would be larger than (u^(p-1))")
 
     witnesses = {}
@@ -289,22 +301,26 @@ def conductor_profile(nf):
         case = CASE_P2
     elif sp.residue_degree == 1:
         case = CASE_RESIDUE_K
-        v, w = (ring.flatten(im - series.lift(im.coeffs[0])) for im in images)
-        # the u-coefficients of v and w, which the constants do not change
-        if Matrix(ring.K, [list(im.coeffs[1].coeffs) for im in images]).rank() != 2:
+        # the images less their u^0 parts
+        v, w = ({c: x for c, x in im.items() if c >= p} for im in images)
+        # their u-coefficients, which the u^0 parts do not change
+        if len(Span(K, ring.dim_K, ([(c, x) for c, x in vec.items() if c < 2 * p]
+                                    for vec in (v, w)))) != 2:
             raise AssertionError("ResidueK witnesses are dependent mod m^2")
         witnesses = {"v": v, "w": w}
     else:
         case = CASE_RESIDUE_L
-        h = next(im for im in images if not im.coeffs[0].in_base())
-        mu = h.coeffs[0]
-        f_part = h - series.lift(mu)
-        if f_part.order_of_vanishing() != 1:
+        # an image whose u^0 part is outside K
+        h = next(im for im in images if any(0 < c < p for c in im))
+        mu = L.from_coeffs([h.get(i, K.zero()) for i in range(p)])
+        f_part = {c: x for c, x in h.items() if c >= p}
+        if ring.vanishing_order(f_part) != 1:
             raise AssertionError("ResidueL witness f does not lie in m \\ m^2")
-        witnesses = {"mu": mu, "f": ring.flatten(f_part)}
+        witnesses = {"mu": mu, "f": f_part}
         if p >= 5:
             # basis is in echelon form, so order-2 members of the span show up as rows
-            g_vec = next((list(v) for v in basis if ring.vanishing_order(v) == 2), None)
+            rows = ({c: x for c, x in enumerate(v) if x} for v in basis)
+            g_vec = next((v for v in rows if ring.vanishing_order(v) == 2), None)
             if g_vec is None:
                 raise AssertionError("no ResidueL witness g in m^2 \\ m^3")
             witnesses["g"] = g_vec

@@ -1,13 +1,11 @@
 """Exact arithmetic kernel: prime fields, sparse polynomials, rational function
-fields, linear algebra, the expression parser, and the quotient rings
-base[y]/(y^n - beta) (degree-p root extensions and truncated series) with one
-element type whose inverse is the Frobenius norm."""
+fields, linear algebra, the expression parser, and the degree-p root extensions
+base[y]/(y^p - beta), whose inverse is the Frobenius norm."""
 
 from .extension import (
     ExtElem,
     NotAPthPowerCheckError,
     SimpleExtensionField,
-    TruncSeriesRing,
     extension_tower,
 )
 from .matrix import Matrix, Span
@@ -30,7 +28,6 @@ __all__ = [
     "SUPPORTED_PRIMES",
     "SimpleExtensionField",
     "Span",
-    "TruncSeriesRing",
     "UnknownVariableError",
     "extension_tower",
     "frobenius_power",

@@ -1,22 +1,18 @@
-"""Quotient rings base[y]/(y^n - beta) with one element type, ExtElem.
+"""Purely inseparable extensions L = base[y]/(y^p - beta), with one element type, ExtElem.
 
-Two rings of the package have this shape.  A SimpleExtensionField is the purely
-inseparable extension K(b^(1/p)) of height one: n = p and beta = b.  The modulus
-b must come from the bottom rational function field and must not be a p-th
-power there modulo the roots already adjoined; this is exactly what makes the
-quotient a field, and such fields stack into towers.  A TruncSeriesRing is
-base[u]/(u^n) with n <= p: beta = 0, and products past u^(n-1) are never formed.
-Elements are length-n coefficient vectors over the base in the basis
-1, y, ..., y^(n-1).
+A SimpleExtensionField is the extension K(b^(1/p)) of height one: y^p = beta = b.
+The modulus b must come from the bottom rational function field and must not be
+a p-th power there modulo the roots already adjoined; this is exactly what makes
+the quotient a field, and such fields stack into towers.  Elements are length-p
+coefficient vectors over the base in the basis 1, y, ..., y^(p-1).
 
-In characteristic p both rings send a^p into the base: the field because
-y^p = beta, the series ring because u^p = 0.  So every inverse is
-a^(-1) = a^(p-1) * (a^p)^(-1), one inverse in the base and no linear algebra.
-And a^p needs no product in the ring: a -> a^p is a ring map, so for
-a = sum c_i y^i it is the base element sum c_i^p beta^i (just c_0^p in the
-series ring), and each c_i^p is again a Frobenius power one level down, down
-to the bottom field, where f^p = f(t^p).  Powers a^n go by the base-p digits
-of n, so only digits below p are multiplied out.
+In characteristic p, a^p lies in the base, since y^p = beta.  So every inverse
+is a^(-1) = a^(p-1) * (a^p)^(-1), one inverse in the base and no linear algebra.
+And a^p needs no product in the field: a -> a^p is a ring map, so for
+a = sum c_i y^i it is the base element sum c_i^p beta^i, and each c_i^p is again
+a Frobenius power one level down, down to the bottom field, where f^p = f(t^p).
+Powers a^n go by the base-p digits of n, so only digits below p are multiplied
+out.
 """
 
 from .primefield import frobenius_power
@@ -27,11 +23,8 @@ class NotAPthPowerCheckError(ValueError):
 
 
 class ExtElem:
-    """An element of base[y]/(y^n - beta), as its coefficient vector over the base.
-
-    The one element type of SimpleExtensionField and TruncSeriesRing; its inverse
-    is the Frobenius norm in both.
-    """
+    """An element of a SimpleExtensionField, as its coefficient vector over the
+    base; its inverse is the Frobenius norm."""
 
     __slots__ = ("field", "coeffs")
 
@@ -52,19 +45,17 @@ class ExtElem:
 
     def __mul__(self, other):
         n = self.field.degree
-        beta = self.field._beta_in_base
-        # with beta = 0 the products past y^(n-1) vanish, so they are never formed
-        top = 2 * n - 1 if beta else n
-        raw = [self.field.base.zero()] * top
+        raw = [self.field.base.zero()] * (2 * n - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs[:top - i]):
+            for j, b in enumerate(other.coeffs):
                 if b:
                     raw[i + j] = raw[i + j] + a * b
         # reduce with y^n = beta
+        beta = self.field._beta_in_base
         res = raw[:n]
-        for k in range(n, top):
+        for k in range(n, 2 * n - 1):
             if raw[k]:
                 res[k - n] = res[k - n] + raw[k] * beta
         return ExtElem(self.field, res)
@@ -82,15 +73,12 @@ class ExtElem:
         return self ** (ring.p - 1) * ring.lift(norm.inverse())
 
     def frobenius(self):
-        """a^p = sum_i c_i^p beta^i, by Horner in the base, lifted into this ring.
-
-        With beta = 0 (the series ring) every term but c_0^p vanishes.
-        """
+        """a^p = sum_i c_i^p beta^i, by Horner in the base, lifted into this field."""
         ring = self.field
         p = ring.p
         beta = ring._beta_in_base
         acc = ring.base.zero()
-        for c in reversed(self.coeffs if beta else self.coeffs[:1]):
+        for c in reversed(self.coeffs):
             if acc:
                 acc = acc * beta
             if c:
@@ -117,10 +105,6 @@ class ExtElem:
     def in_base(self):
         return not any(self.coeffs[1:])
 
-    def order_of_vanishing(self):
-        """The least i with a nonzero coefficient of y^i; n for zero."""
-        return next((i for i, c in enumerate(self.coeffs) if c), len(self.coeffs))
-
     def __repr__(self):
         gen = self.field.gen_name
         parts = []
@@ -136,20 +120,7 @@ class ExtElem:
         return " + ".join(parts) if parts else "0"
 
 
-class _QuotientRing:
-    """What both rings share: base, p, degree n, beta in the base, and the constants."""
-
-    def zero(self):
-        return ExtElem(self, [self.base.zero()] * self.degree)
-
-    def one(self):
-        return self.lift(self.base.one())
-
-    def lift(self, elem_of_base):
-        return ExtElem(self, [elem_of_base] + [self.base.zero()] * (self.degree - 1))
-
-
-class SimpleExtensionField(_QuotientRing):
+class SimpleExtensionField:
     """L = base(b^(1/p)) for a modulus b in the bottom function field, b not in base^p."""
 
     def __init__(self, base, beta, gen_name=None):
@@ -181,6 +152,15 @@ class SimpleExtensionField(_QuotientRing):
         return self.base.to_bottom(elem.coeffs[0])
 
     # -- field protocol -------------------------------------------------------
+
+    def zero(self):
+        return ExtElem(self, [self.base.zero()] * self.degree)
+
+    def one(self):
+        return self.lift(self.base.one())
+
+    def lift(self, elem_of_base):
+        return ExtElem(self, [elem_of_base] + [self.base.zero()] * (self.degree - 1))
 
     def from_int(self, n):
         return self.lift(self.base.from_int(n))
@@ -236,42 +216,6 @@ class SimpleExtensionField(_QuotientRing):
 
     def __repr__(self):
         return "%r(%s) with %s^%d = %r" % (self.base, self.gen_name, self.gen_name, self.p, self.beta)
-
-
-class TruncSeriesRing(_QuotientRing):
-    """base[u]/(u^order) for 1 <= order <= p, so that a^p = a_0^p lies in the base."""
-
-    gen_name = "u"
-
-    def __init__(self, base, order):
-        self.base = base
-        self.p = base.p
-        if not 1 <= order <= self.p:
-            raise ValueError("order must lie between 1 and p = %d" % self.p)
-        self.degree = order
-        self._beta_in_base = base.zero()
-
-    def gen(self):
-        """The class of u (zero when order == 1)."""
-        return self.from_coeffs([self.base.zero(), self.base.one()])
-
-    def from_coeffs(self, coeffs):
-        """sum_i coeffs[i] u^i, padded with zeros or cut off at u^order."""
-        coeffs = list(coeffs)[:self.degree]
-        return ExtElem(self, coeffs + [self.base.zero()] * (self.degree - len(coeffs)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncSeriesRing)
-            and self.base == other.base
-            and self.degree == other.degree
-        )
-
-    def __hash__(self):
-        return hash(("TruncSeriesRing", self.base, self.degree))
-
-    def __repr__(self):
-        return "%r[u]/(u^%d)" % (self.base, self.degree)
 
 
 def extension_tower(bottom_field, moduli):

@@ -85,6 +85,10 @@ class MultiPoly:
         terms = self.terms
         return len(terms) == 1 and terms.get(_ZERO_EXPONENTS[len(self.vars)]) == 1
 
+    def is_minus_one(self):
+        terms = self.terms
+        return len(terms) == 1 and terms.get(_ZERO_EXPONENTS[len(self.vars)]) == self.p - 1
+
     def is_constant(self):
         terms = self.terms
         return not terms or (len(terms) == 1 and _ZERO_EXPONENTS[len(self.vars)] in terms)

@@ -177,11 +177,15 @@ def _monic_den(num, den):
 
 
 def _times(x, y):
-    """x * y, without a product when either factor is 1."""
+    """x * y, without a product when either factor is the constant 1 or -1."""
     if x.is_one():
         return y
     if y.is_one():
         return x
+    if x.is_minus_one():
+        return -y
+    if y.is_minus_one():
+        return -x
     return x * y
 
 

@@ -168,15 +168,15 @@ def reference_normal_form(f, basis, counter=None):
 def pairwise_closure(ring, images):
     """Test-only oracle for the conductor subalgebra: the span of 1 and images inside
     the ConductorRing, with every pairwise product of its rref basis adjoined until
-    the span stops growing; returns that rref basis."""
-    basis = Span(ring.K, ring.dim_K,
-                 map(enumerate, [ring.one_vec()] + [ring.flatten(im) for im in images])).basis()
+    the span stops growing; returns that rref basis, dense rows."""
+    rows = Span(ring.K, ring.dim_K, [v.items() for v in (ring.one, *images)]).basis()
     while True:
+        basis = [{c: x for c, x in enumerate(row) if x} for row in rows]
         products = [ring.mul(a, b) for i, a in enumerate(basis) for b in basis[i:]]
-        closed = Span(ring.K, ring.dim_K, map(enumerate, basis + products)).basis()
-        if len(closed) == len(basis):
-            return basis
-        basis = closed
+        closed = Span(ring.K, ring.dim_K, [v.items() for v in basis + products]).basis()
+        if len(closed) == len(rows):
+            return rows
+        rows = closed
 
 
 def sympy_p_independent(elems):

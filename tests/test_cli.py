@@ -13,7 +13,7 @@ import pytest
 
 import insep
 from insep.catalog import check_catalog_entry, load_default_catalog
-from insep import cli
+from insep import catalog, cli
 from insep.cli import JobValidationError, _worker_count, main, run_catalog, run_job, strip_timing
 from insep.fieldarith import FunctionField, parse_expr
 
@@ -435,6 +435,10 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
          "task 0: algebra.f must be a list of integers"),
         ([{"kind": "classify", "lambda": ["s"]}],
          "task 0: lambda needs at least two coefficients"),
+        ([{"kind": "classify", "lambda": ["0", "0"]}],
+         "task 0: lambda: the coefficients must not all vanish"),
+        ([{"kind": "curve-conductor", "lambda": ["0", "s-s", "0*t"]}],
+         "task 0: lambda: the coefficients must not all vanish"),
         ([{"kind": "curve-normalize", "lambda": ["s", "t", "1", "1"]}],
          "task 0: lambda of a curve-normalize task needs exactly three coefficients"),
         ([{"kind": "classify"}], "task 0: classify task needs key 'lambda'"),
@@ -492,6 +496,8 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
          "catalog entry 0 (e): lambda must be a list of at least two strings"),
         ([st_entry, {**st_entry, "lambda": ["s", "u"]}],
          "catalog entry 1 (e): lambda: bad expression 'u'"),
+        ([st_entry, {**st_entry, "lambda": ["0", "t-t", "0"]}],
+         "catalog entry 1 (e): lambda: the coefficients must not all vanish"),
         ([{**st_entry, "field": {"p": 2, "vars": "st"}}],
          "catalog entry 0 (e): field: bad field descriptor: vars must be a list of strings"),
     ]
@@ -781,9 +787,19 @@ def test_remaining_task_kinds():
     assert report["tasks"][2]["result"]["ok"]
 
 
-def test_verify_all_task_reports_each_entry(tmp_path):
+def test_verify_all_task_reports_each_entry(tmp_path, monkeypatch):
     good = load_default_catalog()[0]
-    raising = {"name": "all-zero", "field": {"p": 2, "vars": ["t"]}, "lambda": ["0", "0", "0"]}
+    # a well-formed entry whose check raises: every input error is caught by
+    # load_catalog, so the raise is put into the check
+    raising = {"name": "raising", "field": {"p": 2, "vars": ["t"]}, "lambda": ["t", "1"]}
+    check = catalog.check_catalog_entry
+
+    def check_or_raise(entry):
+        if entry["name"] == "raising":
+            raise ValueError("the check of this entry fails")
+        return check(entry)
+
+    monkeypatch.setattr(catalog, "check_catalog_entry", check_or_raise)
     two = tmp_path / "two.json"
     two.write_text(json.dumps([good, raising]))
     malformed = tmp_path / "malformed.json"
@@ -792,11 +808,11 @@ def test_verify_all_task_reports_each_entry(tmp_path):
                       "tasks": [{"kind": "verify-all", "catalog": str(two)},
                                 {"kind": "verify-all", "catalog": str(malformed)}]})
     entries = report["tasks"][0]["result"]["entries"]
-    assert [e["name"] for e in entries] == [good["name"], "all-zero"]
+    assert [e["name"] for e in entries] == [good["name"], "raising"]
     assert entries[0]["ok"]
     assert not entries[1]["ok"]
     assert entries[1]["error"] == {"type": "ValueError",
-                                   "message": "coefficients must not all vanish"}
+                                   "message": "the check of this entry fails"}
     assert not report["tasks"][0]["result"]["ok"]
     assert not report["tasks"][0]["ok"]
     assert not report["ok"]

@@ -247,6 +247,23 @@ def test_closure_equals_the_pairwise_closure_of_the_chart_images_on_the_catalog(
     assert "f5t-two-term-Q" in names and "f3t-constant-Q" in names
 
 
+def test_chart_zero_image_is_the_inverse_of_s():
+    # U1/U0 = 1/s, with s = T0/T1 = u + point_on_line[0] in the local parameter u
+    charts = []
+    for name, nf in _catalog_curves(5):
+        cp = conductor_profile(nf)
+        ring, p = cp.ring, nf.p
+        s = ring.lift(cp.sp.point_on_line[0])
+        if p > 2:
+            s[p] = ring.K.one()
+        if cp.chart_index == 0:
+            assert ring.mul(cp.images[0], s) == ring.one, name
+        else:
+            assert cp.images[0] == s, name
+        charts.append((p, cp.chart_index))
+    assert {(2, 0), (3, 0), (5, 0), (3, 1)} <= set(charts)
+
+
 def test_closure_equals_the_pairwise_closure_on_seeded_curves_in_both_charts():
     # (lambda*w, Q(lambda)*w, w) rotated, Q(lambda) = a0 + a1*lambda + a2*lambda^2 with
     # constant a_i; a1 = a2 = 0 puts the singular point in chart 1
@@ -278,13 +295,27 @@ def test_conductor_products_stay_within_the_semi_naive_count(monkeypatch):
             count[_name] += 1
             return _inner(*args)
         monkeypatch.setattr(owner, name, counted)
+    closure = curves.ConductorRing.closure
+
+    def counted_closure(ring, gens):
+        before = count["mul"]
+        basis = closure(ring, gens)
+        count["closure products"] += count["mul"] - before
+        return basis
+
+    monkeypatch.setattr(curves.ConductorRing, "closure", counted_closure)
     for name, nf in shipped.items():
         count.clear()
         cp = conductor_profile(nf)
         # each row past 1 times each of the two generators
-        assert count["mul"] <= 2 * (cp.dim_subalgebra - 1) <= 18, name
-        # the L meet and the conductor guard
+        assert count["closure products"] <= 2 * (cp.dim_subalgebra - 1) <= 18, name
+        # outside the closure: x * s, and in chart 0 at most three for the inverse
+        # of s and one for U2/U0
+        assert count["mul"] - count["closure products"] <= 5, name
+        # the L meet and the conductor guard; the ResidueK witnesses' rank is a
+        # Span's length, with no Matrix
         assert count["_subspace_intersection_dim"] == 2, name
+        assert not count["_echelon"], name
         count.clear()
         gc = glueing_cohomology(cp)
         # the cohomology reads the profile: no product, elimination or reduction

@@ -1,6 +1,6 @@
 """The report contract: strip_timing of the shipped catalog's report and of a job with
-every task kind, byte for byte as committed under tests/data; and of three curve
-jobs at p = 5 and p = 3 that pin the conductor subalgebra's dimension and chart.
+every task kind, byte for byte as committed under tests/data; and of five curve
+jobs at p = 5, 3 and 2 that pin the conductor subalgebra's dimension and chart.
 
 A change that alters a report on purpose regenerates the file it changes and says
 in its description which keys moved; any other diff fails here.  The golden job
@@ -34,8 +34,9 @@ def test_job_of_every_task_kind_reports_the_golden_report(monkeypatch):
 
 
 def test_curve_jobs_at_p5_and_p3_report_the_golden_reports():
-    """curve-conductor and curve-cohomology in chart 0 over F_5(t) and F_5(s,t), and
-    in chart 1 over F_3(t); one job per field, one report per job."""
+    """curve-conductor and curve-cohomology in chart 0 over F_5(t) and F_5(s,t), in
+    chart 1 over F_3(t), and in both charts over F_2(s,t), where O_A = L; one
+    report per job."""
     jobs = read_json(DATA / "golden_curves_job.json")
     emitted = json.dumps([strip_timing(run_job(job)) for job in jobs], sort_keys=True,
                          indent=2) + "\n"

@@ -105,6 +105,23 @@ def test_power_makes_no_product_with_one(K3st, monkeypatch):
     assert f ** -2 == expected[2].inverse()
 
 
+def test_product_with_minus_one_is_a_negation(K3st, monkeypatch):
+    f = parse_expr("(s+t)/(s*t+1)", K3st)
+    minus_one = K3st.from_int(-1)
+    expected = parse_expr("(-s-t)/(s*t+1)", K3st)
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+    assert f * minus_one == expected == minus_one * f
+    assert minus_one * minus_one == K3st.one()
+    assert not products
+
+
 def test_formatting_reparses(K3st):
     rng = seeded(707)
     for _ in range(100):

@@ -1,11 +1,15 @@
+"""Root extensions and their Frobenius-norm inverse, and the conductor ring
+O_A = L[u]/(u^(p-1)), a truncated series ring over L given by structure
+constants over K."""
+
 import pytest
 
+from insep.curves import ConductorRing
 from insep.fieldarith import (
     FunctionField,
     NotAPthPowerCheckError,
     SimpleExtensionField,
     Span,
-    TruncSeriesRing,
     extension_tower,
     parse_expr,
 )
@@ -68,49 +72,86 @@ def test_tower_inverse_over_two_variables():
     assert a * a.inverse() == L.one()
 
 
-def test_trunc_series_arithmetic(K3t):
-    R = TruncSeriesRing(K3t, 3)
-    u = R.gen()
-    one = R.one()
-    f = one + u
-    g = f.inverse()
-    assert f * g == one
-    assert (u ** 3).order_of_vanishing() == 3  # truncated away
-    assert (u * u).order_of_vanishing() == 2
-    with pytest.raises(ValueError):
-        TruncSeriesRing(K3t, 4)  # above p, a^p would leave the base
+def conductor_ring(p):
+    """O_A over K = F_p(t), with L = K(t^(1/p))."""
+    K = FunctionField(p, ["t"])
+    return ConductorRing(SimpleExtensionField(K, K.gen("t"), gen_name="x"))
 
 
-def test_trunc_series_random_inverse(K3t):
+def test_trunc_series_arithmetic():
+    # u^j x^i * u^l x^k is x^i x^k in L placed at u^(j+l), and 0 from u^(p-1) on
+    for p in (2, 3, 5):
+        ring = conductor_ring(p)
+        x, one = ring.L.gen(), ring.K.one()
+        for a in range(ring.dim_K):
+            for b in range(ring.dim_K):
+                (j, i), (l, k) = divmod(a, p), divmod(b, p)
+                if j + l >= p - 1:
+                    expected = {}
+                else:
+                    expected = {(j + l) * p + c: v
+                                for c, v in enumerate((x ** i * x ** k).coeffs) if v}
+                assert ring.mul({a: one}, {b: one}) == expected, (p, a, b)
+
+
+def _random_unit(rng, ring):
+    a = {}
+    while 0 not in a:  # a nonzero u^0 part makes a unit; a constant term suffices
+        a = {c: x for c in range(ring.dim_K)
+             if (x := random_ratfunc(rng, ring.K, max_terms=2, max_exp=1))}
+    return a
+
+
+def test_trunc_series_random_inverse():
     rng = seeded(909)
-    R = TruncSeriesRing(K3t, 3)
-    for _ in range(40):
-        coeffs = [random_ratfunc(rng, K3t, max_terms=2, max_exp=2) for _ in range(3)]
-        while not coeffs[0]:
-            coeffs[0] = random_ratfunc(rng, K3t, max_terms=2, max_exp=2)
-        f = R.from_coeffs(coeffs)
-        assert f * f.inverse() == R.one()
+    for p, count in ((2, 10), (3, 10), (5, 2)):
+        ring = conductor_ring(p)
+        for _ in range(count):
+            a = _random_unit(rng, ring)
+            inv = ring.inverse(a)
+            assert ring.mul(a, inv) == ring.one
+            assert inv == _table_inverse(ring, a)
 
 
-def test_series_non_unit(K3t):
-    R = TruncSeriesRing(K3t, 3)
-    with pytest.raises(ZeroDivisionError):
-        R.gen().inverse()
+def test_series_non_unit():
+    for p in (3, 5):
+        ring = conductor_ring(p)
+        one = ring.K.one()
+        for a in ({}, {p: one}, {p: one, p + 1: ring.K.gen("t")}):  # 0, u, u + t u x
+            with pytest.raises(ZeroDivisionError):
+                ring.inverse(a)
+            with pytest.raises(ZeroDivisionError):
+                _table_inverse(ring, a)
 
 
-def _matrix_inverse(a):
-    """Reference inverse: multiplication by a is base-linear, so solve M v = e_0,
-    as the relation of a last column -e_0 against the columns of M."""
-    ring, base = a.field, a.field.base
-    n = ring.degree
-    cols = [(a * ring.from_coeffs([base.one() if i == j else base.zero() for i in range(n)])).coeffs
-            for j in range(n)]
+def _solve_for_e0(base, cols):
+    """The v with sum_j v_j cols[j] = e_0, cols the dense columns of a square
+    matrix: the relation of a last column -e_0 against them."""
+    n = len(cols)
     rows = [[(j, col[i]) for j, col in enumerate(cols)] for i in range(n)]
     rows[0].append((n, -base.one()))
     span = Span(base, n + 1, rows)
     if n in span.tails:
         raise ZeroDivisionError("not a unit")
-    return ring.from_coeffs(span.relation(n)[:n])
+    return span.relation(n)[:n]
+
+
+def _table_inverse(ring, a):
+    """Reference inverse in O_A: multiplication by a is K-linear, with columns
+    a e_j; solve a v = e_0."""
+    zero, one = ring.K.zero(), ring.K.one()
+    cols = [[col.get(i, zero) for i in range(ring.dim_K)]
+            for col in (ring.mul(a, {j: one}) for j in range(ring.dim_K))]
+    return {c: x for c, x in enumerate(_solve_for_e0(ring.K, cols)) if x}
+
+
+def _matrix_inverse(a):
+    """Reference inverse: multiplication by a is base-linear, so solve M v = e_0."""
+    ring, base = a.field, a.field.base
+    n = ring.degree
+    cols = [(a * ring.from_coeffs([base.one() if i == j else base.zero() for i in range(n)])).coeffs
+            for j in range(n)]
+    return ring.from_coeffs(_solve_for_e0(base, cols))
 
 
 def _random_elem(rng, ring, bottom):
@@ -128,7 +169,7 @@ def _prime_field_const(rng, K):
 
 
 def _norm_inverse_cases():
-    """(ring, bottom-field coefficients, number of units) for the cross-check."""
+    """(field, bottom-field coefficients, number of units) for the cross-check."""
     for p in (2, 3, 5, 7):
         K = FunctionField(p, ["t"])
         yield SimpleExtensionField(K, K.gen("t")), _small_ratfunc, 3
@@ -138,9 +179,6 @@ def _norm_inverse_cases():
     # rational coefficients (tens of seconds for one element), so these are in F_3
     K3 = FunctionField(3, ["s", "t"])
     yield extension_tower(K3, K3.gens()), _prime_field_const, 2
-    for p in (3, 5):
-        K = FunctionField(p, ["t"])
-        yield TruncSeriesRing(SimpleExtensionField(K, K.gen("t")), p - 1), _small_ratfunc, 3
 
 
 def test_norm_inverse_matches_the_matrix_inverse():
@@ -149,7 +187,7 @@ def test_norm_inverse_matches_the_matrix_inverse():
         units = []
         while len(units) < count:
             a = _random_elem(rng, ring, bottom)
-            if a.coeffs[0]:  # a unit in every ring here
+            if a:
                 units.append(a)
         for a in units:
             inv = a.inverse()
@@ -157,10 +195,5 @@ def test_norm_inverse_matches_the_matrix_inverse():
             assert inv == _matrix_inverse(a), (ring, a)
         with pytest.raises(ZeroDivisionError):
             ring.zero().inverse()
-        # the generator has zero constant term: a non-unit of the series ring only
         y = ring.gen()
-        if isinstance(ring, TruncSeriesRing):
-            with pytest.raises(ZeroDivisionError):
-                y.inverse()
-        else:
-            assert y * y.inverse() == ring.one()
+        assert y * y.inverse() == ring.one()
